@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import csv
 import gc
-import importlib
 import json
 import math
 import resource
 import statistics
+import subprocess
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
@@ -23,7 +23,9 @@ from time import perf_counter
 from tracer import SEARCH, Tracer
 
 REFERENCE_DIR = Path(__file__).resolve().parent / "reference"
-SETUPS_PER_PASS = 6
+SETUP_PROBE = Path(__file__).resolve().parent / "setup_probe.py"
+# Set-ups timed per run: two after each pass until there are this many.
+SETUP_SAMPLES = 12
 
 # One reference tuple per report row, in this order.
 COLUMNS = (
@@ -92,9 +94,9 @@ PER_LAYER = {
 }
 
 
-def row_key(n, elements, mode) -> str:
-    """Instance key in the form circpart uses for failure rows, e.g. ``8:1,7:u``."""
-    return f"{n}:{','.join(str(s) for s in elements)}:{'d' if mode == 'directed' else 'u'}"
+def row_key(cp, n, elements, mode) -> str:
+    """circpart's own instance key for a report row, e.g. ``8:1,7:u``."""
+    return cp.instance_key(cp.ConnectionSet(n, tuple(elements), mode))
 
 
 @dataclass
@@ -147,7 +149,7 @@ class SweepWorkload:
             report = cp.verify_theorem(cp.SweepSpec(**spec))
             outputs.append((report, cp.report_to_json(report)))
         wall = perf_counter() - started
-        instance_ms = {row_key(r.n, r.elements, r.mode): r.ms for report, _ in outputs for r in report.instances}
+        instance_ms = {row_key(cp, r.n, r.elements, r.mode): r.ms for report, _ in outputs for r in report.instances}
         return Pass(wall, instance_ms, outputs)
 
     def check(self, cp, instances, outputs, reference):
@@ -155,12 +157,12 @@ class SweepWorkload:
         attempted = 0
         problems = []
         for generated, expected_rows, (report, text) in zip(instances, reference, outputs):
-            expected = {row_key(*row[:3]): row for row in expected_rows}
+            expected = {row_key(cp, *row[:3]): row for row in expected_rows}
             got = {}
             for item in json.loads(text)["instances"]:
                 row = [item[column] for column in COLUMNS]
-                got[row_key(*row[:3])] = row
-            generated_keys = {row_key(cs.n, cs.elements, cs.mode) for cs in generated}
+                got[row_key(cp, *row[:3])] = row
+            generated_keys = {cp.instance_key(cs) for cs in generated}
             keys = set(expected) | set(got) | generated_keys
             attempted += len(keys)
             for key in sorted(keys):
@@ -181,12 +183,12 @@ class SweepWorkload:
                 problems.append((self.name, f"load_report gave {len(loaded)} rows for {len(report.instances)}"))
             for before, after in zip(report.instances, loaded):
                 if before != after:
-                    problems.append((row_key(before.n, before.elements, before.mode), "load_report round trip differs"))
+                    problems.append((row_key(cp, before.n, before.elements, before.mode), "load_report round trip differs"))
             csv_rows = list(csv.DictReader(cp.report_to_csv(report).splitlines()))
             if len(csv_rows) != len(report.instances):
                 problems.append((self.name, f"CSV has {len(csv_rows)} rows for {len(report.instances)}"))
             for row, line in zip(report.instances, csv_rows):
-                key = row_key(row.n, row.elements, row.mode)
+                key = row_key(cp, row.n, row.elements, row.mode)
                 if f"{line['n']}:{line['set']}:{line['mode']}" != key:
                     problems.append((key, "CSV row out of order"))
                 elif line["verdict"] != row.verdict:
@@ -194,7 +196,7 @@ class SweepWorkload:
         return attempted, problems
 
     def solution_counts(self, outputs):
-        return [(row_key(r.n, r.elements, r.mode), r.aut_b, r.aut_c) for report, _ in outputs for r in report.instances]
+        return [(r.n, r.elements, r.mode, r.aut_b, r.aut_c) for report, _ in outputs for r in report.instances]
 
 
 @dataclass(frozen=True)
@@ -203,7 +205,7 @@ class DenseWorkload:
 
     name: str
     ns: tuple
-    jobs: int = 1
+    jobs = 1
 
     def load_reference(self):
         # The answer follows from the theorem: the multiplier maps v -> j*v for every unit j.
@@ -257,10 +259,10 @@ WORKLOADS = {
                 {"n_min": 2, "n_max": 13, "modes": ("undirected",), "jobs": 2},
             ),
         ),
-        DenseWorkload("dense", (26, 28, 36, 42)),
+        DenseWorkload("dense", (22, 26, 42)),
         SweepWorkload(
             "disconnected",
-            ({"n_min": 2, "n_max": 15, "modes": ("undirected",), "connectivity": "disconnected"},),
+            ({"n_min": 2, "n_max": 14, "modes": ("undirected",), "connectivity": "disconnected"},),
         ),
         SweepWorkload("oracle", ({"n_min": 2, "n_max": 8, "enumerator": "both"},)),
     )
@@ -289,11 +291,19 @@ class Outcome:
         return min(self._failed, self.attempted)
 
 
-def peak_rss_mb() -> float:
-    """Peak resident set of this process plus that of its largest waited-for worker."""
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return (own + workers) / 1024.0
+def peak_rss_mb(workload) -> float:
+    """Peak resident set of this process plus that of its largest pool worker.
+
+    ``RUSAGE_CHILDREN`` keeps the peak of the largest child ever waited for
+    by this process, which includes the helpers a launcher ran before it
+    exec'd the interpreter (those of a pyenv shim, for one). It is therefore
+    added only on workloads with a worker pool, whose workers are several
+    times larger than such helpers.
+    """
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if workload.jobs > 1:
+        peak += resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return peak / 1024.0
 
 
 def percentile(samples, q):
@@ -311,45 +321,26 @@ def settle():
     gc.freeze()
 
 
-def _circpart_modules():
-    return {name: m for name, m in sys.modules.items() if name == "circpart" or name.startswith("circpart.")}
-
-
-def fresh_setup(workload):
-    """Import circpart from scratch and build the workload's instance list.
-
-    Returns (circpart, instances, seconds taken).
-    """
-    for name in _circpart_modules():
-        del sys.modules[name]
-    gc.collect()
-    started = perf_counter()
-    cp = importlib.import_module("circpart")
-    instances = workload.setup(cp)
-    return cp, instances, perf_counter() - started
-
-
 def setup_seconds(workload) -> float:
-    """Time one ``fresh_setup``, then put back the circpart modules that were loaded before it."""
-    loaded = _circpart_modules()
-    try:
-        return fresh_setup(workload)[2]
-    finally:
-        for name in _circpart_modules():
-            del sys.modules[name]
-        sys.modules.update(loaded)
+    """Time one set-up of ``workload`` in a fresh interpreter; see setup_probe.py."""
+    proc = subprocess.run(
+        [sys.executable, str(SETUP_PROBE), workload.name], capture_output=True, text=True, timeout=60, check=True
+    )
+    return float(proc.stdout)
 
 
 def timed_run(workload, cp, instances, rng, seconds, outcome):
     """Untraced passes until the next one would overrun ``seconds``; returns the end-to-end metrics.
 
-    Before each pass SETUPS_PER_PASS set-ups are timed, so the set-up
-    samples are spread over the run like the passes are. Each pass is checked
-    and its outputs dropped before the next one starts. Peak memory is read
-    after the first pass, before any checking. Throughput is the median over
-    the passes; the per-instance percentiles are taken over the instances,
-    each at its median time over the passes. Medians, unlike minima, do not
-    depend on how many passes fitted into the run.
+    Each pass is checked and its outputs dropped before the next one starts.
+    Peak memory is read after the first pass, before any checking and before
+    any set-up probe has run, so the probes' own memory is not counted. After
+    each pass two set-ups are timed until there are SETUP_SAMPLES of them, so
+    the set-up samples are spread over the run like the passes are.
+    Throughput is the median over the passes; the per-instance percentiles
+    are taken over the instances, each at its median time over the passes.
+    Medians, unlike minima, do not depend on how many passes fitted into the
+    run.
     """
     reference = workload.load_reference()
     rates, setup_times = [], []
@@ -357,16 +348,17 @@ def timed_run(workload, cp, instances, rng, seconds, outcome):
     rss = None
     started = perf_counter()
     while True:
-        setup_times.extend(setup_seconds(workload) for _ in range(SETUPS_PER_PASS))
         settle()
         run = workload.run_pass(cp, instances, rng)
         if rss is None:
-            rss = peak_rss_mb()
+            rss = peak_rss_mb(workload)
         outcome.add(*workload.check(cp, instances, run.outputs, reference))
         rates.append(len(run.instance_ms) / run.wall_s)
         for key, ms in run.instance_ms.items():
             instance_ms[key].append(ms)
         wall, run = run.wall_s, None
+        if len(setup_times) < SETUP_SAMPLES:
+            setup_times.extend(setup_seconds(workload) for _ in range(2))
         if perf_counter() - started + wall > seconds:
             break
     per_instance = [statistics.median(times) for times in instance_ms.values()]

@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Run the benchmark on several seeds and summarise the spread of each metric.
+"""Run every workload on seeds 1..10, twice, and summarise the spread of each metric.
 
-    python3 perfbench/repeat.py [--workloads sweep dense] [--seeds 10] [--out FILE]
+    python3 perfbench/repeat.py [--out FILE]
 
-Run from the repository root. For each workload it makes one untraced run
-per seed (seeds 1..N), then one traced run, each through ``run.py`` in a
-fresh interpreter with ``run_seconds`` from BENCHMARK.json. It prints, per
-workload, every end-to-end metric with its unit, median, quartiles and
-spread (interquartile distance over median) next to its bound, plus the
-share of failed instances. ``--out`` writes the same summary, the machine
-description and the per-layer metrics of the traced run as JSON.
+Run from the repository root. Two sets are run one after the other; each
+makes one untraced run per workload and seed, with the command and
+``run_seconds`` from BENCHMARK.json. One traced run per
+workload follows. It prints, per set and workload, every end-to-end metric
+with its unit, median, quartiles and spread (interquartile distance over
+median) next to its bound, plus the share of failed instances; then, per
+workload and metric, how much worse the second set's median is than the
+first's, next to the bound. ``--out`` writes the same summary, the machine
+description and the per-layer metrics of the traced runs as JSON.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUN = Path(__file__).resolve().parent / "run.py"
+SEEDS = list(range(1, 11))
+SETS = 2
 
 
-def run_once(workload, seed, seconds, trace):
+def run_once(spec, workload, seed, trace):
+    """One run of BENCHMARK.json's command; returns its result line."""
     proc = subprocess.run(
-        [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+        [*spec["command"], "--workload", workload, "--seed", str(seed), "--seconds", str(spec["run_seconds"]),
          "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=600, check=False,
     )
@@ -43,43 +47,62 @@ def summarise(values):
     return {"median": median, "q1": q1, "q3": q3, "spread": (q3 - q1) / median, "values": values}
 
 
-def main(argv=None) -> int:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in spec["workloads"]])
-    parser.add_argument("--seeds", type=int, default=10)
-    parser.add_argument("--out", type=Path)
-    args = parser.parse_args(argv)
-
-    seconds = spec["run_seconds"]
-    summary = {
-        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "arch": platform.machine()},
-        "run_seconds": seconds,
-        "seeds": list(range(1, args.seeds + 1)),
-        "workloads": {},
-    }
-    for workload in args.workloads:
-        runs = [run_once(workload, seed, seconds, 0) for seed in summary["seeds"]]
-        traced = run_once(workload, 1, seconds, 1)
+def run_set(spec, number):
+    """One untraced run per workload and seed; returns {workload: summary}."""
+    entries = {}
+    for workload in (w["name"] for w in spec["workloads"]):
+        runs = [run_once(spec, workload, seed, 0) for seed in SEEDS]
         attempted = sum(r["attempted"] for r in runs)
         failed = sum(r["failed"] for r in runs)
         entry = {
-            "correct": all(r["correct"] for r in runs) and traced["correct"],
+            "correct": all(r["correct"] for r in runs),
             "samples_per_run": [r["attempted"] for r in runs],
             "failed_share": failed / attempted,
             "end_to_end": {},
-            "per_layer": {name: m["value"] for name, m in traced["metrics"].items()},
         }
-        print(f"{workload}: correct {entry['correct']}, failed_share {entry['failed_share']} "
+        print(f"set {number} {workload}: correct {entry['correct']}, failed_share {entry['failed_share']} "
               f"({failed} of {attempted}), samples per run {entry['samples_per_run']}", flush=True)
         for metric in spec["end_to_end"]:
             name = metric["name"]
             stats = summarise([r["metrics"][name]["value"] for r in runs])
             entry["end_to_end"][name] = {"unit": metric["unit"], **stats}
             print(f"  {name:18s} {stats['median']:12.6g} {metric['unit']:5s} "
-                  f"q1 {stats['q1']:.6g}  q3 {stats['q3']:.6g}  spread {stats['spread']:.4f}  bound {metric['bound']}", flush=True)
-        summary["workloads"][workload] = entry
+                  f"q1 {stats['q1']:.6g}  q3 {stats['q3']:.6g}  spread {stats['spread']:.4f}  bound {metric['bound']}",
+                  flush=True)
+        entries[workload] = entry
+    return entries
+
+
+def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+
+    sets = [run_set(spec, number) for number in range(1, SETS + 1)]
+    print("second set's median against the first's (worse by, as a share of the first)")
+    second_worse_by = {}
+    for workload in sets[0]:
+        second_worse_by[workload] = {}
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            first, second = (s[workload]["end_to_end"][name]["median"] for s in sets)
+            worse = (second - first if metric["better"] == "lower" else first - second) / first
+            second_worse_by[workload][name] = worse
+            print(f"  {workload:13s} {name:18s} {worse:+.4f}  bound {metric['bound']}", flush=True)
+    traced = {}
+    for workload in sets[0]:
+        result = run_once(spec, workload, SEEDS[0], 1)
+        traced[workload] = {"correct": result["correct"], **{k: m["value"] for k, m in result["metrics"].items()}}
     if args.out:
+        summary = {
+            "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "arch": platform.machine()},
+            "run_seconds": spec["run_seconds"],
+            "seeds": SEEDS,
+            "sets": sets,
+            "second_worse_by": second_worse_by,
+            "per_layer": traced,
+        }
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(json.dumps(summary, indent=1) + "\n")
     return 0

@@ -15,6 +15,7 @@ JSON object with the keys ``correct``, ``attempted``, ``failed`` and
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import random
 import sys
@@ -23,7 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-from bench import END_TO_END, PER_LAYER, WORKLOADS, Outcome, fresh_setup, timed_run, traced_run  # noqa: E402
+from bench import END_TO_END, PER_LAYER, WORKLOADS, Outcome, timed_run, traced_run  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -39,10 +40,11 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, str(SRC))
     workload = WORKLOADS[args.workload]
-    cp, instances, _ = fresh_setup(workload)
+    cp = importlib.import_module("circpart")
     if not Path(cp.__file__).resolve().is_relative_to(SRC):
         print(f"perfbench: imported circpart from {cp.__file__}, not from {SRC}", file=sys.stderr)
         return 2
+    instances = workload.setup(cp)
     rng = random.Random(args.seed)
 
     outcome = Outcome()

@@ -52,7 +52,6 @@ def toy(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench, "REFERENCE_DIR", tmp_path)
     monkeypatch.setattr(run, "WORKLOADS", TOY)
-    monkeypatch.setattr(bench, "SETUPS_PER_PASS", 2)
     for workload in TOY.values():
         if isinstance(workload, SweepWorkload):
             (tmp_path / f"{workload.name}.json").write_text(
@@ -104,7 +103,7 @@ def test_corrupted_reference_row_makes_failed_share_nonzero(toy, capsys, workloa
     result, err = run_main(capsys, workload, 0)
     assert not result["correct"]
     assert result["failed"] == 1 < result["attempted"]
-    assert f"FAILED {bench.row_key(*row[:3])}:" in err
+    assert f"FAILED {row[0]}:{','.join(map(str, row[1]))}:{row[2][0]}:" in err
 
 
 @pytest.mark.parametrize("workload", list(TOY))
