@@ -12,13 +12,15 @@ import gc
 import json
 import math
 import resource
+import signal
 import statistics
 import subprocess
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, thread_time
 
 from tracer import SEARCH, Tracer
 
@@ -26,6 +28,14 @@ REFERENCE_DIR = Path(__file__).resolve().parent / "reference"
 SETUP_PROBE = Path(__file__).resolve().parent / "setup_probe.py"
 # Set-ups timed per run: two after each pass until there are this many.
 SETUP_SAMPLES = 12
+# The speed gauge: a fixed loop run every GAUGE_INTERVAL_S during a pass.
+# Timings are scaled to a machine on which the loop takes GAUGE_REF_S of CPU
+# time, which is about what it takes on the 2-vCPU machine of the baseline.
+GAUGE_ROUNDS = 80
+GAUGE_INTERVAL_S = 0.1
+GAUGE_REF_S = 0.001
+_GAUGE_TABLE = list(range(64))
+_GAUGE_STEP = {i: i * 37 % 64 for i in range(64)}
 
 # One reference tuple per report row, in this order.
 COLUMNS = (
@@ -101,11 +111,17 @@ def row_key(cp, n, elements, mode) -> str:
 
 @dataclass
 class Pass:
-    """One pass over a workload's fixed input: wall time, time per instance key (ms), raw outputs."""
+    """One pass over a workload's fixed input: wall time, time per instance key (ms), raw outputs.
+
+    ``instance_windows`` holds the (start, end) ``perf_counter`` times of the
+    instances the benchmark times itself, so their times can be scaled with
+    the gauge samples of their own window.
+    """
 
     wall_s: float
     instance_ms: dict
     outputs: list
+    instance_windows: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -221,14 +237,15 @@ class DenseWorkload:
     def run_pass(self, cp, instances, rng, jobs=None) -> Pass:
         order = list(instances)
         rng.shuffle(order)
-        instance_ms, outputs = {}, []
+        instance_ms, outputs, windows = {}, [], {}
         started = perf_counter()
         for n, graph, part_b, part_c in order:
             t0 = perf_counter()
             solutions = (cp.enumerate_respecting(graph, part_b), cp.enumerate_respecting(graph, part_c))
-            instance_ms[n] = (perf_counter() - t0) * 1e3
+            t1 = perf_counter()
+            instance_ms[n], windows[n] = (t1 - t0) * 1e3, (t0, t1)
             outputs.append((n, solutions))
-        return Pass(perf_counter() - started, instance_ms, outputs)
+        return Pass(perf_counter() - started, instance_ms, outputs, windows)
 
     def check(self, cp, instances, outputs, reference):
         problems = []
@@ -306,6 +323,66 @@ def peak_rss_mb(workload) -> float:
     return peak / 1024.0
 
 
+def gauge_seconds() -> float:
+    """CPU time of one run of a fixed pure-Python loop.
+
+    The loop does the kinds of work circpart does: it indexes lists and
+    dicts, adds small ints, and builds, sorts and discards small lists and
+    dicts. CPU time leaves out any wait for a processor.
+    """
+    table, step = _GAUGE_TABLE, _GAUGE_STEP
+    acc = 0
+    started = thread_time()
+    for i in range(GAUGE_ROUNDS):
+        row = [table[step[(i * j) & 63]] for j in range(12)]
+        row.sort()
+        acc += row[5] + len({x: j for j, x in enumerate(row)})
+        for j in range(48):
+            acc ^= table[step[(i + j) & 63]] + j
+    return thread_time() - started
+
+
+class SpeedGauge:
+    """How fast this machine runs Python while a pass runs.
+
+    A shared host changes speed under the benchmark: the same loop takes
+    anything from 1x to 1.7x its fastest time, in phases from a second to
+    minutes long, and the change shows in CPU time as well as wall time.
+    While ``sampling`` is open an interval timer runs ``gauge_seconds`` in
+    the main thread every GAUGE_INTERVAL_S (about 1% of a processor), so
+    the samples cover the pass the way its own work does; one more sample
+    is taken as it closes, so a short pass has at least one. ``scale`` turns
+    a time measured during the pass, or during a window of it, into the
+    time at reference speed.
+    """
+
+    def __init__(self):
+        self.samples = []
+
+    def _sample(self, signum=None, frame=None):
+        self.samples.append((perf_counter(), gauge_seconds()))
+
+    @contextmanager
+    def sampling(self):
+        self.samples = []
+        previous = signal.signal(signal.SIGALRM, self._sample)
+        signal.setitimer(signal.ITIMER_REAL, GAUGE_INTERVAL_S, GAUGE_INTERVAL_S)
+        try:
+            yield self
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        self._sample()
+
+    def scale(self, start=-math.inf, end=math.inf) -> float:
+        """GAUGE_REF_S over the mean sample taken from ``start`` to ``end``: the factor from measured to
+        reference-speed time. A window without a sample uses the first sample after it."""
+        inside = [seconds for at, seconds in self.samples if start <= at <= end]
+        if not inside:
+            inside = [next(seconds for at, seconds in self.samples if at > end)]
+        return GAUGE_REF_S / statistics.fmean(inside)
+
+
 def percentile(samples, q):
     return statistics.quantiles(samples, n=100, method="inclusive")[q - 1] if len(samples) > 1 else samples[0]
 
@@ -322,11 +399,12 @@ def settle():
 
 
 def setup_seconds(workload) -> float:
-    """Time one set-up of ``workload`` in a fresh interpreter; see setup_probe.py."""
+    """One set-up of ``workload`` in a fresh interpreter, at reference speed; see setup_probe.py."""
     proc = subprocess.run(
         [sys.executable, str(SETUP_PROBE), workload.name], capture_output=True, text=True, timeout=60, check=True
     )
-    return float(proc.stdout)
+    seconds, gauge = map(float, proc.stdout.split())
+    return seconds * GAUGE_REF_S / gauge
 
 
 def timed_run(workload, cp, instances, rng, seconds, outcome):
@@ -337,25 +415,32 @@ def timed_run(workload, cp, instances, rng, seconds, outcome):
     any set-up probe has run, so the probes' own memory is not counted. After
     each pass two set-ups are timed until there are SETUP_SAMPLES of them, so
     the set-up samples are spread over the run like the passes are.
-    Throughput is the median over the passes; the per-instance percentiles
-    are taken over the instances, each at its median time over the passes.
-    Medians, unlike minima, do not depend on how many passes fitted into the
-    run.
+    Every time is scaled to reference speed with the SpeedGauge samples
+    taken during its own pass, or during its own instance where the
+    benchmark times the instance itself. Throughput is the median over the passes;
+    the per-instance percentiles are taken over the instances, each at its
+    median time over the passes. Medians, unlike minima, do not depend on
+    how many passes fitted into the run.
     """
     reference = workload.load_reference()
-    rates, setup_times = [], []
+    gauge = SpeedGauge()
+    rates, raw_rates, scales, setup_times = [], [], [], []
     instance_ms = defaultdict(list)
     rss = None
     started = perf_counter()
     while True:
         settle()
-        run = workload.run_pass(cp, instances, rng)
+        with gauge.sampling():
+            run = workload.run_pass(cp, instances, rng)
         if rss is None:
             rss = peak_rss_mb(workload)
         outcome.add(*workload.check(cp, instances, run.outputs, reference))
-        rates.append(len(run.instance_ms) / run.wall_s)
+        scales.append(gauge.scale())
+        raw_rates.append(len(run.instance_ms) / run.wall_s)
+        rates.append(raw_rates[-1] / scales[-1])
         for key, ms in run.instance_ms.items():
-            instance_ms[key].append(ms)
+            window = run.instance_windows.get(key)
+            instance_ms[key].append(ms * (gauge.scale(*window) if window else scales[-1]))
         wall, run = run.wall_s, None
         if len(setup_times) < SETUP_SAMPLES:
             setup_times.extend(setup_seconds(workload) for _ in range(2))
@@ -369,7 +454,13 @@ def timed_run(workload, cp, instances, rng, seconds, outcome):
         "setup_s": statistics.median(setup_times),
         "peak_rss_mb": rss,
     }
-    notes = {"passes": len(rates), "instances": len(per_instance), "setups": len(setup_times)}
+    notes = {
+        "passes": len(rates),
+        "instances": len(per_instance),
+        "setups": len(setup_times),
+        "gauge_scale_median": statistics.median(scales),
+        "instances_per_s_unscaled": statistics.median(raw_rates),
+    }
     return metrics, notes
 
 

@@ -8,7 +8,8 @@ makes one untraced run per workload and seed, with the command and
 ``run_seconds`` from BENCHMARK.json. One traced run per
 workload follows. It prints, per set and workload, every end-to-end metric
 with its unit, median, quartiles and spread (interquartile distance over
-median) next to its bound, plus the share of failed instances; then, per
+median) next to its bound, plus the share of failed instances and the
+spread of the run's speed-gauge scale and unscaled throughput; then, per
 workload and metric, how much worse the second set's median is than the
 first's, next to the bound. ``--out`` writes the same summary, the machine
 description and the per-layer metrics of the traced runs as JSON.
@@ -20,6 +21,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -31,7 +33,7 @@ SETS = 2
 
 
 def run_once(spec, workload, seed, trace):
-    """One run of BENCHMARK.json's command; returns its result line."""
+    """One run of BENCHMARK.json's command; returns its result line, with the run's notes under "notes"."""
     proc = subprocess.run(
         [*spec["command"], "--workload", workload, "--seed", str(seed), "--seconds", str(spec["run_seconds"]),
          "--trace", str(trace)],
@@ -39,7 +41,9 @@ def run_once(spec, workload, seed, trace):
     )
     if proc.returncode != 0:
         raise SystemExit(f"{workload} seed {seed} trace {trace} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    notes = dict(m.groups() for m in map(re.compile(r"  (\w+): (\S+)$").match, lines) if m)
+    return {**json.loads(lines[-1]), "notes": notes}
 
 
 def summarise(values):
@@ -69,6 +73,10 @@ def run_set(spec, number):
             print(f"  {name:18s} {stats['median']:12.6g} {metric['unit']:5s} "
                   f"q1 {stats['q1']:.6g}  q3 {stats['q3']:.6g}  spread {stats['spread']:.4f}  bound {metric['bound']}",
                   flush=True)
+        for name in ("gauge_scale_median", "instances_per_s_unscaled"):
+            stats = summarise([float(r["notes"][name]) for r in runs])
+            entry[name] = stats
+            print(f"  {name:26s} {stats['median']:10.6g}  spread {stats['spread']:.4f} (not a metric)", flush=True)
         entries[workload] = entry
     return entries
 

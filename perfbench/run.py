@@ -6,7 +6,7 @@
 Run from the repository root. circpart is imported from ``src/`` next to
 this directory; nothing needs installing. With ``--trace 0`` the workload
 runs untraced for about ``--seconds`` and the end-to-end metrics are
-reported; with ``--trace 1`` it runs once untraced and once traced and the
+reported, with every timing scaled to reference speed (see README.md); with ``--trace 1`` it runs once untraced and once traced and the
 per-layer metrics are reported. The last line of standard output is one
 JSON object with the keys ``correct``, ``attempted``, ``failed`` and
 ``metrics``; the lines before it repeat every metric by name and unit.

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Time one set-up of a benchmark workload in a fresh interpreter; print it in seconds.
+"""Time one set-up of a benchmark workload in a fresh interpreter.
 
     python3 perfbench/setup_probe.py WORKLOAD
 
 Set-up is the import of circpart from ``src/``, with every module it pulls
 in (the interpreter is fresh, so nothing is cached yet), plus building the
 workload's instance list. ``bench`` is imported between the two timed
-steps, so the benchmark's own imports are not counted.
+steps, so the benchmark's own imports are not counted. Prints the set-up
+time in seconds and then the median of 15 runs of the speed gauge made
+right after it (``bench.gauge_seconds``), which scales it to reference speed.
 """
 
 import os
@@ -20,8 +22,11 @@ import circpart  # noqa: E402
 
 imported = perf_counter() - started
 
-from bench import WORKLOADS  # noqa: E402
+import statistics  # noqa: E402
+
+from bench import WORKLOADS, gauge_seconds  # noqa: E402
 
 started = perf_counter()
 WORKLOADS[sys.argv[1]].setup(circpart)
-print(imported + perf_counter() - started)
+seconds = imported + perf_counter() - started
+print(seconds, statistics.median(gauge_seconds() for _ in range(15)))

@@ -8,8 +8,10 @@ from __future__ import annotations
 import json
 import random
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -119,6 +121,22 @@ def test_traced_and_untraced_runs_give_identical_solution_counts(workload):
     assert w.solution_counts(traced.outputs) == w.solution_counts(plain.outputs)
     assert tracer.calls("solver.enumerate_respecting") > 0
     assert cp.enumerate_respecting is cp.solver.enumerate_respecting  # wrappers removed
+
+
+def test_speed_gauge_samples_during_a_pass_and_restores_the_alarm():
+    gauge = bench.SpeedGauge()
+    previous = signal.getsignal(signal.SIGALRM)
+    with gauge.sampling():
+        deadline = time.perf_counter() + 3.5 * bench.GAUGE_INTERVAL_S
+        while time.perf_counter() < deadline:
+            pass
+    assert len(gauge.samples) >= 3
+    assert gauge.scale() > 0
+    first_at, first_seconds = gauge.samples[0]
+    assert gauge.scale(first_at, first_at) == bench.GAUGE_REF_S / first_seconds
+    assert gauge.scale(first_at - 2, first_at - 1) == bench.GAUGE_REF_S / first_seconds  # no sample inside
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGALRM) is previous
 
 
 def test_refuses_to_run_without_the_sources(tmp_path):
