@@ -58,9 +58,6 @@ class ConnectionSet:
     def directed(self) -> bool:
         return self.mode == DIRECTED
 
-    def is_inverse_closed(self) -> bool:
-        return all(self.n - s in self.elements for s in self.elements)
-
 
 @dataclass(frozen=True)
 class CirculantGraph:
@@ -93,13 +90,6 @@ class CirculantGraph:
     @property
     def directed(self) -> bool:
         return self.cs.directed
-
-    def generators_of(self, arc: tuple[int, int]) -> tuple[int, ...]:
-        """The connection-set elements that produce this arc or edge."""
-        u, v = arc
-        if self.directed:
-            return ((v - u) % self.n,)
-        return tuple(s for s in self.elements if (v - u) % self.n == s or (u - v) % self.n == s)
 
 
 def build(n: int, elements, mode: str) -> CirculantGraph:

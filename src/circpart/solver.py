@@ -27,8 +27,6 @@ from .zmod import MultiplierWitness, crt_combine, factorize
 DEFAULT_ORACLE_LIMIT = 9
 DEFAULT_SEARCH_CAP = 64
 
-_OUT, _IN, _EDGE = 0, 1, 2
-
 
 class ResourceLimitError(RuntimeError):
     """Raised when a search would exceed its configured size or solution cap."""
@@ -38,11 +36,11 @@ class ResourceLimitError(RuntimeError):
 class SearchConfig:
     """Knobs for the backtracking enumerator.
 
-    Vertex images are assigned in breadth-first order from vertex 0; that
-    order is fixed. ``oracle_mode`` swaps in the brute-force filter, which
-    is only permitted up to ``oracle_limit``. Exceeding ``max_solutions``
-    raises rather than truncating, so a capped run can never be mistaken
-    for a complete one.
+    Vertex images are assigned in the fixed cycle-first order of
+    ``_search_order``, starting from vertex 0. ``oracle_mode`` swaps in the
+    brute-force filter, which is only permitted up to ``oracle_limit``.
+    Exceeding ``max_solutions`` raises rather than truncating, so a capped
+    run can never be mistaken for a complete one.
     """
 
     fix_zero: bool = True
@@ -52,11 +50,14 @@ class SearchConfig:
     hard_cap: int = DEFAULT_SEARCH_CAP
 
 
-def _bfs_order(graph: CirculantGraph):
-    """BFS vertex order from 0 (then any later components from their smallest
-    vertex), visiting neighbors in ascending generator order. Returns the
-    order plus, for each non-root vertex, the discovering (parent, arc
-    direction) pair used to derive candidate images."""
+def _search_order(graph: CirculantGraph):
+    """Cycle-first vertex order from 0 (then any later components from their
+    smallest vertex). Visiting ``u`` walks ``u+s, u+2s, ...`` for each
+    generator ``s`` in ascending order until the walk meets a vertex already
+    seen, so every generator's cycle is laid out before the search branches
+    off it. Returns the order plus, for each non-root vertex, its parent:
+    the previous vertex on its cycle, from which an arc points to it (the
+    forward walks alone reach every vertex of a component)."""
     n = graph.n
     parents: list = [None] * n
     seen = [False] * n
@@ -70,16 +71,13 @@ def _bfs_order(graph: CirculantGraph):
         while queue:
             u = queue.popleft()
             for s in graph.elements:
-                if graph.directed:
-                    moves = (((u + s) % n, _OUT), ((u - s) % n, _IN))
-                else:
-                    moves = (((u + s) % n, _EDGE), ((u - s) % n, _EDGE))
-                for w, rel in moves:
-                    if not seen[w]:
-                        seen[w] = True
-                        parents[w] = (u, rel)
-                        order.append(w)
-                        queue.append(w)
+                prev, w = u, (u + s) % n
+                while not seen[w]:
+                    seen[w] = True
+                    parents[w] = prev
+                    order.append(w)
+                    queue.append(w)
+                    prev, w = w, (w + s) % n
     return order, parents
 
 
@@ -101,11 +99,15 @@ def enumerate_respecting(
 ) -> list[Perm]:
     """All automorphisms of ``graph`` respecting ``partition``, ascending by image tuple.
 
-    Depth-first assignment of vertex images in BFS order from 0, pruned by
-    two incremental invariants: every arc between assigned vertices must map
-    to an arc, and the induced part-to-part map must stay injective in both
-    directions (with matching part sizes). Completed assignments still get a
-    full automorphism-plus-respect re-check before being emitted.
+    Depth-first assignment of vertex images in the cycle-first order of
+    ``_search_order``, pruned by two incremental invariants: every arc
+    between assigned vertices must map to an arc, and the induced
+    part-to-part map must stay injective in both directions (with matching
+    part sizes). A vertex's candidates are the endpoints of arcs leaving its
+    parent's image; once the part of its parent arc is mapped, only arcs of
+    the image part qualify, which forces the rest of a monochromatic cycle
+    after its first arc. Completed assignments still get a full
+    automorphism-plus-respect re-check before being emitted.
     """
     if cfg is None:
         cfg = SearchConfig()
@@ -116,17 +118,29 @@ def enumerate_respecting(
         raise ResourceLimitError(f"n={n} exceeds the search cap {cfg.hard_cap}")
     if partition.universe != graph.arc_set:
         raise ValueError("partition does not partition this graph's arcs")
+    directed = graph.directed
 
     part_of = {}
+    part_succ: list[dict] = []  # part -> vertex -> endpoints reached along arcs of that part
     for idx, part in enumerate(partition.parts):
+        succ_in_part: dict = {}
         for arc in part.arcs:
             part_of[arc] = idx
+            u, v = arc
+            succ_in_part.setdefault(u, []).append(v)
+            if not directed:
+                succ_in_part.setdefault(v, []).append(u)
+        part_succ.append(succ_in_part)
     part_sizes = tuple(len(part.arcs) for part in partition.parts)
 
-    order, parents = _bfs_order(graph)
+    order, parents = _search_order(graph)
+    parent_part = [None] * n
+    for u, w in enumerate(parents):
+        if w is not None:
+            parent_part[u] = part_of[(w, u) if directed or w < u else (u, w)]
     incident = _incident_lists(graph)
     arc_set = graph.arc_set
-    directed = graph.directed
+    succ = graph.succ
 
     images = [-1] * n
     used = [False] * n
@@ -139,10 +153,13 @@ def enumerate_respecting(
         if parent is None:
             if u == 0 and cfg.fix_zero:
                 return (0,)
-            return tuple(v for v in range(n) if not used[v])
-        w, rel = parent
-        pool = graph.succ[images[w]] if rel != _IN else graph.pred[images[w]]
-        return tuple(v for v in pool if not used[v])
+            return [v for v in range(n) if not used[v]]
+        mapped = part_map[parent_part[u]]
+        if mapped >= 0:
+            pool = part_succ[mapped].get(images[parent], ())
+        else:
+            pool = succ[images[parent]]
+        return [v for v in pool if not used[v]]
 
     def try_assign(u, v):
         added = []
@@ -176,31 +193,51 @@ def enumerate_respecting(
                 return None
         return added
 
-    def dfs(depth):
-        if depth == n:
-            p = tuple(images)
-            if is_automorphism(graph, p) and respects(p, partition):
-                solutions.append(p)
-                if cfg.max_solutions is not None and len(solutions) > cfg.max_solutions:
-                    raise ResourceLimitError(
-                        f"more than max_solutions={cfg.max_solutions} respecting automorphisms"
-                    )
-            return
+    # Explicit depth-first stack: per depth, the candidate list, the cursor
+    # into it and the part-map entries added by the current assignment.
+    pending: list = [None] * n
+    cursor = [0] * n
+    added_at: list = [None] * n
+    pending[0] = candidates(order[0])
+    depth = 0
+    while depth >= 0:
         u = order[depth]
-        for v in candidates(u):
-            added = try_assign(u, v)
-            if added is None:
-                continue
-            images[u] = v
-            used[v] = True
-            dfs(depth + 1)
+        added = added_at[depth]
+        if added is not None:  # undo this depth's previous assignment
+            used[images[u]] = False
             images[u] = -1
-            used[v] = False
             for sp, dp in added:
                 part_map[sp] = -1
                 part_map_inv[dp] = -1
+            added_at[depth] = None
+        pool = pending[depth]
+        i = cursor[depth]
+        while i < len(pool):
+            v = pool[i]
+            i += 1
+            added = try_assign(u, v)
+            if added is not None:
+                break
+        else:
+            depth -= 1
+            continue
+        cursor[depth] = i
+        images[u] = v
+        used[v] = True
+        added_at[depth] = added
+        if depth + 1 < n:
+            depth += 1
+            pending[depth] = candidates(order[depth])
+            cursor[depth] = 0
+            continue
+        p = tuple(images)
+        if is_automorphism(graph, p) and respects(p, partition):
+            solutions.append(p)
+            if cfg.max_solutions is not None and len(solutions) > cfg.max_solutions:
+                raise ResourceLimitError(
+                    f"more than max_solutions={cfg.max_solutions} respecting automorphisms"
+                )
 
-    dfs(0)
     solutions.sort()
     return solutions
 

@@ -59,10 +59,10 @@ def inverse_closed_subsets(n):
 
 
 @st.composite
-def connection_sets(draw, min_n=2, max_n=16, modes=(cp.DIRECTED, cp.UNDIRECTED)):
+def connection_sets(draw, min_n=2, max_n=16, modes=(cp.DIRECTED, cp.UNDIRECTED), max_size=6):
     n = draw(st.integers(min_n, max_n))
     mode = draw(st.sampled_from(modes))
-    elems = set(draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=min(6, n - 1))))
+    elems = set(draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=min(max_size, n - 1))))
     if mode == cp.UNDIRECTED:
         elems |= {n - s for s in elems}
     return cp.ConnectionSet(n, tuple(sorted(elems)), mode)

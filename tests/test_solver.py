@@ -3,9 +3,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
 import circpart as cp
-from conftest import directed_subsets, inverse_closed_subsets
+from conftest import connection_sets, directed_subsets, inverse_closed_subsets
 
 
 def closure_oracle(n, gens):
@@ -90,14 +91,43 @@ def test_identity_always_enumerated():
             assert cp.identity(g.n) in sols
 
 
-def test_enumerator_matches_oracle_exhaustively_to_n6():
-    for n in range(2, 7):
+def test_enumerator_matches_oracle_exhaustively_to_n7():
+    # fix_zero=False starts the search from a free root, the path the search order shapes most
+    for n in range(2, 8):
         for mode, subsets in ((cp.DIRECTED, directed_subsets(n)), (cp.UNDIRECTED, inverse_closed_subsets(n))):
             for elements in subsets:
                 g = cp.build(n, elements, mode)
                 for kind in ("B", "C"):
                     partition = cp.arc_partition(g, kind)
-                    assert cp.enumerate_respecting(g, partition) == cp.brute_oracle(g, partition)
+                    for fix_zero in (True, False):
+                        cfg = cp.SearchConfig(fix_zero=fix_zero)
+                        expected = cp.brute_oracle(g, partition, fix_zero=fix_zero)
+                        assert cp.enumerate_respecting(g, partition, cfg) == expected
+
+
+def multiplier_maps(n, elements):
+    return sorted(cp.multiplier_perm(n, j) for j in cp.multipliers(n, elements))
+
+
+@pytest.mark.parametrize("kind", ["B", "C"])
+def test_units_of_z60_give_exactly_the_multipliers(kind):
+    # 16 pairwise non-adjacent neighbours of 0: only the cycle-first order with
+    # forced cycle images finishes this in milliseconds rather than minutes
+    units = tuple(j for j in range(1, 60) if math.gcd(j, 60) == 1)
+    g = cp.build(60, units, cp.UNDIRECTED)
+    sols = cp.enumerate_respecting(g, cp.arc_partition(g, kind))
+    assert len(sols) == 16
+    assert sols == multiplier_maps(60, units)
+
+
+@given(connection_sets(min_n=3, max_n=200, max_size=8).filter(lambda cs: math.gcd(cs.n, *cs.elements) == 1))
+@settings(max_examples=100, deadline=None)
+def test_connected_instances_to_n200_give_exactly_the_multipliers(cs):
+    g = cp.build(cs.n, cs.elements, cs.mode)
+    expected = multiplier_maps(cs.n, cs.elements)
+    cfg = cp.SearchConfig(hard_cap=cs.n)
+    for kind in ("B", "C"):
+        assert cp.enumerate_respecting(g, cp.arc_partition(g, kind), cfg) == expected
 
 
 def test_connected_random_instances_match_multipliers():
@@ -155,6 +185,15 @@ def test_search_cap_and_oracle_limit():
     g10 = cp.build(10, (1, 9), cp.UNDIRECTED)
     with pytest.raises(cp.ResourceLimitError):
         cp.brute_oracle(g10, cp.partition_by_cycle(g10))
+
+
+def test_long_cycles_search_without_recursion():
+    cfg = cp.SearchConfig(hard_cap=5000)
+    g = cp.build(1200, (1,), cp.DIRECTED)
+    assert cp.enumerate_respecting(g, cp.partition_by_cycle(g), cfg) == [cp.identity(1200)]
+    g = cp.build(1200, (1, 1199), cp.UNDIRECTED)
+    identity_and_negation = sorted([cp.identity(1200), cp.multiplier_perm(1200, 1199)])
+    assert cp.enumerate_respecting(g, cp.partition_by_cycle(g), cfg) == identity_and_negation
 
 
 def test_max_solutions_raises_instead_of_truncating():
