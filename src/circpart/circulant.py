@@ -64,16 +64,14 @@ class CirculantGraph:
     """Circ(n; S) with precomputed arc set and adjacency.
 
     Directed graphs store every ordered pair (g, g+s); undirected graphs
-    store each edge once as (min label, max label). ``succ``/``pred`` list
-    out- and in-neighbors per vertex (equal, and symmetric, in undirected
-    mode).
+    store each edge once as (min label, max label). ``succ`` lists the
+    out-neighbors of each vertex (all neighbors in undirected mode).
     """
 
     cs: ConnectionSet
     arcs: tuple[tuple[int, int], ...]
     arc_set: frozenset
     succ: tuple[tuple[int, ...], ...]
-    pred: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
@@ -98,12 +96,10 @@ def build(n: int, elements, mode: str) -> CirculantGraph:
     if cs.directed:
         arcs = tuple(sorted((g, (g + s) % n) for s in cs.elements for g in range(n)))
         succ = tuple(tuple(sorted((u + s) % n for s in cs.elements)) for u in range(n))
-        pred = tuple(tuple(sorted((u - s) % n for s in cs.elements)) for u in range(n))
     else:
         arcs = tuple(sorted({canonical_edge(g, (g + s) % n) for s in cs.elements for g in range(n)}))
-        nbrs = tuple(tuple(sorted({(u + s) % n for s in cs.elements})) for u in range(n))
-        succ = pred = nbrs
-    return CirculantGraph(cs, arcs, frozenset(arcs), succ, pred)
+        succ = tuple(tuple(sorted({(u + s) % n for s in cs.elements})) for u in range(n))
+    return CirculantGraph(cs, arcs, frozenset(arcs), succ)
 
 
 def is_connected(graph: CirculantGraph) -> bool:
@@ -195,38 +191,24 @@ class ArcPartition:
         return self._keys
 
 
-def partition_by_generator(graph: CirculantGraph) -> ArcPartition:
-    """Kind "B": arcs grouped by the generator that produced them.
+def arc_partition(graph: CirculantGraph, kind: str) -> ArcPartition:
+    """Build the kind "B" or kind "C" partition of the graph's arcs.
 
-    Directed graphs get one part per generator. In undirected mode s and
-    n-s yield identical edge sets; duplicates are merged and the merged
-    part records both generators.
+    For each generator s the arcs x -> x+s are taken one coset of a step at
+    a time: kind "B" uses step 1, so all of s's arcs form one part, and kind
+    "C" uses step gcd(n, s), the number of cosets of the subgroup s spans, so
+    each part is one monochromatic cycle (a lone edge for an order-2
+    generator in undirected mode). A kind "B" part is thus the union of one
+    generator's kind "C" parts. In undirected mode s and n-s yield identical
+    edge sets; duplicates are merged and the merged part records both
+    generators. Parts are ordered by first generator, then coset.
     """
-    n = graph.n
-    groups: dict[tuple, list[int]] = {}
-    for s in graph.elements:
-        if graph.directed:
-            arcs = tuple(sorted((g, (g + s) % n) for g in range(n)))
-        else:
-            arcs = tuple(sorted({canonical_edge(g, (g + s) % n) for g in range(n)}))
-        groups.setdefault(arcs, []).append(s)
-    parts = tuple(
-        Part(arcs, tuple(gens))
-        for arcs, gens in sorted(groups.items(), key=lambda kv: kv[1][0])
-    )
-    return ArcPartition("B", n, graph.directed, parts)
-
-
-def partition_by_cycle(graph: CirculantGraph) -> ArcPartition:
-    """Kind "C": generator classes split along cosets of the generator's subgroup.
-
-    Each part is the arc set of a single monochromatic cycle (a lone edge
-    for an order-2 generator in undirected mode). Refines kind "B".
-    """
+    if kind not in PARTITION_KINDS:
+        raise ValueError(f"kind must be one of {PARTITION_KINDS}, got {kind!r}")
     n = graph.n
     groups: dict[tuple, tuple[list[int], int]] = {}
     for s in graph.elements:
-        step = math.gcd(n, s)  # number of cosets of <s>
+        step = 1 if kind == "B" else math.gcd(n, s)
         for rep in range(step):
             coset = range(rep, n, step)
             if graph.directed:
@@ -236,18 +218,20 @@ def partition_by_cycle(graph: CirculantGraph) -> ArcPartition:
             entry = groups.setdefault(arcs, ([], rep))
             entry[0].append(s)
     parts = tuple(
-        Part(arcs, tuple(gens), rep)
+        Part(arcs, tuple(gens), rep if kind == "C" else None)
         for arcs, (gens, rep) in sorted(groups.items(), key=lambda kv: (kv[1][0][0], kv[1][1]))
     )
-    return ArcPartition("C", n, graph.directed, parts)
+    return ArcPartition(kind, n, graph.directed, parts)
 
 
-def arc_partition(graph: CirculantGraph, kind: str) -> ArcPartition:
-    if kind == "B":
-        return partition_by_generator(graph)
-    if kind == "C":
-        return partition_by_cycle(graph)
-    raise ValueError(f"kind must be one of {PARTITION_KINDS}, got {kind!r}")
+def partition_by_generator(graph: CirculantGraph) -> ArcPartition:
+    """Kind "B": arcs grouped by the generator that produced them."""
+    return arc_partition(graph, "B")
+
+
+def partition_by_cycle(graph: CirculantGraph) -> ArcPartition:
+    """Kind "C": one part per monochromatic cycle; refines kind "B"."""
+    return arc_partition(graph, "C")
 
 
 def refines(fine: ArcPartition, coarse: ArcPartition) -> bool:

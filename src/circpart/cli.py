@@ -24,6 +24,7 @@ from .perm import format_perm, parse_perm
 from .solver import (
     ResourceLimitError,
     SearchConfig,
+    brute_oracle,
     enumerate_respecting,
     normalize_to_multiplier,
     propagation_certifier,
@@ -69,14 +70,15 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_autos(args) -> int:
+    if args.oracle and args.max_solutions is not None:
+        raise ValueError("--max-solutions caps the backtracking search and does not apply with --oracle")
     graph = from_instance(args.instance)
     partition = arc_partition(graph, args.kind)
-    cfg = SearchConfig(
-        fix_zero=args.fix_zero,
-        oracle_mode=args.oracle,
-        max_solutions=args.max_solutions,
-    )
-    sols = enumerate_respecting(graph, partition, cfg)
+    if args.oracle:
+        sols = brute_oracle(graph, partition, fix_zero=args.fix_zero)
+    else:
+        cfg = SearchConfig(fix_zero=args.fix_zero, max_solutions=args.max_solutions)
+        sols = enumerate_respecting(graph, partition, cfg)
     for p in sols:
         print(format_perm(p))
     print(f"count: {len(sols)}")

@@ -12,14 +12,17 @@ byte-stable.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
 import math
 import multiprocessing
+import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .circulant import (
     DIRECTED,
@@ -47,22 +50,6 @@ from .zmod import multipliers
 
 CONNECTIVITY_CHOICES = ("connected", "disconnected", "all")
 ENUMERATOR_CHOICES = ("backtracking", "oracle", "both")
-
-CSV_COLUMNS = (
-    "n",
-    "set",
-    "mode",
-    "connected",
-    "parts_B",
-    "parts_C",
-    "aut_B",
-    "aut_C",
-    "multipliers",
-    "verdict",
-    "prop_rounds",
-    "ms",
-)
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -92,6 +79,9 @@ class SweepSpec:
             raise ValueError(f"enumerator must be one of {ENUMERATOR_CHOICES}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        SearchConfig(max_solutions=self.max_solutions, hard_cap=self.hard_cap)  # rejects bad search settings
+        if self.enumerator == "oracle" and self.max_solutions is not None:
+            raise ValueError("max_solutions caps the backtracking search and does not apply to the oracle enumerator")
         if self.enumerator != "backtracking" and self.n_max >= self.n_min and self.n_max > self.oracle_limit:
             raise ValueError(
                 f"oracle enumeration requested but n_max={self.n_max} exceeds the oracle limit {self.oracle_limit}"
@@ -113,6 +103,39 @@ class InstanceResult:
     prop_covered: bool
     prop_rounds: int
     ms: float | None = field(default=None, compare=False)
+
+
+def _blank_if_none(fmt):
+    return lambda value: "" if value is None else fmt(value)
+
+
+class _Column(NamedTuple):
+    field: str  # InstanceResult attribute
+    key: str  # JSON key and CSV header
+    csv: Callable | None = str  # CSV cell format; None leaves the column out of the CSV
+    json: bool = True
+
+
+# The one row schema behind report_to_json, load_report and report_to_csv.
+# JSON leaves out the wall-clock timing so that reports stay byte-stable.
+_COLUMNS = (
+    _Column("n", "n"),
+    _Column("elements", "set", lambda elements: ",".join(str(s) for s in elements)),
+    _Column("mode", "mode", lambda mode: "d" if mode == DIRECTED else "u"),
+    _Column("connected", "connected", lambda flag: str(flag).lower()),
+    _Column("parts_b", "parts_B"),
+    _Column("parts_c", "parts_C"),
+    _Column("aut_b", "aut_B", _blank_if_none(str)),
+    _Column("aut_c", "aut_C", _blank_if_none(str)),
+    _Column("multiplier_count", "multipliers"),
+    _Column("verdict", "verdict"),
+    _Column("prop_covered", "prop_covered", csv=None),
+    _Column("prop_rounds", "prop_rounds"),
+    _Column("ms", "ms", _blank_if_none("{:.3f}".format), json=False),
+)
+_JSON_COLUMNS = tuple(c for c in _COLUMNS if c.json)
+_CSV_COLUMNS = tuple(c for c in _COLUMNS if c.csv is not None)
+CSV_COLUMNS = tuple(c.key for c in _CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -164,38 +187,35 @@ def generate_instances(spec: SweepSpec):
                 yield ConnectionSet(n, elements, mode)
 
 
-def _evaluate(task):
+def _evaluate(spec: SweepSpec, cs: ConnectionSet):
     """Worker body: one instance in, one (row, failures) out. Pure and picklable."""
-    n, elements, mode, kinds, enumerator, max_solutions, oracle_limit, hard_cap = task
+    n, elements = cs.n, cs.elements
     started = time.perf_counter()
     failures: list[SweepFailure] = []
-    graph = build(n, elements, mode)
+    graph = build(n, elements, cs.mode)
     key = instance_key(graph.cs)
     connected = is_connected(graph)
     partitions = {"B": partition_by_generator(graph), "C": partition_by_cycle(graph)}
     mult_perms = sorted(multiplier_perm(n, j) for j in multipliers(n, elements))
     mult_set = set(mult_perms)
 
+    cfg = SearchConfig(fix_zero=True, max_solutions=spec.max_solutions, hard_cap=spec.hard_cap)
     aut_counts: dict[str, int | None] = {"B": None, "C": None}
     outcomes = []
     had_error = False
-    for kind in kinds:
+    for kind in spec.kinds:
         part = partitions[kind]
-        cfg = SearchConfig(
-            fix_zero=True,
-            oracle_mode=enumerator == "oracle",
-            max_solutions=max_solutions,
-            oracle_limit=oracle_limit,
-            hard_cap=hard_cap,
-        )
         try:
-            sols = enumerate_respecting(graph, part, cfg)
+            if spec.enumerator == "oracle":
+                sols = brute_oracle(graph, part, fix_zero=True, limit=spec.oracle_limit)
+            else:
+                sols = enumerate_respecting(graph, part, cfg)
         except ResourceLimitError as exc:
             failures.append(SweepFailure(key, f"kind {kind}: {exc}"))
             had_error = True
             continue
-        if enumerator == "both":
-            oracle_sols = brute_oracle(graph, part, fix_zero=True, limit=oracle_limit)
+        if spec.enumerator == "both":
+            oracle_sols = brute_oracle(graph, part, fix_zero=True, limit=spec.oracle_limit)
             if oracle_sols != sols:
                 failures.append(SweepFailure(key, f"kind {kind}: backtracking disagrees with brute oracle"))
         aut_counts[kind] = len(sols)
@@ -228,7 +248,7 @@ def _evaluate(task):
     row = InstanceResult(
         n=n,
         elements=elements,
-        mode=mode,
+        mode=cs.mode,
         connected=connected,
         parts_b=len(partitions["B"].parts),
         parts_c=len(partitions["C"].parts),
@@ -261,17 +281,13 @@ def _aggregate(rows, failures) -> dict:
 
 def _spec_echo(spec: SweepSpec) -> dict:
     # Parallelism degree is an execution detail, not part of the result.
-    return {
-        "n_min": spec.n_min,
-        "n_max": spec.n_max,
-        "modes": list(spec.modes),
-        "connectivity": spec.connectivity,
-        "kinds": list(spec.kinds),
-        "enumerator": spec.enumerator,
-        "max_solutions": spec.max_solutions,
-        "oracle_limit": spec.oracle_limit,
-        "hard_cap": spec.hard_cap,
-    }
+    # Tuples become lists, as they come back from JSON.
+    echo = {}
+    for f in fields(SweepSpec):
+        if f.name != "jobs":
+            value = getattr(spec, f.name)
+            echo[f.name] = list(value) if isinstance(value, tuple) else value
+    return echo
 
 
 def verify_theorem(spec: SweepSpec) -> VerificationReport:
@@ -280,17 +296,17 @@ def verify_theorem(spec: SweepSpec) -> VerificationReport:
     Per-instance resource errors are recorded in the failures list without
     aborting the rest of the sweep. Every connected instance must come back
     with verdict "match"; a disconnected instance whose respecting group
-    strictly contains the multipliers reports "expected-mismatch".
+    strictly contains the multipliers reports "expected-mismatch". At most
+    min(jobs, instances, processor cores) worker processes are started.
     """
-    tasks = [
-        (cs.n, cs.elements, cs.mode, spec.kinds, spec.enumerator, spec.max_solutions, spec.oracle_limit, spec.hard_cap)
-        for cs in generate_instances(spec)
-    ]
-    if spec.jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(spec.jobs) as pool:
-            outcomes = pool.map(_evaluate, tasks)
+    instances = list(generate_instances(spec))
+    evaluate = functools.partial(_evaluate, spec)
+    workers = min(spec.jobs, len(instances), os.cpu_count() or 1)
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
+            outcomes = pool.map(evaluate, instances)
     else:
-        outcomes = [_evaluate(task) for task in tasks]
+        outcomes = [evaluate(cs) for cs in instances]
 
     paired = sorted(outcomes, key=lambda pair: _row_key(pair[0]))
     rows = tuple(row for row, _ in paired)
@@ -304,20 +320,13 @@ def verify_theorem(spec: SweepSpec) -> VerificationReport:
 
 
 def _row_to_json(row: InstanceResult) -> dict:
-    return {
-        "n": row.n,
-        "set": list(row.elements),
-        "mode": row.mode,
-        "connected": row.connected,
-        "parts_B": row.parts_b,
-        "parts_C": row.parts_c,
-        "aut_B": row.aut_b,
-        "aut_C": row.aut_c,
-        "multipliers": row.multiplier_count,
-        "verdict": row.verdict,
-        "prop_covered": row.prop_covered,
-        "prop_rounds": row.prop_rounds,
-    }
+    return {c.key: getattr(row, c.field) for c in _JSON_COLUMNS}
+
+
+def _row_from_json(item: dict) -> InstanceResult:
+    values = {c.field: item[c.key] for c in _JSON_COLUMNS}
+    values["elements"] = tuple(values["elements"])
+    return InstanceResult(**values)
 
 
 def report_to_json(report: VerificationReport) -> str:
@@ -334,23 +343,7 @@ def report_to_json(report: VerificationReport) -> str:
 def load_report(text: str) -> VerificationReport:
     """Rebuild a report from its JSON rendering (timings come back as None)."""
     payload = json.loads(text)
-    rows = tuple(
-        InstanceResult(
-            n=item["n"],
-            elements=tuple(item["set"]),
-            mode=item["mode"],
-            connected=item["connected"],
-            parts_b=item["parts_B"],
-            parts_c=item["parts_C"],
-            aut_b=item["aut_B"],
-            aut_c=item["aut_C"],
-            multiplier_count=item["multipliers"],
-            verdict=item["verdict"],
-            prop_covered=item["prop_covered"],
-            prop_rounds=item["prop_rounds"],
-        )
-        for item in payload["instances"]
-    )
+    rows = tuple(_row_from_json(item) for item in payload["instances"])
     failures = tuple(SweepFailure(f["instance"], f["message"]) for f in payload["failures"])
     return VerificationReport(payload["sweep"], rows, payload["aggregates"], failures)
 
@@ -359,23 +352,8 @@ def report_to_csv(report: VerificationReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in report.instances:
-        writer.writerow(
-            [
-                r.n,
-                ",".join(str(s) for s in r.elements),
-                "d" if r.mode == DIRECTED else "u",
-                str(r.connected).lower(),
-                r.parts_b,
-                r.parts_c,
-                "" if r.aut_b is None else r.aut_b,
-                "" if r.aut_c is None else r.aut_c,
-                r.multiplier_count,
-                r.verdict,
-                r.prop_rounds,
-                "" if r.ms is None else f"{r.ms:.3f}",
-            ]
-        )
+    for row in report.instances:
+        writer.writerow([c.csv(getattr(row, c.field)) for c in _CSV_COLUMNS])
     return buf.getvalue()
 
 

@@ -34,20 +34,22 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the backtracking enumerator.
+    """Settings of the backtracking enumerator.
 
-    Vertex images are assigned in the fixed cycle-first order of
-    ``_search_order``, starting from vertex 0. ``oracle_mode`` swaps in the
-    brute-force filter, which is only permitted up to ``oracle_limit``.
-    Exceeding ``max_solutions`` raises rather than truncating, so a capped
-    run can never be mistaken for a complete one.
+    ``fix_zero`` keeps vertex 0 in place. Graphs with more than ``hard_cap``
+    vertices are refused. Finding more than ``max_solutions`` (at least 0;
+    None for no cap) raises rather than truncating, so a capped run can
+    never be mistaken for a complete one. The brute-force filter is a
+    separate function, ``brute_oracle``, with its own size limit.
     """
 
     fix_zero: bool = True
-    oracle_mode: bool = False
     max_solutions: int | None = None
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT
     hard_cap: int = DEFAULT_SEARCH_CAP
+
+    def __post_init__(self):
+        if self.max_solutions is not None and self.max_solutions < 0:
+            raise ValueError(f"max_solutions must be at least 0, got {self.max_solutions}")
 
 
 def _search_order(graph: CirculantGraph):
@@ -111,8 +113,6 @@ def enumerate_respecting(
     """
     if cfg is None:
         cfg = SearchConfig()
-    if cfg.oracle_mode:
-        return brute_oracle(graph, partition, fix_zero=cfg.fix_zero, limit=cfg.oracle_limit)
     n = graph.n
     if n > cfg.hard_cap:
         raise ResourceLimitError(f"n={n} exceeds the search cap {cfg.hard_cap}")

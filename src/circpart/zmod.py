@@ -1,8 +1,8 @@
 """Arithmetic in the cyclic group of integers modulo n.
 
-Additive orders and cyclic subgroups of residues, prime factorization,
-Chinese remainder combination, and the group of unit multipliers that
-stabilize a connection set.
+Additive orders of residues, prime factorization, Chinese remainder
+combination, and the group of unit multipliers that stabilize a connection
+set.
 """
 
 from __future__ import annotations
@@ -16,17 +16,6 @@ def _check_residue(n: int, s: int) -> None:
         raise ValueError(f"modulus must be positive, got {n}")
     if not 0 <= s < n:
         raise ValueError(f"residue {s} outside 0..{n - 1}")
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
@@ -49,47 +38,10 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
-@dataclass(frozen=True)
-class Modulus:
-    """A positive modulus together with its prime factorization."""
-
-    n: int
-    factorization: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"modulus must be positive, got {self.n}")
-        product = 1
-        previous = 1
-        for p, e in self.factorization:
-            if p <= previous or not _is_prime(p):
-                raise ValueError("factorization primes must be distinct primes in ascending order")
-            if e < 1:
-                raise ValueError(f"exponent for prime {p} must be at least 1")
-            previous = p
-            product *= p**e
-        if product != self.n:
-            raise ValueError(f"factorization does not multiply out to {self.n}")
-
-    @classmethod
-    def of(cls, n: int) -> "Modulus":
-        return cls(n, factorize(n))
-
-    def prime_powers(self) -> tuple[int, ...]:
-        return tuple(p**e for p, e in self.factorization)
-
-
 def order_mod(n: int, s: int) -> int:
     """Additive order of s in Z_n; the order of 0 is 1."""
     _check_residue(n, s)
     return n // math.gcd(n, s)
-
-
-def cyclic_subgroup(n: int, s: int) -> tuple[int, ...]:
-    """The subgroup of Z_n generated by s, as ascending residues."""
-    _check_residue(n, s)
-    # <s> consists of exactly the multiples of gcd(n, s); gcd(n, 0) = n.
-    return tuple(range(0, n, math.gcd(n, s)))
 
 
 def crt_combine(congruences) -> int:

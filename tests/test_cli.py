@@ -104,3 +104,19 @@ def test_resource_cap_exit_code(capsys):
     assert main(["autos", "--instance", "100:1:d", "--kind", "C"]) == 3
     assert main(["autos", "--instance", "10:1,9:u", "--kind", "C", "--oracle"]) == 3
     capsys.readouterr()
+
+
+def test_oracle_rejects_a_solution_cap(capsys):
+    argv = ["autos", "--instance", "6:2,4:u", "--kind", "C", "--fix-zero", "--oracle", "--max-solutions", "1"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--max-solutions" in out.err
+
+
+def test_negative_max_solutions_is_invalid_input(tmp_path, capsys):
+    assert main(["autos", "--instance", "6:2,4:u", "--kind", "C", "--fix-zero", "--max-solutions", "-1"]) == 2
+    out = tmp_path / "r.json"
+    assert main(["verify", "--n-min", "3", "--n-max", "4", "--max-solutions", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "max_solutions must be at least 0" in capsys.readouterr().err

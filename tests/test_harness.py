@@ -42,6 +42,49 @@ def test_sweep_spec_validation():
         cp.SweepSpec(n_min=3, n_max=4, connectivity="sometimes")
 
 
+def test_sweep_spec_rejects_a_solution_cap_for_the_oracle():
+    with pytest.raises(ValueError, match="oracle"):
+        cp.SweepSpec(n_min=3, n_max=4, enumerator="oracle", max_solutions=0)
+    both = cp.SweepSpec(n_min=6, n_max=6, modes=(cp.UNDIRECTED,), enumerator="both", max_solutions=0)
+    assert cp.verify_theorem(both).aggregates["error"] == 7
+
+
+def test_negative_max_solutions_rejected_before_any_search():
+    with pytest.raises(ValueError, match="max_solutions"):
+        cp.SweepSpec(n_min=3, n_max=4, max_solutions=-1)
+    with pytest.raises(ValueError, match="max_solutions"):
+        cp.SearchConfig(max_solutions=-1)
+    assert cp.SearchConfig(max_solutions=0).max_solutions == 0
+
+
+def test_pool_size_is_capped_by_instances_and_cores(monkeypatch):
+    import circpart.harness as harness
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(harness.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    serial = cp.report_to_json(cp.verify_theorem(cp.SweepSpec(n_min=3, n_max=5)))
+    assert cp.report_to_json(cp.verify_theorem(cp.SweepSpec(n_min=3, n_max=5, jobs=10**6))) == serial
+    cp.verify_theorem(cp.SweepSpec(n_min=3, n_max=3, modes=(cp.DIRECTED,), jobs=10**6))  # 3 instances
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    cp.verify_theorem(cp.SweepSpec(n_min=3, n_max=5, jobs=10**6))
+    assert sizes == [4, 3]
+
+
 def test_connected_sweep_all_match():
     spec = cp.SweepSpec(n_min=3, n_max=6, modes=(cp.DIRECTED,), connectivity="connected", kinds=("C",))
     report = cp.verify_theorem(spec)

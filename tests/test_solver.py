@@ -170,13 +170,6 @@ def test_enumerate_without_fixing_zero():
     assert sols == cp.brute_oracle(g, c, fix_zero=False)
 
 
-def test_oracle_mode_config_delegates():
-    g = cp.build(5, (1, 4), cp.UNDIRECTED)
-    c = cp.partition_by_cycle(g)
-    cfg = cp.SearchConfig(oracle_mode=True)
-    assert cp.enumerate_respecting(g, c, cfg) == cp.brute_oracle(g, c)
-
-
 def test_search_cap_and_oracle_limit():
     g = cp.build(70, (1,), cp.DIRECTED)
     c = cp.partition_by_cycle(g)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import circpart as cp
-from circpart.zmod import Modulus, MultiplierWitness
+from circpart.zmod import MultiplierWitness
 
 
 def additive_order_oracle(n, s):
@@ -44,39 +44,6 @@ def test_order_mod_rejects_bad_residue():
         cp.order_mod(8, 8)
     with pytest.raises(ValueError):
         cp.order_mod(0, 0)
-
-
-@pytest.mark.parametrize(
-    "n, s, expected",
-    [
-        (8, 2, (0, 2, 4, 6)),
-        (8, 1, tuple(range(8))),
-        (12, 9, (0, 3, 6, 9)),
-        (6, 0, (0,)),
-    ],
-)
-def test_cyclic_subgroup_small(n, s, expected):
-    assert cp.cyclic_subgroup(n, s) == expected
-
-
-@given(st.integers(1, 200).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
-def test_cyclic_subgroup_is_multiples_of_gcd(pair):
-    n, s = pair
-    got = cp.cyclic_subgroup(n, s)
-    assert got == tuple(range(0, n, math.gcd(n, s)))
-    assert len(got) == cp.order_mod(n, s)
-
-
-@given(
-    st.integers(2, 120).flatmap(
-        lambda n: st.tuples(st.just(n), st.integers(0, n - 1), st.integers(0, n - 1))
-    )
-)
-def test_unique_subgroup_per_order(triple):
-    # Z_n has one subgroup of each order, so equal orders force equal subgroups.
-    n, s, t = triple
-    if cp.order_mod(n, s) == cp.order_mod(n, t):
-        assert cp.cyclic_subgroup(n, s) == cp.cyclic_subgroup(n, t)
 
 
 def crt_scan_oracle(congruences):
@@ -180,18 +147,6 @@ def test_factorize_reconstructs(n):
         assert e >= 1
         assert all(p % d != 0 for d in range(2, p))
     assert [p for p, _ in factors] == sorted({p for p, _ in factors})
-
-
-def test_modulus_of_and_validation():
-    m = Modulus.of(12)
-    assert m.factorization == ((2, 2), (3, 1))
-    assert m.prime_powers() == (4, 3)
-    with pytest.raises(ValueError):
-        Modulus(12, ((2, 1), (3, 1)))  # product is 6, not 12
-    with pytest.raises(ValueError):
-        Modulus(12, ((3, 1), (2, 2)))  # primes out of order
-    with pytest.raises(ValueError):
-        Modulus(16, ((4, 2),))  # 4 is not prime
 
 
 def test_witness_validation():
