@@ -1,8 +1,9 @@
 """Golden bytes: report digests, CSV text and CLI transcripts that a refactor must keep.
 
-The JSON digests cover the three standard sweeps; the CSV and transcripts are
-spelled out so that a reordered or relabelled partition, a changed message or
-a changed exit code shows up as a diff.
+The JSON digests cover the three standard sweeps, and three more pin the
+propagation traces and solution lists of every small instance. The CSV and
+transcripts are spelled out so that a reordered or relabelled partition, a
+changed message or a changed exit code shows up as a diff.
 """
 
 import contextlib
@@ -253,3 +254,37 @@ def test_cli_transcript(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     commands = [line[len("$ circpart "):] for line in GOLDEN_TRANSCRIPT.splitlines() if line.startswith("$ ")]
     assert "".join(render(command) for command in commands) == GOLDEN_TRANSCRIPT
+
+
+
+@pytest.mark.parametrize(
+    "reverse, digest",
+    [
+        (False, "6e4cf34e24e4baab373c60df2a4bfe81e3ab6ddf36c8c24304db8c1ad46d91e3"),
+        (True, "07380fd9a5a3c3d930a80864c8e3f8148843edc2e9b42bd9aa18dfc4ea525c9f"),
+    ],
+    ids=["default-order", "reversed-order"],
+)
+def test_propagation_trace_digest(reverse, digest):
+    """Every stage's start, rounds and final set, for every directed set with n <= 12."""
+    h = hashlib.sha256()
+    for cs in cp.generate_instances(cp.SweepSpec(n_min=2, n_max=12, modes=(cp.DIRECTED,))):
+        graph = cp.build(cs.n, cs.elements, cs.mode)
+        order = tuple(reversed(cs.elements)) if reverse else None
+        h.update(repr(cp.propagation_certifier(graph, order)).encode("utf-8"))
+    assert h.hexdigest() == digest
+
+
+def test_solution_list_digest():
+    """The exact solution lists of both kinds, directed n <= 9 and undirected n <= 12."""
+    h = hashlib.sha256()
+    for spec in (
+        cp.SweepSpec(n_min=2, n_max=9, modes=(cp.DIRECTED,)),
+        cp.SweepSpec(n_min=2, n_max=12, modes=(cp.UNDIRECTED,)),
+    ):
+        for cs in cp.generate_instances(spec):
+            graph = cp.build(cs.n, cs.elements, cs.mode)
+            for partition in (cp.partition_by_generator(graph), cp.partition_by_cycle(graph)):
+                sols = cp.enumerate_respecting(graph, partition)
+                h.update(f"{cp.instance_key(cs)} {partition.kind} {sols!r}\n".encode("utf-8"))
+    assert h.hexdigest() == "6fc8438902f9b4a0c81fbcfdc933789d266093967834dc34c0933081f8977d9a"
