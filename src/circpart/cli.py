@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .circulant import (
     DIRECTED,
@@ -125,6 +126,15 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    out = args.out
+    if out.endswith(".json"):
+        fmt = "json"
+    elif out.endswith(".csv"):
+        fmt = "csv"
+    else:
+        raise InvalidInstanceError(f"--out must end with .json or .csv, got {out!r}")
+    if not Path(out).parent.is_dir():
+        raise InvalidInstanceError(f"--out directory {str(Path(out).parent)!r} does not exist")
     modes = {"d": (DIRECTED,), "u": (UNDIRECTED,), "both": (DIRECTED, UNDIRECTED)}[args.mode]
     kinds = {"B": ("B",), "C": ("C",), "both": ("B", "C")}[args.kind]
     spec = SweepSpec(
@@ -138,13 +148,6 @@ def _cmd_verify(args) -> int:
         max_solutions=args.max_solutions,
     )
     report = verify_theorem(spec)
-    out = args.out
-    if out.endswith(".json"):
-        fmt = "json"
-    elif out.endswith(".csv"):
-        fmt = "csv"
-    else:
-        raise InvalidInstanceError(f"--out must end with .json or .csv, got {out!r}")
     export_report(report, fmt, out)
     agg = report.aggregates
     print(

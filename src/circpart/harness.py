@@ -49,11 +49,15 @@ from .solver import (
 from .zmod import multipliers
 
 CONNECTIVITY_CHOICES = ("connected", "disconnected", "all")
-ENUMERATOR_CHOICES = ("backtracking", "oracle", "both")
+ENUMERATOR_CHOICES = ("backtracking", "both")
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to sweep and how. An empty range (n_max < n_min) is legal."""
+    """What to sweep and how. An empty range (n_max < n_min) is legal.
+
+    The search runs under the fixed ``DEFAULT_SEARCH_CAP``. ``enumerator="both"``
+    checks it against ``brute_oracle``, so n_max is at most ``DEFAULT_ORACLE_LIMIT``.
+    """
 
     n_min: int
     n_max: int
@@ -63,8 +67,6 @@ class SweepSpec:
     enumerator: str = "backtracking"
     jobs: int = 1
     max_solutions: int | None = None
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT
-    hard_cap: int = DEFAULT_SEARCH_CAP
 
     def __post_init__(self):
         if self.n_min < 2:
@@ -79,12 +81,10 @@ class SweepSpec:
             raise ValueError(f"enumerator must be one of {ENUMERATOR_CHOICES}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
-        SearchConfig(max_solutions=self.max_solutions, hard_cap=self.hard_cap)  # rejects bad search settings
-        if self.enumerator == "oracle" and self.max_solutions is not None:
-            raise ValueError("max_solutions caps the backtracking search and does not apply to the oracle enumerator")
-        if self.enumerator != "backtracking" and self.n_max >= self.n_min and self.n_max > self.oracle_limit:
+        SearchConfig(max_solutions=self.max_solutions)  # rejects bad search settings
+        if self.enumerator == "both" and self.n_max >= self.n_min and self.n_max > DEFAULT_ORACLE_LIMIT:
             raise ValueError(
-                f"oracle enumeration requested but n_max={self.n_max} exceeds the oracle limit {self.oracle_limit}"
+                f"oracle enumeration requested but n_max={self.n_max} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}"
             )
 
 
@@ -199,23 +199,20 @@ def _evaluate(spec: SweepSpec, cs: ConnectionSet):
     mult_perms = sorted(multiplier_perm(n, j) for j in multipliers(n, elements))
     mult_set = set(mult_perms)
 
-    cfg = SearchConfig(fix_zero=True, max_solutions=spec.max_solutions, hard_cap=spec.hard_cap)
+    cfg = SearchConfig(fix_zero=True, max_solutions=spec.max_solutions)
     aut_counts: dict[str, int | None] = {"B": None, "C": None}
     outcomes = []
     had_error = False
     for kind in spec.kinds:
         part = partitions[kind]
         try:
-            if spec.enumerator == "oracle":
-                sols = brute_oracle(graph, part, fix_zero=True, limit=spec.oracle_limit)
-            else:
-                sols = enumerate_respecting(graph, part, cfg)
+            sols = enumerate_respecting(graph, part, cfg)
         except ResourceLimitError as exc:
             failures.append(SweepFailure(key, f"kind {kind}: {exc}"))
             had_error = True
             continue
         if spec.enumerator == "both":
-            oracle_sols = brute_oracle(graph, part, fix_zero=True, limit=spec.oracle_limit)
+            oracle_sols = brute_oracle(graph, part, fix_zero=True)
             if oracle_sols != sols:
                 failures.append(SweepFailure(key, f"kind {kind}: backtracking disagrees with brute oracle"))
         aut_counts[kind] = len(sols)
@@ -281,8 +278,9 @@ def _aggregate(rows, failures) -> dict:
 
 def _spec_echo(spec: SweepSpec) -> dict:
     # Parallelism degree is an execution detail, not part of the result.
-    # Tuples become lists, as they come back from JSON.
-    echo = {}
+    # Tuples become lists, as they come back from JSON. The fixed limits are
+    # echoed too, so a report states the caps it ran under.
+    echo = {"hard_cap": DEFAULT_SEARCH_CAP, "oracle_limit": DEFAULT_ORACLE_LIMIT}
     for f in fields(SweepSpec):
         if f.name != "jobs":
             value = getattr(spec, f.name)

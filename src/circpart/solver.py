@@ -83,21 +83,8 @@ def _search_order(graph: CirculantGraph):
     return order, parents
 
 
-def _incident_lists(graph: CirculantGraph):
-    """Per vertex: (other endpoint, arc-points-out flag) for every incident arc."""
-    inc: list[list] = [[] for _ in range(graph.n)]
-    for u, v in graph.arcs:
-        if graph.directed:
-            inc[u].append((v, True))
-            inc[v].append((u, False))
-        else:
-            inc[u].append((v, True))
-            inc[v].append((u, True))
-    return [tuple(entries) for entries in inc]
-
-
 def enumerate_respecting(
-    graph: CirculantGraph, partition: ArcPartition, cfg: SearchConfig | None = None
+    graph: CirculantGraph, partition: ArcPartition, cfg: SearchConfig = SearchConfig()
 ) -> list[Perm]:
     """All automorphisms of ``graph`` respecting ``partition``, ascending by image tuple.
 
@@ -111,8 +98,6 @@ def enumerate_respecting(
     after its first arc. Completed assignments still get a full
     automorphism-plus-respect re-check before being emitted.
     """
-    if cfg is None:
-        cfg = SearchConfig()
     n = graph.n
     if n > cfg.hard_cap:
         raise ResourceLimitError(f"n={n} exceeds the search cap {cfg.hard_cap}")
@@ -120,26 +105,24 @@ def enumerate_respecting(
         raise ValueError("partition does not partition this graph's arcs")
     directed = graph.directed
 
-    part_of = {}
-    part_succ: list[dict] = []  # part -> vertex -> endpoints reached along arcs of that part
+    # Oriented arc -> part index; an undirected edge is entered both ways.
+    part_at = {}
     for idx, part in enumerate(partition.parts):
-        succ_in_part: dict = {}
-        for arc in part.arcs:
-            part_of[arc] = idx
-            u, v = arc
-            succ_in_part.setdefault(u, []).append(v)
+        for u, v in part.arcs:
+            part_at[(u, v)] = idx
             if not directed:
-                succ_in_part.setdefault(v, []).append(u)
-        part_succ.append(succ_in_part)
+                part_at[(v, u)] = idx
     part_sizes = tuple(len(part.arcs) for part in partition.parts)
+    part_succ: list[dict] = [{} for _ in partition.parts]  # part -> vertex -> endpoints along its arcs
+    incident: list[list] = [[] for _ in range(n)]  # vertex -> (other end, part, arc points out)
+    for (u, v), idx in part_at.items():
+        part_succ[idx].setdefault(u, []).append(v)
+        incident[u].append((v, idx, True))
+        if directed:
+            incident[v].append((u, idx, False))
 
     order, parents = _search_order(graph)
-    parent_part = [None] * n
-    for u, w in enumerate(parents):
-        if w is not None:
-            parent_part[u] = part_of[(w, u) if directed or w < u else (u, w)]
-    incident = _incident_lists(graph)
-    arc_set = graph.arc_set
+    parent_part = [None if w is None else part_at[(w, u)] for u, w in enumerate(parents)]
     succ = graph.succ
 
     images = [-1] * n
@@ -163,20 +146,13 @@ def enumerate_respecting(
 
     def try_assign(u, v):
         added = []
-        for w, points_out in incident[u]:
+        for w, sp, points_out in incident[u]:
             pw = images[w]
             if pw < 0:
                 continue
-            if directed:
-                src = (u, w) if points_out else (w, u)
-                dst = (v, pw) if points_out else (pw, v)
-            else:
-                src = (u, w) if u < w else (w, u)
-                dst = (v, pw) if v < pw else (pw, v)
-            ok = dst in arc_set
+            dp = part_at.get((v, pw) if points_out else (pw, v))
+            ok = dp is not None
             if ok:
-                sp = part_of[src]
-                dp = part_of[dst]
                 mapped = part_map[sp]
                 if mapped >= 0:
                     ok = mapped == dp
@@ -242,21 +218,18 @@ def enumerate_respecting(
     return solutions
 
 
-def brute_oracle(
-    graph: CirculantGraph,
-    partition: ArcPartition,
-    fix_zero: bool = True,
-    limit: int = DEFAULT_ORACLE_LIMIT,
-) -> list[Perm]:
+def brute_oracle(graph: CirculantGraph, partition: ArcPartition, fix_zero: bool = True) -> list[Perm]:
     """Filter every permutation (fixing 0 when asked) straight by the definitions.
 
-    Deliberately shares no machinery with the backtracking path: the arc-set
-    image is compared wholesale and the respect condition is literal set
-    equality between the family of parts and its image.
+    Graphs with more than the fixed ``DEFAULT_ORACLE_LIMIT`` vertices are
+    refused, since the scan covers (n-1)! or n! permutations. Deliberately
+    shares no machinery with the backtracking path: the arc-set image is
+    compared wholesale and the respect condition is literal set equality
+    between the family of parts and its image.
     """
     n = graph.n
-    if n > limit:
-        raise ResourceLimitError(f"n={n} exceeds the oracle limit {limit}")
+    if n > DEFAULT_ORACLE_LIMIT:
+        raise ResourceLimitError(f"n={n} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}")
     if partition.universe != graph.arc_set:
         raise ValueError("partition does not partition this graph's arcs")
     universe = graph.arc_set
@@ -366,28 +339,15 @@ class PropagationTrace:
         return all(stage.coset_union_ok for stage in self.stages)
 
 
-def _mask_multiples(n: int, step: int) -> int:
-    mask = 0
-    for x in range(0, n, step):
-        mask |= 1 << x
-    return mask
+def _is_coset_union(fixed: set, n: int, d: int) -> bool:
+    """Is the set a union of cosets of the subgroup of order d?
 
-
-def _mask_to_tuple(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(x for x in range(n) if mask >> x & 1)
-
-
-def _is_coset_union(mask: int, n: int, d: int) -> bool:
-    """Is the bitset a union of cosets of the subgroup of order d?"""
+    Those cosets are the residue classes mod n/d, of d points each. The set
+    is a union of them when each class meets it in 0 or d points, that is,
+    when it has d points in every class it meets.
+    """
     q = n // d
-    for rep in range(q):
-        coset = 0
-        for x in range(rep, n, q):
-            coset |= 1 << x
-        hit = mask & coset
-        if hit != 0 and hit != coset:
-            return False
-    return True
+    return len({x % q for x in fixed}) * d == len(fixed)
 
 
 def propagation_certifier(graph: CirculantGraph, order: tuple[int, ...] | None = None) -> PropagationTrace:
@@ -418,29 +378,25 @@ def propagation_certifier(graph: CirculantGraph, order: tuple[int, ...] | None =
         new_step = math.gcd(step, s_next)
         members = range(0, n, new_step)
 
-        fixed = _mask_multiples(n, step) | _mask_multiples(n, math.gcd(n, s_next))
-        start = _mask_to_tuple(fixed, n)
+        fixed = set(range(0, n, step)) | set(range(0, n, math.gcd(n, s_next)))
+        start = tuple(sorted(fixed))
         coset_ok = _is_coset_union(fixed, n, d)
         earlier = gens[:k]
         rounds = []
         while True:
-            added = 0
-            for x in members:
-                if fixed >> x & 1:
-                    continue
-                if not fixed >> ((x - s_next) % n) & 1:
-                    continue
-                for s_y in earlier:
-                    if fixed >> ((x - s_y) % n) & 1:
-                        added |= 1 << x
-                        break
+            added = tuple(
+                x
+                for x in members
+                if x not in fixed
+                and (x - s_next) % n in fixed
+                and any((x - s_y) % n in fixed for s_y in earlier)
+            )
             if not added:
                 break
-            fixed |= added
-            rounds.append(_mask_to_tuple(added, n))
+            fixed.update(added)
+            rounds.append(added)
             coset_ok = coset_ok and _is_coset_union(fixed, n, d)
 
-        target = _mask_multiples(n, new_step)
         stages.append(
             PropagationStage(
                 k=k,
@@ -450,8 +406,8 @@ def propagation_certifier(graph: CirculantGraph, order: tuple[int, ...] | None =
                 d=d,
                 start=start,
                 rounds=tuple(rounds),
-                final=_mask_to_tuple(fixed, n),
-                closed=fixed == target,
+                final=tuple(sorted(fixed)),
+                closed=fixed == set(members),
                 coset_union_ok=coset_ok,
             )
         )

@@ -100,6 +100,18 @@ def test_invalid_input_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_verify_checks_out_before_sweeping(tmp_path, monkeypatch, capsys):
+    def no_sweep(spec):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr("circpart.cli.verify_theorem", no_sweep)
+    for out in ("r.txt", str(tmp_path / "missing" / "e.json")):
+        assert main(["verify", "--n-min", "2", "--n-max", "11", "--mode", "d", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "--out must end with .json or .csv" in err
+    assert "does not exist" in err
+
+
 def test_resource_cap_exit_code(capsys):
     assert main(["autos", "--instance", "100:1:d", "--kind", "C"]) == 3
     assert main(["autos", "--instance", "10:1,9:u", "--kind", "C", "--oracle"]) == 3

@@ -30,10 +30,11 @@ def test_generate_instances_connected_filter():
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         cp.SweepSpec(n_min=1, n_max=4)
-    with pytest.raises(ValueError):
-        cp.SweepSpec(n_min=3, n_max=12, enumerator="oracle")
-    with pytest.raises(ValueError):
-        cp.SweepSpec(n_min=3, n_max=4, enumerator="guess")
+    with pytest.raises(ValueError, match="oracle limit"):
+        cp.SweepSpec(n_min=3, n_max=12, enumerator="both")
+    for enumerator in ("guess", "oracle"):
+        with pytest.raises(ValueError, match="enumerator"):
+            cp.SweepSpec(n_min=3, n_max=4, enumerator=enumerator)
     with pytest.raises(ValueError):
         cp.SweepSpec(n_min=3, n_max=4, kinds=("D",))
     with pytest.raises(ValueError):
@@ -42,9 +43,7 @@ def test_sweep_spec_validation():
         cp.SweepSpec(n_min=3, n_max=4, connectivity="sometimes")
 
 
-def test_sweep_spec_rejects_a_solution_cap_for_the_oracle():
-    with pytest.raises(ValueError, match="oracle"):
-        cp.SweepSpec(n_min=3, n_max=4, enumerator="oracle", max_solutions=0)
+def test_solution_cap_applies_to_the_search_half_of_both():
     both = cp.SweepSpec(n_min=6, n_max=6, modes=(cp.UNDIRECTED,), enumerator="both", max_solutions=0)
     assert cp.verify_theorem(both).aggregates["error"] == 7
 

@@ -344,6 +344,19 @@ def test_propagation_trace_invariants():
             assert stage.d == math.gcd(stage.subgroup_order, stage.next_order)
 
 
+def test_coset_union_check_matches_the_definition():
+    from circpart.solver import _is_coset_union
+
+    for n in range(1, 9):
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            cosets = [set(range(rep, n, n // d)) for rep in range(n // d)]
+            for size in range(n + 1):
+                for subset in itertools.combinations(range(n), size):
+                    fixed = set(subset)
+                    literal = all(len(fixed & coset) in (0, d) for coset in cosets)
+                    assert _is_coset_union(fixed, n, d) == literal, (n, d, subset)
+
+
 def test_propagation_coverage_invariant_under_generator_order():
     for n, gens in [(12, (3, 4)), (12, (2, 3, 8)), (10, (2, 5)), (16, (4, 6))]:
         flags = {
