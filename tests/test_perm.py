@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import circpart as cp
-from conftest import graphs, naive_respects
+from conftest import directed_subsets, graphs, inverse_closed_subsets, naive_respects
 
 
 def test_compose_identities():
@@ -100,6 +100,27 @@ def test_respects_depends_only_on_part_arc_sets():
         if not cp.is_automorphism(g, p):
             continue
         assert cp.respects(p, c) == cp.respects(p, relabeled)
+
+
+def test_respects_matches_the_definition_exhaustively_to_n6():
+    """Every connection set with n <= 6, both modes and kinds, every permutation of Z_n:
+    ``respects`` raises exactly on non-automorphisms and otherwise is the literal definition."""
+    cases = 0
+    for n in range(2, 7):
+        for mode, subsets in ((cp.DIRECTED, directed_subsets(n)), (cp.UNDIRECTED, inverse_closed_subsets(n))):
+            for elements in subsets:
+                graph = cp.build(n, elements, mode)
+                partitions = [cp.arc_partition(graph, kind) for kind in ("B", "C")]
+                for p in itertools.permutations(range(n)):
+                    automorphism = cp.is_automorphism(graph, p)
+                    for partition in partitions:
+                        cases += 1
+                        if automorphism:
+                            assert cp.respects(p, partition) == naive_respects(graph, partition, p), (elements, p)
+                        else:
+                            with pytest.raises(ValueError):
+                                cp.respects(p, partition)
+    assert cases == 59_576
 
 
 @given(graphs(max_n=14))
