@@ -22,11 +22,6 @@ class InvalidInstanceError(ValueError):
     """Raised for malformed connection sets or instance strings."""
 
 
-def canonical_edge(u: int, v: int) -> tuple[int, int]:
-    """Unordered pair stored as (min label, max label)."""
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class ConnectionSet:
     """The pair (n, S) defining Circ(n; S), in directed or undirected mode."""
@@ -63,9 +58,9 @@ class ConnectionSet:
 class CirculantGraph:
     """Circ(n; S) with precomputed arc set and adjacency.
 
-    Directed graphs store every ordered pair (g, g+s); undirected graphs
-    store each edge once as (min label, max label). ``succ`` lists the
-    out-neighbors of each vertex (all neighbors in undirected mode).
+    Both modes store every arc (g, g+s), so an undirected edge is its two
+    opposite arcs. ``succ`` lists the out-neighbors of each vertex (all
+    neighbors in undirected mode).
     """
 
     cs: ConnectionSet
@@ -93,12 +88,8 @@ class CirculantGraph:
 def build(n: int, elements, mode: str) -> CirculantGraph:
     """Construct and validate Circ(n; S) for the given mode."""
     cs = ConnectionSet(n, tuple(sorted(set(elements))), mode)
-    if cs.directed:
-        arcs = tuple(sorted((g, (g + s) % n) for s in cs.elements for g in range(n)))
-        succ = tuple(tuple(sorted((u + s) % n for s in cs.elements)) for u in range(n))
-    else:
-        arcs = tuple(sorted({canonical_edge(g, (g + s) % n) for s in cs.elements for g in range(n)}))
-        succ = tuple(tuple(sorted({(u + s) % n for s in cs.elements})) for u in range(n))
+    arcs = tuple(sorted((g, (g + s) % n) for s in cs.elements for g in range(n)))
+    succ = tuple(tuple(sorted((u + s) % n for s in cs.elements)) for u in range(n))
     return CirculantGraph(cs, arcs, frozenset(arcs), succ)
 
 
@@ -152,6 +143,7 @@ class Part:
 
     Identity is the frozen sorted arc list alone; the generator and coset
     metadata are informational and never split parts with equal arc sets.
+    An undirected part holds both arcs of each of its edges.
     """
 
     arcs: tuple[tuple[int, int], ...]
@@ -170,11 +162,10 @@ class Part:
 
 @dataclass(frozen=True)
 class ArcPartition:
-    """A partition of the full arc or edge set of a circulant graph."""
+    """A partition of the full arc set of a circulant graph."""
 
     kind: str
     n: int
-    directed: bool
     parts: tuple[Part, ...]
 
     def __post_init__(self):
@@ -199,8 +190,8 @@ def arc_partition(graph: CirculantGraph, kind: str) -> ArcPartition:
     "C" uses step gcd(n, s), the number of cosets of the subgroup s spans, so
     each part is one monochromatic cycle (a lone edge for an order-2
     generator in undirected mode). A kind "B" part is thus the union of one
-    generator's kind "C" parts. In undirected mode s and n-s yield identical
-    edge sets; duplicates are merged and the merged part records both
+    generator's kind "C" parts. In undirected mode a coset's arcs are taken
+    for both s and n-s, so s and n-s yield one merged part that records both
     generators. Parts are ordered by first generator, then coset.
     """
     if kind not in PARTITION_KINDS:
@@ -209,19 +200,16 @@ def arc_partition(graph: CirculantGraph, kind: str) -> ArcPartition:
     groups: dict[tuple, tuple[list[int], int]] = {}
     for s in graph.elements:
         step = 1 if kind == "B" else math.gcd(n, s)
+        shifts = (s,) if graph.directed else (s, n - s)
         for rep in range(step):
-            coset = range(rep, n, step)
-            if graph.directed:
-                arcs = tuple(sorted((x, (x + s) % n) for x in coset))
-            else:
-                arcs = tuple(sorted({canonical_edge(x, (x + s) % n) for x in coset}))
+            arcs = tuple(sorted({(x, (x + t) % n) for x in range(rep, n, step) for t in shifts}))
             entry = groups.setdefault(arcs, ([], rep))
             entry[0].append(s)
     parts = tuple(
         Part(arcs, tuple(gens), rep if kind == "C" else None)
         for arcs, (gens, rep) in sorted(groups.items(), key=lambda kv: (kv[1][0][0], kv[1][1]))
     )
-    return ArcPartition(kind, n, graph.directed, parts)
+    return ArcPartition(kind, n, parts)
 
 
 def partition_by_generator(graph: CirculantGraph) -> ArcPartition:

@@ -44,19 +44,10 @@ def _cmd_build(args) -> int:
     print(f"instance: {instance_key(cs)}")
     print(f"mode: {cs.mode}")
     print(f"vertices: {cs.n}")
-    print(f"{'arcs' if cs.directed else 'edges'}: {len(graph.arcs)}")
+    print(f"arcs: {len(graph.arcs)}" if cs.directed else f"edges: {len(graph.arcs) // 2}")
     print(f"generators: {', '.join(str(s) for s in cs.elements)}")
     print(f"connected: {str(is_connected(graph)).lower()}")
     return EXIT_OK
-
-
-def _format_part(part) -> str:
-    arcs = " ".join(f"({u},{v})" for u, v in part.arcs)
-    gens = ",".join(str(s) for s in part.generators)
-    meta = f"s={gens}"
-    if part.coset_rep is not None:
-        meta += f" coset={part.coset_rep}"
-    return f"{meta}: {arcs}"
 
 
 def _cmd_partition(args) -> int:
@@ -66,7 +57,12 @@ def _cmd_partition(args) -> int:
     print(f"kind: {partition.kind}")
     print(f"parts: {len(partition.parts)}")
     for i, part in enumerate(partition.parts):
-        print(f"part {i} {_format_part(part)}")
+        # An undirected edge is stored as its two arcs and shown once, as (min,max).
+        arcs = " ".join(f"({u},{v})" for u, v in part.arcs if graph.directed or u < v)
+        meta = f"s={','.join(str(s) for s in part.generators)}"
+        if part.coset_rep is not None:
+            meta += f" coset={part.coset_rep}"
+        print(f"part {i} {meta}: {arcs}")
     return EXIT_OK
 
 
@@ -135,6 +131,8 @@ def _cmd_verify(args) -> int:
         raise InvalidInstanceError(f"--out must end with .json or .csv, got {out!r}")
     if not Path(out).parent.is_dir():
         raise InvalidInstanceError(f"--out directory {str(Path(out).parent)!r} does not exist")
+    if Path(out).is_dir():
+        raise InvalidInstanceError(f"--out {out!r} is a directory")
     modes = {"d": (DIRECTED,), "u": (UNDIRECTED,), "both": (DIRECTED, UNDIRECTED)}[args.mode]
     kinds = {"B": ("B",), "C": ("C",), "both": ("B", "C")}[args.kind]
     spec = SweepSpec(
@@ -226,7 +224,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -46,13 +46,11 @@ def multiplier_perm(n: int, j: int) -> Perm:
 
 
 def is_automorphism(graph: "CirculantGraph", p: Perm) -> bool:
-    """True iff p maps the arc/edge set of the graph onto itself."""
+    """True iff p maps the arc set of the graph onto itself."""
     if len(p) != graph.n:
         raise ValueError(f"degree mismatch: permutation of {len(p)} on graph of order {graph.n}")
     arcs = graph.arc_set
-    if graph.directed:
-        return all((p[u], p[v]) in arcs for u, v in graph.arcs)
-    return all(((p[u], p[v]) if p[u] < p[v] else (p[v], p[u])) in arcs for u, v in graph.arcs)
+    return all((p[u], p[v]) in arcs for u, v in graph.arcs)
 
 
 def respects(p: Perm, partition: "ArcPartition") -> bool:
@@ -60,22 +58,19 @@ def respects(p: Perm, partition: "ArcPartition") -> bool:
 
     Defined only for automorphisms of the partitioned graph; anything else
     raises ValueError. Parts may permute among themselves. Depends only on
-    the parts' arc sets, not on their metadata or order.
+    the parts' arc sets, not on their metadata or order. When the part
+    images are exactly the parts, they cover the arc set, so p maps it onto
+    itself and is an automorphism; only otherwise is the arc set's image
+    built, to tell False from a non-automorphism.
     """
     if len(p) != partition.n:
         raise ValueError(f"degree mismatch: permutation of {len(p)} on partition of order {partition.n}")
+    if {frozenset((p[u], p[v]) for u, v in part.arcs) for part in partition.parts} == partition.part_keys():
+        return True
     universe = partition.universe
-    if partition.directed:
-        def image(a):
-            return (p[a[0]], p[a[1]])
-    else:
-        def image(a):
-            u, v = p[a[0]], p[a[1]]
-            return (u, v) if u < v else (v, u)
-    if {image(a) for a in universe} != universe:
+    if {(p[u], p[v]) for u, v in universe} != universe:
         raise ValueError("permutation is not an automorphism of the partitioned graph")
-    keys = partition.part_keys()
-    return all(frozenset(image(a) for a in part.arcs) in keys for part in partition.parts)
+    return False
 
 
 def format_perm(p: Perm) -> str:

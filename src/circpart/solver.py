@@ -103,22 +103,17 @@ def enumerate_respecting(
         raise ResourceLimitError(f"n={n} exceeds the search cap {cfg.hard_cap}")
     if partition.universe != graph.arc_set:
         raise ValueError("partition does not partition this graph's arcs")
-    directed = graph.directed
 
-    # Oriented arc -> part index; an undirected edge is entered both ways.
-    part_at = {}
-    for idx, part in enumerate(partition.parts):
-        for u, v in part.arcs:
-            part_at[(u, v)] = idx
-            if not directed:
-                part_at[(v, u)] = idx
+    part_at = {arc: idx for idx, part in enumerate(partition.parts) for arc in part.arcs}
     part_sizes = tuple(len(part.arcs) for part in partition.parts)
     part_succ: list[dict] = [{} for _ in partition.parts]  # part -> vertex -> endpoints along its arcs
     incident: list[list] = [[] for _ in range(n)]  # vertex -> (other end, part, arc points out)
     for (u, v), idx in part_at.items():
         part_succ[idx].setdefault(u, []).append(v)
         incident[u].append((v, idx, True))
-        if directed:
+        # In undirected mode each in-arc is an out-arc reversed, in the same
+        # part, so in-arc entries would double the checks and prune nothing.
+        if graph.directed:
             incident[v].append((u, idx, False))
 
     order, parents = _search_order(graph)
@@ -233,14 +228,7 @@ def brute_oracle(graph: CirculantGraph, partition: ArcPartition, fix_zero: bool 
     if partition.universe != graph.arc_set:
         raise ValueError("partition does not partition this graph's arcs")
     universe = graph.arc_set
-    directed = graph.directed
     part_keys = {frozenset(part.arcs) for part in partition.parts}
-
-    def image_arc(p, a):
-        u, v = p[a[0]], p[a[1]]
-        if directed or u < v:
-            return (u, v)
-        return (v, u)
 
     if fix_zero:
         candidates = ((0,) + rest for rest in itertools.permutations(range(1, n)))
@@ -249,16 +237,12 @@ def brute_oracle(graph: CirculantGraph, partition: ArcPartition, fix_zero: bool 
 
     found = []
     for p in candidates:
-        ok = True
-        for a in universe:
-            if image_arc(p, a) not in universe:
-                ok = False
+        for u, v in universe:
+            if (p[u], p[v]) not in universe:
                 break
-        if not ok:
-            continue
-        if {frozenset(image_arc(p, a) for a in part.arcs) for part in partition.parts} != part_keys:
-            continue
-        found.append(tuple(p))
+        else:
+            if {frozenset((p[u], p[v]) for u, v in part.arcs) for part in partition.parts} == part_keys:
+                found.append(p)
     found.sort()
     return found
 

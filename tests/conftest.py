@@ -24,16 +24,13 @@ def bfs_reachable(graph):
     return seen
 
 
-def naive_respects(graph, partition, p):
-    """Literal definition: the image of the family of parts equals the family."""
-    def image(a):
-        u, v = p[a[0]], p[a[1]]
-        if graph.directed or u < v:
-            return (u, v)
-        return (v, u)
+def naive_respects(partition, p):
+    """Literal definition: the image of the family of parts equals the family.
 
+    An arc (u, v) maps to (p[u], p[v]); undirected parts hold both arcs of each edge.
+    """
     parts = {frozenset(part.arcs) for part in partition.parts}
-    return {frozenset(image(a) for a in part.arcs) for part in partition.parts} == parts
+    return {frozenset((p[u], p[v]) for u, v in part.arcs) for part in partition.parts} == parts
 
 
 def all_perms_fixing_zero(n):

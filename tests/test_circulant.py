@@ -9,8 +9,8 @@ from conftest import bfs_reachable, graphs
 
 
 def edge_enumeration_oracle(n, elements):
-    """Deduplicated unordered pairs {g, g+s}, by direct enumeration."""
-    return sorted({tuple(sorted(((g, (g + s) % n)))) for g in range(n) for s in elements})
+    """Each edge {g, g+s} as its two ordered pairs, deduplicated, by direct enumeration."""
+    return sorted({pair for g in range(n) for s in elements for pair in ((g, (g + s) % n), ((g + s) % n, g))})
 
 
 def test_build_directed_arc_count():
@@ -21,12 +21,12 @@ def test_build_directed_arc_count():
 
 def test_build_order_two_generator():
     g = cp.build(4, (2,), cp.UNDIRECTED)
-    assert g.arcs == ((0, 2), (1, 3))
+    assert g.arcs == ((0, 2), (1, 3), (2, 0), (3, 1))
 
 
 def test_build_undirected_deduplicates():
     oracle = edge_enumeration_oracle(6, (2, 3, 4))
-    assert len(oracle) == 9
+    assert len(oracle) == 18
     g = cp.build(6, (2, 3, 4), cp.UNDIRECTED)
     assert list(g.arcs) == oracle
 
@@ -103,12 +103,12 @@ def test_generator_partition_merges_inverse_pairs():
     g = cp.build(5, (1, 4), cp.UNDIRECTED)
     b = cp.partition_by_generator(g)
     assert len(b.parts) == 1
-    assert len(b.parts[0]) == 5
+    assert len(b.parts[0]) == 10
     assert b.parts[0].generators == (1, 4)
 
     g = cp.build(6, (2, 3, 4), cp.UNDIRECTED)
     b = cp.partition_by_generator(g)
-    assert sorted(len(p) for p in b.parts) == [3, 6]
+    assert sorted(len(p) for p in b.parts) == [6, 12]
     assert {p.generators for p in b.parts} == {(2, 4), (3,)}
 
 
@@ -130,15 +130,15 @@ def test_cycle_partition_directed():
 def test_cycle_partition_order_two_generator():
     g = cp.build(4, (2,), cp.UNDIRECTED)
     c = cp.partition_by_cycle(g)
-    assert [p.arcs for p in c.parts] == [((0, 2),), ((1, 3),)]
+    assert [p.arcs for p in c.parts] == [((0, 2), (2, 0)), ((1, 3), (3, 1))]
     assert [p.coset_rep for p in c.parts] == [0, 1]
 
 
 def test_cycle_partition_mixed_orders():
     g = cp.build(6, (2, 3, 4), cp.UNDIRECTED)
     c = cp.partition_by_cycle(g)
-    assert sorted(len(p) for p in c.parts) == [1, 1, 1, 3, 3]
-    triangles = [p for p in c.parts if len(p) == 3]
+    assert sorted(len(p) for p in c.parts) == [2, 2, 2, 6, 6]
+    triangles = [p for p in c.parts if len(p) == 6]
     assert {frozenset(v for a in p.arcs for v in a) for p in triangles} == {
         frozenset({0, 2, 4}),
         frozenset({1, 3, 5}),
@@ -170,7 +170,7 @@ def test_part_identity_ignores_metadata():
 
 def test_partition_rejects_overlapping_parts():
     with pytest.raises(ValueError):
-        cp.ArcPartition("B", 3, True, (cp.Part(((0, 1),), (1,)), cp.Part(((0, 1), (1, 2)), (1,))))
+        cp.ArcPartition("B", 3, (cp.Part(((0, 1),), (1,)), cp.Part(((0, 1), (1, 2)), (1,))))
 
 
 @given(graphs())
@@ -183,6 +183,11 @@ def test_partitions_cover_exactly_and_refine(graph):
     assert sum(len(p) for p in b.parts) == len(graph.arcs)
     assert sum(len(p) for p in c.parts) == len(graph.arcs)
     assert cp.refines(c, b)
+    assert len(graph.arcs) == graph.n * len(graph.elements)
+    if not graph.directed:
+        # an undirected edge is stored as its two opposite arcs, inside one part
+        for arcs in [graph.arc_set] + [frozenset(p.arcs) for p in b.parts + c.parts]:
+            assert {(v, u) for u, v in arcs} == arcs
 
 
 @given(graphs(modes=(cp.DIRECTED,)))

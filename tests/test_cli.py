@@ -1,4 +1,8 @@
 import json
+import runpy
+import sys
+
+import pytest
 
 import circpart as cp
 from circpart.cli import main
@@ -10,6 +14,14 @@ def test_build_summary(capsys):
     assert "instance: 8:1,2:d" in out
     assert "arcs: 16" in out
     assert "connected: true" in out
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["circpart", "build", "--instance", "8:1,2:d"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("circpart", run_name="__main__")
+    assert exc.value.code == 0
+    assert "arcs: 16" in capsys.readouterr().out
 
 
 def test_partition_listing(capsys):
@@ -105,11 +117,13 @@ def test_verify_checks_out_before_sweeping(tmp_path, monkeypatch, capsys):
         raise AssertionError("the sweep ran before --out was checked")
 
     monkeypatch.setattr("circpart.cli.verify_theorem", no_sweep)
-    for out in ("r.txt", str(tmp_path / "missing" / "e.json")):
+    (tmp_path / "d.json").mkdir()
+    for out in ("r.txt", str(tmp_path / "missing" / "e.json"), str(tmp_path / "d.json")):
         assert main(["verify", "--n-min", "2", "--n-max", "11", "--mode", "d", "--out", out]) == 2
     err = capsys.readouterr().err
     assert "--out must end with .json or .csv" in err
     assert "does not exist" in err
+    assert "is a directory" in err
 
 
 def test_resource_cap_exit_code(capsys):
