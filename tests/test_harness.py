@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -289,3 +290,12 @@ def test_parallel_sweep_is_byte_identical():
             baseline = cp.report_to_json(cp.verify_theorem(spec))
         else:
             assert cp.report_to_json(cp.verify_theorem(spec)) == baseline
+
+
+def test_disconnected_sweep_json_digest():
+    """The report of every disconnected undirected set with n <= 14, whose largest groups have 46,080 elements."""
+    spec = cp.SweepSpec(n_min=2, n_max=14, modes=(cp.UNDIRECTED,), connectivity="disconnected")
+    text = cp.report_to_json(cp.verify_theorem(spec))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "85bd207efd1ebbb0645130c0a3d679e5efa7197f92c38cde8e9b865e3d53dd52"
+    )
