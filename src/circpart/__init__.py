@@ -23,7 +23,6 @@ from .circulant import (
     parse_instance,
     partition_by_cycle,
     partition_by_generator,
-    refines,
 )
 from .harness import (
     InstanceResult,
@@ -39,10 +38,7 @@ from .harness import (
 )
 from .perm import (
     Perm,
-    compose,
     format_perm,
-    identity,
-    inverse,
     is_automorphism,
     is_permutation,
     multiplier_perm,
@@ -50,10 +46,12 @@ from .perm import (
     respects,
 )
 from .solver import (
+    DEFAULT_MAX_SOLUTIONS,
     DEFAULT_ORACLE_LIMIT,
     DEFAULT_SEARCH_CAP,
     PropagationStage,
     PropagationTrace,
+    RespectingGroup,
     ResourceLimitError,
     SearchConfig,
     brute_oracle,
@@ -61,13 +59,13 @@ from .solver import (
     enumerate_respecting,
     normalize_to_multiplier,
     propagation_certifier,
+    respecting_group,
 )
 from .zmod import (
     MultiplierWitness,
     crt_combine,
     factorize,
     multipliers,
-    order_mod,
 )
 
 __version__ = "0.1.0"
@@ -75,6 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DIRECTED",
     "UNDIRECTED",
+    "DEFAULT_MAX_SOLUTIONS",
     "DEFAULT_ORACLE_LIMIT",
     "DEFAULT_SEARCH_CAP",
     "ArcPartition",
@@ -87,6 +86,7 @@ __all__ = [
     "Perm",
     "PropagationStage",
     "PropagationTrace",
+    "RespectingGroup",
     "ResourceLimitError",
     "SearchConfig",
     "SweepFailure",
@@ -95,7 +95,6 @@ __all__ = [
     "arc_partition",
     "brute_oracle",
     "build",
-    "compose",
     "coset_image_check",
     "crt_combine",
     "enumerate_respecting",
@@ -104,9 +103,7 @@ __all__ = [
     "format_perm",
     "from_instance",
     "generate_instances",
-    "identity",
     "instance_key",
-    "inverse",
     "is_automorphism",
     "is_connected",
     "is_permutation",
@@ -114,15 +111,14 @@ __all__ = [
     "multiplier_perm",
     "multipliers",
     "normalize_to_multiplier",
-    "order_mod",
     "parse_instance",
     "parse_perm",
     "partition_by_cycle",
     "partition_by_generator",
     "propagation_certifier",
-    "refines",
     "report_to_csv",
     "report_to_json",
+    "respecting_group",
     "respects",
     "verify_theorem",
 ]

@@ -221,13 +221,3 @@ def partition_by_cycle(graph: CirculantGraph) -> ArcPartition:
     """Kind "C": one part per monochromatic cycle; refines kind "B"."""
     return arc_partition(graph, "C")
 
-
-def refines(fine: ArcPartition, coarse: ArcPartition) -> bool:
-    """True iff every part of ``fine`` lies inside a single part of ``coarse``."""
-    if fine.universe != coarse.universe:
-        raise ValueError("partitions cover different arc sets")
-    owner = {}
-    for i, part in enumerate(coarse.parts):
-        for a in part.arcs:
-            owner[a] = i
-    return all(len({owner[a] for a in part.arcs}) == 1 for part in fine.parts)

@@ -23,6 +23,7 @@ from .circulant import (
 from .harness import SweepSpec, export_report, verify_theorem
 from .perm import format_perm, parse_perm
 from .solver import (
+    DEFAULT_MAX_SOLUTIONS,
     ResourceLimitError,
     SearchConfig,
     brute_oracle,
@@ -74,7 +75,8 @@ def _cmd_autos(args) -> int:
     if args.oracle:
         sols = brute_oracle(graph, partition, fix_zero=args.fix_zero)
     else:
-        cfg = SearchConfig(fix_zero=args.fix_zero, max_solutions=args.max_solutions)
+        cap = DEFAULT_MAX_SOLUTIONS if args.max_solutions is None else args.max_solutions
+        cfg = SearchConfig(fix_zero=args.fix_zero, max_solutions=cap)
         sols = enumerate_respecting(graph, partition, cfg)
     for p in sols:
         print(format_perm(p))
@@ -185,7 +187,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_autos.add_argument("--kind", required=True, choices=("B", "C"))
     p_autos.add_argument("--fix-zero", action="store_true", help="only automorphisms fixing vertex 0")
     p_autos.add_argument("--oracle", action="store_true", help="use the brute-force filter instead of backtracking")
-    p_autos.add_argument("--max-solutions", type=int, default=None)
+    p_autos.add_argument(
+        "--max-solutions",
+        type=int,
+        default=None,
+        help=f"refuse a group of more elements than this (default {DEFAULT_MAX_SOLUTIONS})",
+    )
     p_autos.set_defaults(func=_cmd_autos)
 
     p_norm = sub.add_parser("normalize", help="recover the multiplier behind an automorphism")

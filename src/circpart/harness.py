@@ -1,8 +1,8 @@
 """Sweep harness: instance generation, theorem verification, reports.
 
-A sweep enumerates connection sets for a range of n, runs the requested
-enumerations per instance, compares the respecting automorphisms with the
-multiplier group, and assembles a deterministic report. Per-instance rows
+A sweep enumerates connection sets for a range of n, computes the group
+of respecting automorphisms per instance from its generators, compares it
+with the multiplier group, and assembles a deterministic report. Per-instance rows
 are keyed and ordered by (n, mode, set size, set), never by completion
 time, so the report content is independent of the worker count. Wall-clock
 timings are kept for the CSV view but excluded from JSON exports, which are
@@ -34,7 +34,7 @@ from .circulant import (
     partition_by_cycle,
     partition_by_generator,
 )
-from .perm import multiplier_perm
+from .perm import multiplier_perm, respects
 from .solver import (
     DEFAULT_ORACLE_LIMIT,
     DEFAULT_SEARCH_CAP,
@@ -42,9 +42,9 @@ from .solver import (
     SearchConfig,
     brute_oracle,
     coset_image_check,
-    enumerate_respecting,
     normalize_to_multiplier,
     propagation_certifier,
+    respecting_group,
 )
 from .zmod import multipliers
 
@@ -196,8 +196,7 @@ def _evaluate(spec: SweepSpec, cs: ConnectionSet):
     key = instance_key(graph.cs)
     connected = is_connected(graph)
     partitions = {"B": partition_by_generator(graph), "C": partition_by_cycle(graph)}
-    mult_perms = sorted(multiplier_perm(n, j) for j in multipliers(n, elements))
-    mult_set = set(mult_perms)
+    mult_perms = [multiplier_perm(n, j) for j in multipliers(n, elements)]
 
     cfg = SearchConfig(fix_zero=True, max_solutions=spec.max_solutions)
     aut_counts: dict[str, int | None] = {"B": None, "C": None}
@@ -206,28 +205,30 @@ def _evaluate(spec: SweepSpec, cs: ConnectionSet):
     for kind in spec.kinds:
         part = partitions[kind]
         try:
-            sols = enumerate_respecting(graph, part, cfg)
+            group = respecting_group(graph, part, cfg)
         except ResourceLimitError as exc:
             failures.append(SweepFailure(key, f"kind {kind}: {exc}"))
             had_error = True
             continue
         if spec.enumerator == "both":
-            oracle_sols = brute_oracle(graph, part, fix_zero=True)
-            if oracle_sols != sols:
+            if brute_oracle(graph, part, fix_zero=True) != group.elements():
                 failures.append(SweepFailure(key, f"kind {kind}: backtracking disagrees with brute oracle"))
-        aut_counts[kind] = len(sols)
-        sol_set = set(sols)
-        outcomes.append((sols == mult_perms, mult_set <= sol_set))
+        aut_counts[kind] = group.order
+        # M <= G straight from the definition; with |G| = |M| the two are equal.
+        contains = all(respects(m, part) for m in mult_perms)
+        outcomes.append((contains and group.order == len(mult_perms), contains))
         if kind == "C":
+            # Both properties are closed under composition, so the generators suffice.
+            gens = group.strong_generators()
             if connected:
-                for p in sols:
+                for p in gens:
                     witness = normalize_to_multiplier(graph, p)
                     if witness is None or multiplier_perm(n, witness.combined) != p:
                         failures.append(SweepFailure(key, f"multiplier normalization failed for {p}"))
             subsets = [(s,) for s in elements]
             if len(elements) > 1:
                 subsets.append(elements)
-            for p in sols:
+            for p in gens:
                 for sub in subsets:
                     if not coset_image_check(graph, p, sub):
                         failures.append(SweepFailure(key, f"coset image check failed for {p} on {sub}"))

@@ -1,8 +1,7 @@
 """Permutations of Z_n as image tuples.
 
 A permutation of degree n is a tuple p of length n with p[v] the image of
-vertex v. Composition applies the right factor first, matching the usual
-function-composition order.
+vertex v.
 """
 
 from __future__ import annotations
@@ -16,26 +15,8 @@ if TYPE_CHECKING:
 Perm = tuple[int, ...]
 
 
-def identity(n: int) -> Perm:
-    return tuple(range(n))
-
-
 def is_permutation(p) -> bool:
     return sorted(p) == list(range(len(p)))
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """The permutation v -> p(q(v)); q acts first."""
-    if len(p) != len(q):
-        raise ValueError(f"degree mismatch: {len(p)} vs {len(q)}")
-    return tuple(p[q[v]] for v in range(len(p)))
-
-
-def inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for v, w in enumerate(p):
-        out[w] = v
-    return tuple(out)
 
 
 def multiplier_perm(n: int, j: int) -> Perm:
@@ -46,11 +27,11 @@ def multiplier_perm(n: int, j: int) -> Perm:
 
 
 def is_automorphism(graph: "CirculantGraph", p: Perm) -> bool:
-    """True iff p maps the arc set of the graph onto itself."""
+    """True iff p is a permutation of the vertices that maps the arc set onto itself."""
     if len(p) != graph.n:
         raise ValueError(f"degree mismatch: permutation of {len(p)} on graph of order {graph.n}")
     arcs = graph.arc_set
-    return all((p[u], p[v]) in arcs for u, v in graph.arcs)
+    return is_permutation(p) and all((p[u], p[v]) in arcs for u, v in graph.arcs)
 
 
 def respects(p: Perm, partition: "ArcPartition") -> bool:

@@ -1,7 +1,9 @@
 """Search and certification engines.
 
-* ``enumerate_respecting``: backtracking enumeration of all automorphisms
-  (optionally fixing vertex 0) that respect an arc partition.
+* ``respecting_group``: the group of automorphisms (optionally fixing
+  vertex 0) that respect an arc partition, computed by backtracking as a
+  base with one transversal per level.
+* ``enumerate_respecting``: that group's elements, listed.
 * ``brute_oracle``: the same set computed by filtering every permutation,
   straight from the definitions, as an independent cross-check.
 * ``normalize_to_multiplier``: recovers the unit j with p(s) = j*s for all
@@ -26,6 +28,7 @@ from .zmod import MultiplierWitness, crt_combine, factorize
 
 DEFAULT_ORACLE_LIMIT = 9
 DEFAULT_SEARCH_CAP = 64
+DEFAULT_MAX_SOLUTIONS = 100_000
 
 
 class ResourceLimitError(RuntimeError):
@@ -34,17 +37,18 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Settings of the backtracking enumerator.
+    """Settings of the backtracking search.
 
     ``fix_zero`` keeps vertex 0 in place. Graphs with more than ``hard_cap``
-    vertices are refused. Finding more than ``max_solutions`` (at least 0;
-    None for no cap) raises rather than truncating, so a capped run can
-    never be mistaken for a complete one. The brute-force filter is a
-    separate function, ``brute_oracle``, with its own size limit.
+    vertices are refused. A group of more than ``max_solutions`` elements
+    (at least 0; None for no cap) raises rather than being returned, and so
+    before any element is listed; a capped run can never be mistaken for a
+    complete one. The brute-force filter is a separate function,
+    ``brute_oracle``, with its own size limit.
     """
 
     fix_zero: bool = True
-    max_solutions: int | None = None
+    max_solutions: int | None = DEFAULT_MAX_SOLUTIONS
     hard_cap: int = DEFAULT_SEARCH_CAP
 
     def __post_init__(self):
@@ -83,20 +87,75 @@ def _search_order(graph: CirculantGraph):
     return order, parents
 
 
-def enumerate_respecting(
+@dataclass(frozen=True)
+class RespectingGroup:
+    """A group of respecting automorphisms as a stabilizer chain along ``base``.
+
+    Write G_i for the elements that fix ``base[:i]`` pointwise. For each
+    image x of ``base[i]`` under G_i, ``transversals[i][x]`` is one element
+    of G_i that sends ``base[i]`` to x. ``generators[i]`` holds the elements
+    the search found at level i; those of levels i and up generate G_i.
+    """
+
+    base: tuple[int, ...]
+    generators: tuple[tuple[Perm, ...], ...]
+    transversals: tuple[dict, ...]
+
+    @property
+    def order(self) -> int:
+        """|G|, the product of the orbit lengths along the base."""
+        return math.prod(len(t) for t in self.transversals)
+
+    def strong_generators(self) -> list[Perm]:
+        """Every generator, deepest level first; together they generate G."""
+        return [p for level in reversed(self.generators) for p in level]
+
+    def elements(self) -> list[Perm]:
+        """Every element of G, ascending: the products of one transversal element per level."""
+        elems = [tuple(range(len(self.base)))]
+        for trans in reversed(self.transversals):
+            if len(trans) > 1:
+                elems = [tuple(map(t.__getitem__, h)) for t in trans.values() for h in elems]
+        elems.sort()
+        return elems
+
+
+def _transversal(point: int, gens, identity: Perm) -> dict:
+    """For each image of ``point`` under the group ``gens`` generate, one element sending it there."""
+    trans = {point: identity}
+    queue = [point]
+    for x in queue:
+        t = trans[x]
+        for g in gens:
+            y = g[x]
+            if y not in trans:
+                trans[y] = tuple(map(g.__getitem__, t))  # g after t
+                queue.append(y)
+    return trans
+
+
+def respecting_group(
     graph: CirculantGraph, partition: ArcPartition, cfg: SearchConfig = SearchConfig()
-) -> list[Perm]:
-    """All automorphisms of ``graph`` respecting ``partition``, ascending by image tuple.
+) -> RespectingGroup:
+    """The group of automorphisms of ``graph`` respecting ``partition``, by generators.
 
     Depth-first assignment of vertex images in the cycle-first order of
-    ``_search_order``, pruned by two incremental invariants: every arc
-    between assigned vertices must map to an arc, and the induced
-    part-to-part map must stay injective in both directions (with matching
-    part sizes). A vertex's candidates are the endpoints of arcs leaving its
-    parent's image; once the part of its parent arc is mapped, only arcs of
-    the image part qualify, which forces the rest of a monochromatic cycle
-    after its first arc. Completed assignments still get a full
-    automorphism-plus-respect re-check before being emitted.
+    ``_search_order``, which is also the base, pruned by two incremental
+    invariants: every arc between assigned vertices must map to an arc, and
+    the induced part-to-part map must stay injective in both directions
+    (with matching part sizes). A vertex's candidates are the endpoints of
+    arcs leaving its parent's image; once the part of its parent arc is
+    mapped, only arcs of the image part qualify, which forces the rest of a
+    monochromatic cycle after its first arc.
+
+    Along the identity path each vertex tries its own image first, so the
+    deeper levels are complete before a level branches, and a candidate
+    already in the level's orbit is skipped. Below a non-identity choice at
+    depth i the search stops at the first leaf that passes the full
+    automorphism-plus-respect re-check: that leaf joins the generators of
+    level i, the level's orbit is recomputed and the stack is cut back to
+    depth i. Raises ResourceLimitError when the group has more than
+    ``cfg.max_solutions`` elements.
     """
     n = graph.n
     if n > cfg.hard_cap:
@@ -124,20 +183,28 @@ def enumerate_respecting(
     used = [False] * n
     part_map = [-1] * len(partition.parts)
     part_map_inv = [-1] * len(partition.parts)
-    solutions: list[Perm] = []
+    identity = tuple(range(n))
+    generators: list[list] = [[] for _ in range(n)]
+    found: list[Perm] = []  # every generator so far; all fix the base above the current level
+    transversals = [{u: identity} for u in order]
 
-    def candidates(u):
+    def candidates(u, on_path):
         parent = parents[u]
         if parent is None:
             if u == 0 and cfg.fix_zero:
                 return (0,)
-            return [v for v in range(n) if not used[v]]
-        mapped = part_map[parent_part[u]]
-        if mapped >= 0:
-            pool = part_succ[mapped].get(images[parent], ())
+            pool = [v for v in range(n) if not used[v]]
         else:
-            pool = succ[images[parent]]
-        return [v for v in pool if not used[v]]
+            mapped = part_map[parent_part[u]]
+            if mapped >= 0:
+                pool = part_succ[mapped].get(images[parent], ())
+            else:
+                pool = succ[images[parent]]
+            pool = [v for v in pool if not used[v]]
+        if on_path:  # the identity extends the identity path, so u is always a candidate
+            pool.remove(u)
+            pool.insert(0, u)
+        return pool
 
     def try_assign(u, v):
         added = []
@@ -164,28 +231,40 @@ def enumerate_respecting(
                 return None
         return added
 
+    def undo(depth):
+        u = order[depth]
+        used[images[u]] = False
+        images[u] = -1
+        for sp, dp in added_at[depth]:
+            part_map[sp] = -1
+            part_map_inv[dp] = -1
+        added_at[depth] = None
+
     # Explicit depth-first stack: per depth, the candidate list, the cursor
     # into it and the part-map entries added by the current assignment.
+    # ``split`` is the depth of the path's first non-identity image, n on
+    # the identity path.
     pending: list = [None] * n
     cursor = [0] * n
     added_at: list = [None] * n
-    pending[0] = candidates(order[0])
+    split = n
+    pending[0] = candidates(order[0], True)
     depth = 0
     while depth >= 0:
         u = order[depth]
-        added = added_at[depth]
-        if added is not None:  # undo this depth's previous assignment
-            used[images[u]] = False
-            images[u] = -1
-            for sp, dp in added:
-                part_map[sp] = -1
-                part_map_inv[dp] = -1
-            added_at[depth] = None
+        if added_at[depth] is not None:
+            undo(depth)
+        if depth == split:
+            split = n
+        on_path = split == n
+        orbit = transversals[depth]
         pool = pending[depth]
         i = cursor[depth]
         while i < len(pool):
             v = pool[i]
             i += 1
+            if on_path and v != u and v in orbit:
+                continue
             added = try_assign(u, v)
             if added is not None:
                 break
@@ -196,21 +275,40 @@ def enumerate_respecting(
         images[u] = v
         used[v] = True
         added_at[depth] = added
+        if on_path and v != u:
+            split = depth
         if depth + 1 < n:
             depth += 1
-            pending[depth] = candidates(order[depth])
+            pending[depth] = candidates(order[depth], split == n)
             cursor[depth] = 0
             continue
+        if split == n:
+            continue  # the identity
         p = tuple(images)
         if is_automorphism(graph, p) and respects(p, partition):
-            solutions.append(p)
-            if cfg.max_solutions is not None and len(solutions) > cfg.max_solutions:
-                raise ResourceLimitError(
-                    f"more than max_solutions={cfg.max_solutions} respecting automorphisms"
-                )
+            generators[split].append(p)
+            found.append(p)
+            transversals[split] = _transversal(order[split], found, identity)
+            while depth > split:
+                undo(depth)
+                depth -= 1
 
-    solutions.sort()
-    return solutions
+    group = RespectingGroup(tuple(order), tuple(map(tuple, generators)), tuple(transversals))
+    if cfg.max_solutions is not None and group.order > cfg.max_solutions:
+        raise ResourceLimitError(f"more than max_solutions={cfg.max_solutions} respecting automorphisms")
+    return group
+
+
+def enumerate_respecting(
+    graph: CirculantGraph, partition: ArcPartition, cfg: SearchConfig = SearchConfig()
+) -> list[Perm]:
+    """All automorphisms of ``graph`` respecting ``partition``, ascending by image tuple.
+
+    Computes the group with ``respecting_group``, which refuses a group of
+    more than ``cfg.max_solutions`` elements before any is listed, and
+    expands it.
+    """
+    return respecting_group(graph, partition, cfg).elements()
 
 
 def brute_oracle(graph: CirculantGraph, partition: ArcPartition, fix_zero: bool = True) -> list[Perm]:

@@ -1,8 +1,7 @@
 """Arithmetic in the cyclic group of integers modulo n.
 
-Additive orders of residues, prime factorization, Chinese remainder
-combination, and the group of unit multipliers that stabilize a connection
-set.
+Prime factorization, Chinese remainder combination, and the group of unit
+multipliers that stabilize a connection set.
 """
 
 from __future__ import annotations
@@ -36,12 +35,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if rest > 1:
         factors.append((rest, 1))
     return tuple(factors)
-
-
-def order_mod(n: int, s: int) -> int:
-    """Additive order of s in Z_n; the order of 0 is 1."""
-    _check_residue(n, s)
-    return n // math.gcd(n, s)
 
 
 def crt_combine(congruences) -> int:

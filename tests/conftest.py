@@ -3,10 +3,44 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 from hypothesis import strategies as st
 
 import circpart as cp
+
+
+def identity(n):
+    return tuple(range(n))
+
+
+def compose(p, q):
+    """The permutation v -> p(q(v)); q acts first."""
+    if len(p) != len(q):
+        raise ValueError(f"degree mismatch: {len(p)} vs {len(q)}")
+    return tuple(p[q[v]] for v in range(len(p)))
+
+
+def inverse(p):
+    out = [0] * len(p)
+    for v, w in enumerate(p):
+        out[w] = v
+    return tuple(out)
+
+
+def order_mod(n, s):
+    """Additive order of s in Z_n; the order of 0 is 1."""
+    if n < 1 or not 0 <= s < n:
+        raise ValueError(f"residue {s} outside 0..{n - 1}")
+    return n // math.gcd(n, s)
+
+
+def refines(fine, coarse):
+    """True iff every part of ``fine`` lies inside a single part of ``coarse``."""
+    if fine.universe != coarse.universe:
+        raise ValueError("partitions cover different arc sets")
+    owner = {a: i for i, part in enumerate(coarse.parts) for a in part.arcs}
+    return all(len({owner[a] for a in part.arcs}) == 1 for part in fine.parts)
 
 
 def bfs_reachable(graph):

@@ -132,6 +132,15 @@ def test_resource_cap_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_autos_has_a_default_solution_cap(monkeypatch, capsys):
+    # a perfect matching: 31! * 2**31 respecting automorphisms fix 0, refused before any is listed
+    monkeypatch.setattr(cp.RespectingGroup, "elements", None)
+    assert main(["autos", "--instance", "64:32:u", "--kind", "C", "--fix-zero"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"resource limit: more than max_solutions={cp.DEFAULT_MAX_SOLUTIONS} respecting automorphisms\n"
+
+
 def test_oracle_rejects_a_solution_cap(capsys):
     argv = ["autos", "--instance", "6:2,4:u", "--kind", "C", "--fix-zero", "--oracle", "--max-solutions", "1"]
     assert main(argv) == 2

@@ -49,6 +49,16 @@ def test_solution_cap_applies_to_the_search_half_of_both():
     assert cp.verify_theorem(both).aggregates["error"] == 7
 
 
+def test_sweeps_count_and_certify_without_listing(monkeypatch):
+    # only enumerator="both" lists a group, to compare it with the oracle
+    monkeypatch.setattr(cp.RespectingGroup, "elements", None)
+    spec = cp.SweepSpec(n_min=2, n_max=12, modes=(cp.UNDIRECTED,), connectivity="disconnected")
+    report = cp.verify_theorem(spec)
+    assert report.failures == ()
+    assert {row.verdict for row in report.instances} == {"match", "expected-mismatch"}
+    assert max(row.aut_c for row in report.instances) == 3840  # 12:6:u, six edges
+
+
 def test_negative_max_solutions_rejected_before_any_search():
     with pytest.raises(ValueError, match="max_solutions"):
         cp.SweepSpec(n_min=3, n_max=4, max_solutions=-1)

@@ -5,36 +5,44 @@ import pytest
 from hypothesis import given, settings
 
 import circpart as cp
-from conftest import directed_subsets, graphs, inverse_closed_subsets, naive_respects
+from conftest import (
+    compose,
+    directed_subsets,
+    graphs,
+    identity,
+    inverse,
+    inverse_closed_subsets,
+    naive_respects,
+)
 
 
 def test_compose_identities():
     p = (0, 2, 1, 4, 3)
-    assert cp.compose(cp.identity(5), p) == p
-    assert cp.compose(p, cp.inverse(p)) == cp.identity(5)
-    assert cp.compose(cp.inverse(p), p) == cp.identity(5)
+    assert compose(identity(5), p) == p
+    assert compose(p, inverse(p)) == identity(5)
+    assert compose(inverse(p), p) == identity(5)
 
 
 def test_compose_applies_right_factor_first():
     p = (1, 2, 0)
     q = (0, 2, 1)
-    assert cp.compose(p, q) == tuple(p[q[v]] for v in range(3))
+    assert compose(p, q) == tuple(p[q[v]] for v in range(3))
 
 
 def test_compose_of_multipliers_multiplies():
     m2 = cp.multiplier_perm(5, 2)
     m3 = cp.multiplier_perm(5, 3)
-    assert cp.compose(m2, m3) == cp.identity(5)  # 2*3 = 6 = 1 mod 5
-    assert cp.compose(m2, m2) == cp.multiplier_perm(5, 4)
+    assert compose(m2, m3) == identity(5)  # 2*3 = 6 = 1 mod 5
+    assert compose(m2, m2) == cp.multiplier_perm(5, 4)
 
 
 def test_compose_rejects_degree_mismatch():
     with pytest.raises(ValueError):
-        cp.compose((0, 1), (0, 1, 2))
+        compose((0, 1), (0, 1, 2))
 
 
 def test_multiplier_perm_values():
-    assert cp.multiplier_perm(8, 1) == cp.identity(8)
+    assert cp.multiplier_perm(8, 1) == identity(8)
     assert cp.multiplier_perm(8, 7) == (0, 7, 6, 5, 4, 3, 2, 1)
     assert cp.multiplier_perm(5, 2) == (0, 2, 4, 1, 3)
 
@@ -56,13 +64,15 @@ def test_is_automorphism_examples():
     assert cp.is_automorphism(g5, cp.multiplier_perm(5, 4))
     with pytest.raises(ValueError):
         cp.is_automorphism(g5, (0, 1, 2))
+    # maps every arc of Circ(4; {2}) to an arc, but is not a permutation
+    assert not cp.is_automorphism(cp.build(4, (2,), cp.DIRECTED), (0, 0, 2, 2))
 
 
 def test_respects_examples():
     g = cp.from_instance("8:1,2:d")
     c = cp.partition_by_cycle(g)
-    assert cp.respects(cp.identity(8), c)
-    assert cp.respects(cp.identity(8), cp.partition_by_generator(g))
+    assert cp.respects(identity(8), c)
+    assert cp.respects(identity(8), cp.partition_by_generator(g))
 
     g8 = cp.build(8, (1, 2, 6, 7), cp.UNDIRECTED)
     assert cp.respects(cp.multiplier_perm(8, 7), cp.partition_by_cycle(g8))
@@ -125,6 +135,30 @@ def test_respects_matches_the_definition_exhaustively_to_n6():
     assert cases == 59_576
 
 
+def test_non_permutations_are_never_automorphisms_to_n5():
+    """Every connection set with n <= 5, both modes, every map of Z_n that is not a permutation:
+    ``is_automorphism`` is False, ``respects`` raises and, on a connected graph, so does
+    ``normalize_to_multiplier``."""
+    cases = 0
+    for n in range(2, 6):
+        maps = [p for p in itertools.product(range(n), repeat=n) if len(set(p)) < n]
+        for mode, subsets in ((cp.DIRECTED, directed_subsets(n)), (cp.UNDIRECTED, inverse_closed_subsets(n))):
+            for elements in subsets:
+                graph = cp.build(n, elements, mode)
+                partitions = [cp.arc_partition(graph, kind) for kind in ("B", "C")]
+                connected = cp.is_connected(graph)
+                for p in maps:
+                    cases += 1
+                    assert not cp.is_automorphism(graph, p), (elements, p)
+                    for partition in partitions:
+                        with pytest.raises(ValueError):
+                            cp.respects(p, partition)
+                    if connected and p[0] == 0:
+                        with pytest.raises(ValueError, match="not an automorphism"):
+                            cp.normalize_to_multiplier(graph, p)
+    assert cases == 56_498
+
+
 @given(graphs(max_n=14))
 @settings(max_examples=150)
 def test_multipliers_respect_both_partitions(graph):
@@ -147,11 +181,11 @@ def test_respecting_automorphisms_form_a_group(text, kind):
     partition = cp.arc_partition(graph, kind)
     sols = cp.enumerate_respecting(graph, partition)
     members = set(sols)
-    assert cp.identity(graph.n) in members
+    assert identity(graph.n) in members
     for p in sols:
-        assert cp.inverse(p) in members
+        assert inverse(p) in members
         for q in sols:
-            assert cp.compose(p, q) in members
+            assert compose(p, q) in members
 
 
 def test_format_and_parse_perm():
@@ -168,6 +202,6 @@ def test_format_and_parse_perm():
 @given(graphs(max_n=10))
 @settings(max_examples=60)
 def test_identity_respects_everything(graph):
-    ident = cp.identity(graph.n)
+    ident = identity(graph.n)
     assert cp.respects(ident, cp.partition_by_generator(graph))
     assert cp.respects(ident, cp.partition_by_cycle(graph))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import circpart as cp
-from conftest import connection_sets, directed_subsets, inverse_closed_subsets
+from conftest import compose, connection_sets, directed_subsets, identity, inverse_closed_subsets
 
 
 def closure_oracle(n, gens):
@@ -47,14 +47,14 @@ def closure_oracle(n, gens):
 def test_enumerate_connected_directed_gives_identity_only():
     g = cp.from_instance("8:1,2:d")
     c = cp.partition_by_cycle(g)
-    assert cp.enumerate_respecting(g, c) == [cp.identity(8)]
+    assert cp.enumerate_respecting(g, c) == [identity(8)]
     assert cp.multipliers(8, (1, 2)) == (1,)
 
 
 def test_enumerate_five_cycle():
     g = cp.build(5, (1, 4), cp.UNDIRECTED)
     c = cp.partition_by_cycle(g)
-    assert cp.enumerate_respecting(g, c) == sorted([cp.identity(5), cp.multiplier_perm(5, 4)])
+    assert cp.enumerate_respecting(g, c) == sorted([identity(5), cp.multiplier_perm(5, 4)])
 
 
 def test_enumerate_disconnected_two_triangles():
@@ -77,10 +77,10 @@ def test_enumerate_disconnected_two_triangles():
 def test_brute_oracle_small_cycles():
     g4 = cp.build(4, (1, 3), cp.UNDIRECTED)
     c4 = cp.partition_by_cycle(g4)
-    assert cp.brute_oracle(g4, c4) == sorted([cp.identity(4), cp.multiplier_perm(4, 3)])
+    assert cp.brute_oracle(g4, c4) == sorted([identity(4), cp.multiplier_perm(4, 3)])
     g3 = cp.build(3, (1, 2), cp.UNDIRECTED)
     c3 = cp.partition_by_cycle(g3)
-    assert cp.brute_oracle(g3, c3) == sorted([cp.identity(3), cp.multiplier_perm(3, 2)])
+    assert cp.brute_oracle(g3, c3) == sorted([identity(3), cp.multiplier_perm(3, 2)])
 
 
 def test_identity_always_enumerated():
@@ -88,7 +88,7 @@ def test_identity_always_enumerated():
         g = cp.from_instance(text)
         for kind in ("B", "C"):
             sols = cp.enumerate_respecting(g, cp.arc_partition(g, kind))
-            assert cp.identity(g.n) in sols
+            assert identity(g.n) in sols
 
 
 def test_enumerator_matches_oracle_exhaustively_to_n7():
@@ -103,6 +103,68 @@ def test_enumerator_matches_oracle_exhaustively_to_n7():
                         cfg = cp.SearchConfig(fix_zero=fix_zero)
                         expected = cp.brute_oracle(g, partition, fix_zero=fix_zero)
                         assert cp.enumerate_respecting(g, partition, cfg) == expected
+
+
+def assert_stabilizer_chain(group, n):
+    """Level i's generators and transversal fix the base above it; each transversal
+    element sends base[i] to its key."""
+    base = group.base
+    assert sorted(base) == list(range(n))
+    for i, (gens, trans) in enumerate(zip(group.generators, group.transversals)):
+        for p in gens:
+            assert all(p[b] == b for b in base[:i]), (i, p)
+        for x, t in trans.items():
+            assert t[base[i]] == x
+            assert all(t[b] == b for b in base[:i]), (i, t)
+
+
+def test_group_order_is_the_oracle_count_exhaustively_to_n8():
+    # the oracle scans 8! maps per free case, so fix_zero=False stops at n=7
+    for n in range(2, 9):
+        for mode, subsets in ((cp.DIRECTED, directed_subsets(n)), (cp.UNDIRECTED, inverse_closed_subsets(n))):
+            for elements in subsets:
+                g = cp.build(n, elements, mode)
+                for kind in ("B", "C"):
+                    partition = cp.arc_partition(g, kind)
+                    for fix_zero in (True, False) if n < 8 else (True,):
+                        group = cp.respecting_group(g, partition, cp.SearchConfig(fix_zero=fix_zero))
+                        assert group.order == len(cp.brute_oracle(g, partition, fix_zero=fix_zero))
+                        assert_stabilizer_chain(group, n)
+
+
+@pytest.mark.parametrize(
+    "text, order",
+    [("14:7:u", 46_080), ("15:5,10:u", 62_208), ("64:32:u", math.factorial(31) * 2**31)],
+)
+def test_group_orders_of_disjoint_unions_without_listing(text, order, monkeypatch):
+    # 7 edges, 5 triangles and 32 edges: the orbit of each component's root is every
+    # vertex not yet fixed, so the order is a product of orbit lengths
+    monkeypatch.setattr(cp.RespectingGroup, "elements", None)
+    g = cp.from_instance(text)
+    for kind in ("B", "C"):
+        group = cp.respecting_group(g, cp.arc_partition(g, kind), cp.SearchConfig(max_solutions=None))
+        assert group.order == order
+        assert len(group.strong_generators()) < g.n
+        assert_stabilizer_chain(group, g.n)
+
+
+def test_group_over_the_solution_cap_is_refused_before_listing():
+    g = cp.from_instance("64:32:u")
+    with pytest.raises(cp.ResourceLimitError, match="more than max_solutions=100000"):
+        cp.enumerate_respecting(g, cp.partition_by_cycle(g))
+    assert cp.SearchConfig().max_solutions == cp.DEFAULT_MAX_SOLUTIONS == 100_000
+
+
+def test_elements_are_the_distinct_transversal_products():
+    g = cp.from_instance("8:2,4,6:u")
+    group = cp.respecting_group(g, cp.partition_by_cycle(g))
+    sols = group.elements()
+    assert len(sols) == len(set(sols)) == group.order == 16
+    assert sols == sorted(sols)
+    members = set(sols)
+    for p in group.strong_generators():
+        assert p in members
+        assert all(compose(p, q) in members for q in sols)
 
 
 def multiplier_maps(n, elements):
@@ -183,9 +245,9 @@ def test_search_cap_and_oracle_limit():
 def test_long_cycles_search_without_recursion():
     cfg = cp.SearchConfig(hard_cap=5000)
     g = cp.build(1200, (1,), cp.DIRECTED)
-    assert cp.enumerate_respecting(g, cp.partition_by_cycle(g), cfg) == [cp.identity(1200)]
+    assert cp.enumerate_respecting(g, cp.partition_by_cycle(g), cfg) == [identity(1200)]
     g = cp.build(1200, (1, 1199), cp.UNDIRECTED)
-    identity_and_negation = sorted([cp.identity(1200), cp.multiplier_perm(1200, 1199)])
+    identity_and_negation = sorted([identity(1200), cp.multiplier_perm(1200, 1199)])
     assert cp.enumerate_respecting(g, cp.partition_by_cycle(g), cfg) == identity_and_negation
 
 
@@ -242,7 +304,7 @@ def test_normalize_round_trips_every_respecting_automorphism():
 def test_normalize_rejects_structural_violations():
     disconnected = cp.build(6, (2, 4), cp.UNDIRECTED)
     with pytest.raises(ValueError):
-        cp.normalize_to_multiplier(disconnected, cp.identity(6))
+        cp.normalize_to_multiplier(disconnected, identity(6))
     g = cp.build(5, (1, 4), cp.UNDIRECTED)
     rotation = tuple((v + 1) % 5 for v in range(5))
     with pytest.raises(ValueError):
@@ -374,8 +436,8 @@ def test_propagation_rejects_foreign_order():
 
 def test_coset_image_check_examples():
     g = cp.from_instance("8:1,2:d")
-    assert cp.coset_image_check(g, cp.identity(8), (2,))
-    assert cp.coset_image_check(g, cp.identity(8), (1, 2))
+    assert cp.coset_image_check(g, identity(8), (2,))
+    assert cp.coset_image_check(g, identity(8), (1, 2))
     g6 = cp.build(6, (2, 4), cp.UNDIRECTED)
     odd_cycle = (0, 3, 2, 5, 4, 1)
     assert cp.coset_image_check(g6, odd_cycle, (2,))

