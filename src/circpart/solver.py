@@ -107,8 +107,8 @@ class RespectingGroup:
         return math.prod(len(t) for t in self.transversals)
 
     def strong_generators(self) -> list[Perm]:
-        """Every generator, deepest level first; together they generate G."""
-        return [p for level in reversed(self.generators) for p in level]
+        """Every generator, level by level; together they generate G."""
+        return [p for level in self.generators for p in level]
 
     def elements(self) -> list[Perm]:
         """Every element of G, ascending: the products of one transversal element per level."""
@@ -167,12 +167,13 @@ def respecting_group(
     part_sizes = tuple(len(part.arcs) for part in partition.parts)
     part_succ: list[dict] = [{} for _ in partition.parts]  # part -> vertex -> endpoints along its arcs
     incident: list[list] = [[] for _ in range(n)]  # vertex -> (other end, part, arc points out)
+    directed = graph.directed
     for (u, v), idx in part_at.items():
         part_succ[idx].setdefault(u, []).append(v)
         incident[u].append((v, idx, True))
         # In undirected mode each in-arc is an out-arc reversed, in the same
         # part, so in-arc entries would double the checks and prune nothing.
-        if graph.directed:
+        if directed:
             incident[v].append((u, idx, False))
 
     order, parents = _search_order(graph)
