@@ -1,10 +1,10 @@
 """Circulant (di)graph edge partitions and the automorphisms that respect them.
 
 Build Circ(n; S), partition its arcs by generator (kind "B") or by
-monochromatic cycle (kind "C"), enumerate the automorphisms fixing vertex 0
-that respect a partition, and verify computationally that for connected
-circulants these are exactly the multiplier maps v -> j*v for units j
-stabilizing S.
+monochromatic cycle (kind "C"), compute the group of automorphisms fixing
+vertex 0 that respect a partition, and verify computationally that for
+connected circulants these are exactly the multiplier maps v -> j*v for
+units j stabilizing S.
 """
 
 from .circulant import (

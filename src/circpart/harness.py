@@ -2,11 +2,11 @@
 
 A sweep enumerates connection sets for a range of n, computes the group
 of respecting automorphisms per instance from its generators, compares it
-with the multiplier group, and assembles a deterministic report. Per-instance rows
-are keyed and ordered by (n, mode, set size, set), never by completion
-time, so the report content is independent of the worker count. Wall-clock
-timings are kept for the CSV view but excluded from JSON exports, which are
-byte-stable.
+with the multiplier group, and assembles a deterministic report.
+Per-instance rows are keyed and ordered by (n, mode, set size, set), never
+by completion time, so the report content is independent of the worker
+count. Wall-clock timings are kept for the CSV view but excluded from JSON
+exports, which are byte-stable.
 """
 
 from __future__ import annotations
@@ -56,7 +56,9 @@ class SweepSpec:
     """What to sweep and how. An empty range (n_max < n_min) is legal.
 
     The search runs under the fixed ``DEFAULT_SEARCH_CAP``. ``enumerator="both"``
-    checks it against ``brute_oracle``, so n_max is at most ``DEFAULT_ORACLE_LIMIT``.
+    also lists each group and checks it against ``brute_oracle``, so n_max is
+    at most ``DEFAULT_ORACLE_LIMIT``. An instance whose group has more than
+    ``max_solutions`` elements (None: no cap) becomes an ``error`` row.
     """
 
     n_min: int

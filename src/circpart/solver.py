@@ -21,6 +21,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circulant import ArcPartition, CirculantGraph, is_connected
 from .perm import Perm, is_automorphism, multiplier_perm, respects
@@ -87,8 +88,7 @@ def _search_order(graph: CirculantGraph):
     return order, parents
 
 
-@dataclass(frozen=True)
-class RespectingGroup:
+class RespectingGroup(NamedTuple):
     """A group of respecting automorphisms as a stabilizer chain along ``base``.
 
     Write G_i for the elements that fix ``base[:i]`` pointwise. For each

@@ -59,6 +59,29 @@ def test_sweeps_count_and_certify_without_listing(monkeypatch):
     assert max(row.aut_c for row in report.instances) == 3840  # 12:6:u, six edges
 
 
+def test_sweeps_check_each_multiplier_and_each_generator(monkeypatch):
+    # the real checks never fail, so stubs that always fail show what the sweep checks
+    import circpart.harness as harness
+
+    monkeypatch.setattr(harness, "respects", lambda p, partition: p == tuple(range(len(p))))
+    monkeypatch.setattr(harness, "coset_image_check", lambda graph, p, subset: False)
+    monkeypatch.setattr(harness, "normalize_to_multiplier", lambda graph, p: None)
+    spec = cp.SweepSpec(n_min=6, n_max=6, modes=(cp.UNDIRECTED,), kinds=("C",))
+    report = cp.verify_theorem(spec)
+    # j = 5 is a multiplier of every inverse-closed set, and it no longer respects
+    assert {row.verdict for row in report.instances} == {"mismatch"}
+    expected = set()
+    for cs in cp.generate_instances(spec):
+        g = cp.build(cs.n, cs.elements, cs.mode)
+        subsets = [(s,) for s in cs.elements] + ([cs.elements] if len(cs.elements) > 1 else [])
+        for p in cp.respecting_group(g, cp.partition_by_cycle(g)).strong_generators():
+            expected |= {(cp.instance_key(cs), f"coset image check failed for {p} on {sub}") for sub in subsets}
+            if cp.is_connected(g):
+                expected.add((cp.instance_key(cs), f"multiplier normalization failed for {p}"))
+    assert {(f.instance, f.message) for f in report.failures} == expected
+    assert len(report.failures) == len(expected) > 0
+
+
 def test_negative_max_solutions_rejected_before_any_search():
     with pytest.raises(ValueError, match="max_solutions"):
         cp.SweepSpec(n_min=3, n_max=4, max_solutions=-1)
