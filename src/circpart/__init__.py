@@ -15,6 +15,7 @@ from .circulant import (
     ConnectionSet,
     InvalidInstanceError,
     Part,
+    ResourceLimitError,
     arc_partition,
     build,
     from_instance,
@@ -52,7 +53,6 @@ from .solver import (
     PropagationStage,
     PropagationTrace,
     RespectingGroup,
-    ResourceLimitError,
     SearchConfig,
     brute_oracle,
     coset_image_check,

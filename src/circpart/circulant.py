@@ -16,10 +16,17 @@ DIRECTED = "directed"
 UNDIRECTED = "undirected"
 
 PARTITION_KINDS = ("B", "C")
+# Largest n*|S| that ``build`` materializes; at about 300 bytes per arc
+# (the arc tuple, its sorted copy and the frozenset) that is some 30 MB.
+MAX_ARCS = 100_000
 
 
 class InvalidInstanceError(ValueError):
     """Raised for malformed connection sets or instance strings."""
+
+
+class ResourceLimitError(RuntimeError):
+    """Raised when a build or search would exceed its configured size or solution cap."""
 
 
 @dataclass(frozen=True)
@@ -86,8 +93,14 @@ class CirculantGraph:
 
 
 def build(n: int, elements, mode: str) -> CirculantGraph:
-    """Construct and validate Circ(n; S) for the given mode."""
+    """Construct and validate Circ(n; S) for the given mode.
+
+    Refuses, before any arc is built, a graph of more than ``MAX_ARCS`` arcs.
+    """
     cs = ConnectionSet(n, tuple(sorted(set(elements))), mode)
+    arc_count = n * len(cs.elements)
+    if arc_count > MAX_ARCS:
+        raise ResourceLimitError(f"Circ({n}; S) would have {arc_count} arcs, more than the limit {MAX_ARCS}")
     arcs = tuple(sorted((g, (g + s) % n) for s in cs.elements for g in range(n)))
     succ = tuple(tuple(sorted((u + s) % n for s in cs.elements)) for u in range(n))
     return CirculantGraph(cs, arcs, frozenset(arcs), succ)

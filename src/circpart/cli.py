@@ -15,6 +15,7 @@ from .circulant import (
     DIRECTED,
     UNDIRECTED,
     InvalidInstanceError,
+    ResourceLimitError,
     arc_partition,
     from_instance,
     instance_key,
@@ -24,7 +25,6 @@ from .harness import SweepSpec, export_report, verify_theorem
 from .perm import format_perm, parse_perm
 from .solver import (
     DEFAULT_MAX_SOLUTIONS,
-    ResourceLimitError,
     SearchConfig,
     brute_oracle,
     enumerate_respecting,
@@ -73,7 +73,7 @@ def _cmd_autos(args) -> int:
     graph = from_instance(args.instance)
     partition = arc_partition(graph, args.kind)
     if args.oracle:
-        sols = brute_oracle(graph, partition, fix_zero=args.fix_zero)
+        [sols] = brute_oracle(graph, [partition], fix_zero=args.fix_zero)
     else:
         cap = DEFAULT_MAX_SOLUTIONS if args.max_solutions is None else args.max_solutions
         cfg = SearchConfig(fix_zero=args.fix_zero, max_solutions=cap)

@@ -20,7 +20,7 @@ import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -28,6 +28,7 @@ from .circulant import (
     DIRECTED,
     UNDIRECTED,
     ConnectionSet,
+    ResourceLimitError,
     build,
     instance_key,
     is_connected,
@@ -38,7 +39,6 @@ from .perm import multiplier_perm, respects
 from .solver import (
     DEFAULT_ORACLE_LIMIT,
     DEFAULT_SEARCH_CAP,
-    ResourceLimitError,
     SearchConfig,
     brute_oracle,
     coset_image_check,
@@ -56,8 +56,9 @@ class SweepSpec:
     """What to sweep and how. An empty range (n_max < n_min) is legal.
 
     The search runs under the fixed ``DEFAULT_SEARCH_CAP``. ``enumerator="both"``
-    also lists each group and checks it against ``brute_oracle``, so n_max is
-    at most ``DEFAULT_ORACLE_LIMIT``. An instance whose group has more than
+    also lists each group and checks it against ``brute_oracle``, whose one
+    scan per instance serves every kind, so n_max is at most
+    ``DEFAULT_ORACLE_LIMIT``. An instance whose group has more than
     ``max_solutions`` elements (None: no cap) becomes an ``error`` row.
     """
 
@@ -92,18 +93,21 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class InstanceResult:
+    """One report row. An ``error`` row from an exception has only the set,
+    ``connected`` and ``verdict`` filled in; the other counts are None."""
+
     n: int
     elements: tuple[int, ...]
     mode: str
     connected: bool
-    parts_b: int
-    parts_c: int
+    parts_b: int | None
+    parts_c: int | None
     aut_b: int | None
     aut_c: int | None
-    multiplier_count: int
+    multiplier_count: int | None
     verdict: str
-    prop_covered: bool
-    prop_rounds: int
+    prop_covered: bool | None
+    prop_rounds: int | None
     ms: float | None = field(default=None, compare=False)
 
 
@@ -125,14 +129,14 @@ _COLUMNS = (
     _Column("elements", "set", lambda elements: ",".join(str(s) for s in elements)),
     _Column("mode", "mode", lambda mode: "d" if mode == DIRECTED else "u"),
     _Column("connected", "connected", lambda flag: str(flag).lower()),
-    _Column("parts_b", "parts_B"),
-    _Column("parts_c", "parts_C"),
+    _Column("parts_b", "parts_B", _blank_if_none(str)),
+    _Column("parts_c", "parts_C", _blank_if_none(str)),
     _Column("aut_b", "aut_B", _blank_if_none(str)),
     _Column("aut_c", "aut_C", _blank_if_none(str)),
-    _Column("multiplier_count", "multipliers"),
+    _Column("multiplier_count", "multipliers", _blank_if_none(str)),
     _Column("verdict", "verdict"),
     _Column("prop_covered", "prop_covered", csv=None),
-    _Column("prop_rounds", "prop_rounds"),
+    _Column("prop_rounds", "prop_rounds", _blank_if_none(str)),
     _Column("ms", "ms", _blank_if_none("{:.3f}".format), json=False),
 )
 _JSON_COLUMNS = tuple(c for c in _COLUMNS if c.json)
@@ -190,10 +194,28 @@ def generate_instances(spec: SweepSpec):
 
 
 def _evaluate(spec: SweepSpec, cs: ConnectionSet):
-    """Worker body: one instance in, one (row, failures) out. Pure and picklable."""
-    n, elements = cs.n, cs.elements
+    """Worker body: one instance in, one (row, failures) out. Pure and picklable.
+
+    An exception from the checks does not end the sweep: it becomes an
+    ``error`` row and a failure naming it, after those already recorded.
+    """
     started = time.perf_counter()
     failures: list[SweepFailure] = []
+    try:
+        row = _check_instance(spec, cs, failures)
+    except Exception as exc:
+        failures.append(SweepFailure(instance_key(cs), f"{type(exc).__name__}: {exc}"))
+        row = InstanceResult(
+            cs.n, cs.elements, cs.mode, connected=math.gcd(cs.n, *cs.elements) == 1,
+            parts_b=None, parts_c=None, aut_b=None, aut_c=None, multiplier_count=None,
+            verdict="error", prop_covered=None, prop_rounds=None,
+        )
+    return replace(row, ms=(time.perf_counter() - started) * 1e3), tuple(failures)
+
+
+def _check_instance(spec: SweepSpec, cs: ConnectionSet, failures: list) -> InstanceResult:
+    """Compute one row, appending what fails to ``failures``."""
+    n, elements = cs.n, cs.elements
     graph = build(n, elements, cs.mode)
     key = instance_key(graph.cs)
     connected = is_connected(graph)
@@ -201,6 +223,10 @@ def _evaluate(spec: SweepSpec, cs: ConnectionSet):
     mult_perms = [multiplier_perm(n, j) for j in multipliers(n, elements)]
 
     cfg = SearchConfig(fix_zero=True, max_solutions=spec.max_solutions)
+    oracle = {}
+    if spec.enumerator == "both":
+        lists = brute_oracle(graph, [partitions[kind] for kind in spec.kinds], fix_zero=True)
+        oracle = dict(zip(spec.kinds, lists))
     aut_counts: dict[str, int | None] = {"B": None, "C": None}
     outcomes = []
     had_error = False
@@ -212,9 +238,8 @@ def _evaluate(spec: SweepSpec, cs: ConnectionSet):
             failures.append(SweepFailure(key, f"kind {kind}: {exc}"))
             had_error = True
             continue
-        if spec.enumerator == "both":
-            if brute_oracle(graph, part, fix_zero=True) != group.elements():
-                failures.append(SweepFailure(key, f"kind {kind}: backtracking disagrees with brute oracle"))
+        if spec.enumerator == "both" and oracle[kind] != group.elements():
+            failures.append(SweepFailure(key, f"kind {kind}: backtracking disagrees with brute oracle"))
         aut_counts[kind] = group.order
         # M <= G straight from the definition; with |G| = |M| the two are equal.
         contains = all(respects(m, part) for m in mult_perms)
@@ -245,7 +270,7 @@ def _evaluate(spec: SweepSpec, cs: ConnectionSet):
         verdict = "mismatch"
 
     trace = propagation_certifier(graph)
-    row = InstanceResult(
+    return InstanceResult(
         n=n,
         elements=elements,
         mode=cs.mode,
@@ -258,9 +283,7 @@ def _evaluate(spec: SweepSpec, cs: ConnectionSet):
         verdict=verdict,
         prop_covered=trace.covered,
         prop_rounds=trace.total_rounds,
-        ms=(time.perf_counter() - started) * 1e3,
     )
-    return row, tuple(failures)
 
 
 def _row_key(row: InstanceResult):
@@ -294,10 +317,11 @@ def _spec_echo(spec: SweepSpec) -> dict:
 def verify_theorem(spec: SweepSpec) -> VerificationReport:
     """Run the sweep and assemble the report.
 
-    Per-instance resource errors are recorded in the failures list without
-    aborting the rest of the sweep. Every connected instance must come back
-    with verdict "match"; a disconnected instance whose respecting group
-    strictly contains the multipliers reports "expected-mismatch". At most
+    A per-instance exception, a resource limit or any other, is recorded
+    in the failures list without aborting the rest of the sweep. Every
+    connected instance must come back with verdict "match"; a disconnected
+    instance whose respecting group strictly contains the multipliers
+    reports "expected-mismatch". At most
     min(jobs, instances, processor cores) worker processes are started.
     """
     instances = list(generate_instances(spec))

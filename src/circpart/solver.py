@@ -4,8 +4,9 @@
   vertex 0) that respect an arc partition, computed by backtracking as a
   base with one transversal per level.
 * ``enumerate_respecting``: that group's elements, listed.
-* ``brute_oracle``: the same set computed by filtering every permutation,
-  straight from the definitions, as an independent cross-check.
+* ``brute_oracle``: the same sets computed by filtering every permutation,
+  straight from the definitions, as an independent cross-check; one scan
+  answers for every partition passed.
 * ``normalize_to_multiplier``: recovers the unit j with p(s) = j*s for all
   generators s, one residue per prime power, combined by CRT.
 * ``propagation_certifier``: the fixed-set closure that certifies, with no
@@ -23,17 +24,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .circulant import ArcPartition, CirculantGraph, is_connected
+from .circulant import ArcPartition, CirculantGraph, ResourceLimitError, is_connected
 from .perm import Perm, is_automorphism, multiplier_perm, respects
 from .zmod import MultiplierWitness, crt_combine, factorize
 
 DEFAULT_ORACLE_LIMIT = 9
 DEFAULT_SEARCH_CAP = 64
 DEFAULT_MAX_SOLUTIONS = 100_000
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a search would exceed its configured size or solution cap."""
 
 
 @dataclass(frozen=True)
@@ -312,8 +309,16 @@ def enumerate_respecting(
     return respecting_group(graph, partition, cfg).elements()
 
 
-def brute_oracle(graph: CirculantGraph, partition: ArcPartition, fix_zero: bool = True) -> list[Perm]:
+def brute_oracle(
+    graph: CirculantGraph, partitions: list[ArcPartition], fix_zero: bool = True
+) -> list[list[Perm]]:
     """Filter every permutation (fixing 0 when asked) straight by the definitions.
+
+    Returns one ascending list per partition in ``partitions``, in the order
+    given. One scan answers for all of them: the arc-set test does not depend
+    on the partition, so each permutation is tested once for automorphy and
+    each automorphism once per partition for respect. Every partition is
+    checked against the graph's arcs before any permutation is drawn.
 
     Graphs with more than the fixed ``DEFAULT_ORACLE_LIMIT`` vertices are
     refused, since the scan covers (n-1)! or n! permutations. Deliberately
@@ -324,25 +329,29 @@ def brute_oracle(graph: CirculantGraph, partition: ArcPartition, fix_zero: bool 
     n = graph.n
     if n > DEFAULT_ORACLE_LIMIT:
         raise ResourceLimitError(f"n={n} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}")
-    if partition.universe != graph.arc_set:
-        raise ValueError("partition does not partition this graph's arcs")
     universe = graph.arc_set
-    part_keys = {frozenset(part.arcs) for part in partition.parts}
+    if any(partition.universe != universe for partition in partitions):
+        raise ValueError("partition does not partition this graph's arcs")
+    families = [
+        (partition.parts, {frozenset(part.arcs) for part in partition.parts}) for partition in partitions
+    ]
 
     if fix_zero:
         candidates = ((0,) + rest for rest in itertools.permutations(range(1, n)))
     else:
         candidates = itertools.permutations(range(n))
 
-    found = []
+    found: list[list[Perm]] = [[] for _ in families]
     for p in candidates:
         for u, v in universe:
             if (p[u], p[v]) not in universe:
                 break
         else:
-            if {frozenset((p[u], p[v]) for u, v in part.arcs) for part in partition.parts} == part_keys:
-                found.append(p)
-    found.sort()
+            for (parts, part_keys), sols in zip(families, found):
+                if {frozenset((p[u], p[v]) for u, v in part.arcs) for part in parts} == part_keys:
+                    sols.append(p)
+    for sols in found:
+        sols.sort()
     return found
 
 

@@ -103,3 +103,17 @@ def connection_sets(draw, min_n=2, max_n=16, modes=(cp.DIRECTED, cp.UNDIRECTED),
 def graphs(draw, **kwargs):
     cs = draw(connection_sets(**kwargs))
     return cp.build(cs.n, cs.elements, cs.mode)
+
+
+def failing_at_n5(monkeypatch):
+    """Make the propagation certifier raise ValueError("boom") on every n=5 instance."""
+    import circpart.harness as harness
+
+    certify = harness.propagation_certifier
+
+    def boom(graph, order=None):
+        if graph.n == 5:
+            raise ValueError("boom")
+        return certify(graph, order)
+
+    monkeypatch.setattr(harness, "propagation_certifier", boom)

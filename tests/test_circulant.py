@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,20 @@ def test_build_rejects_bad_sets():
         cp.build(1, (1,), cp.DIRECTED)
     with pytest.raises(cp.InvalidInstanceError):
         cp.build(8, (1,), "mixed")
+
+
+def test_build_is_refused_above_the_arc_limit_before_any_arc_is_built(monkeypatch):
+    assert cp.circulant.MAX_ARCS >= 1200 * 2  # Circ(1200; {1, 1199}) is searched in test_solver
+    monkeypatch.setattr(cp.circulant, "MAX_ARCS", 12)
+    assert len(cp.build(6, (1, 5), cp.UNDIRECTED).arcs) == 12
+    tracemalloc.start()
+    try:
+        with pytest.raises(cp.ResourceLimitError, match="20000 arcs, more than the limit 12"):
+            cp.build(10_000, (1, 9_999), cp.UNDIRECTED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # the 20,000 arcs would take megabytes
 
 
 def test_parse_instance_forms():

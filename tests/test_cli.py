@@ -6,6 +6,7 @@ import pytest
 
 import circpart as cp
 from circpart.cli import main
+from conftest import failing_at_n5
 
 
 def test_build_summary(capsys):
@@ -130,6 +131,25 @@ def test_resource_cap_exit_code(capsys):
     assert main(["autos", "--instance", "100:1:d", "--kind", "C"]) == 3
     assert main(["autos", "--instance", "10:1,9:u", "--kind", "C", "--oracle"]) == 3
     capsys.readouterr()
+
+
+def test_build_is_refused_above_the_arc_limit(monkeypatch, capsys):
+    monkeypatch.setattr(cp.circulant, "MAX_ARCS", 12)
+    assert main(["build", "--instance", "6:1,2:d"]) == 0
+    assert "arcs: 12" in capsys.readouterr().out
+    assert main(["build", "--instance", "13:1:d"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "resource limit: Circ(13; S) would have 13 arcs, more than the limit 12\n"
+
+
+def test_a_failing_instance_makes_verify_exit_3_with_a_report(tmp_path, monkeypatch, capsys):
+    failing_at_n5(monkeypatch)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--n-min", "2", "--n-max", "6", "--mode", "d", "--out", str(out)]) == 3
+    assert "errors: 15  failures: 15" in capsys.readouterr().out
+    report = cp.load_report(out.read_text())
+    assert [f.message for f in report.failures] == ["ValueError: boom"] * 15
 
 
 def test_autos_has_a_default_solution_cap(monkeypatch, capsys):

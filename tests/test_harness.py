@@ -4,6 +4,7 @@ import json
 import pytest
 
 import circpart as cp
+from conftest import failing_at_n5
 
 
 def test_generate_instances_directed_counts_subsets():
@@ -80,6 +81,23 @@ def test_sweeps_check_each_multiplier_and_each_generator(monkeypatch):
                 expected.add((cp.instance_key(cs), f"multiplier normalization failed for {p}"))
     assert {(f.instance, f.message) for f in report.failures} == expected
     assert len(report.failures) == len(expected) > 0
+
+
+def test_a_failing_instance_does_not_abort_the_sweep(monkeypatch):
+    spec = cp.SweepSpec(n_min=2, n_max=6, modes=(cp.DIRECTED,))
+    clean = cp.verify_theorem(spec)
+    failing_at_n5(monkeypatch)
+    report = cp.verify_theorem(spec)
+    at5 = [cs for cs in cp.generate_instances(spec) if cs.n == 5]
+    assert len(at5) == 15
+    assert [row for row in report.instances if row.n != 5] == [row for row in clean.instances if row.n != 5]
+    for row, cs in zip([row for row in report.instances if row.n == 5], at5):
+        assert (row.elements, row.verdict, row.connected) == (cs.elements, "error", True)
+        assert (row.parts_b, row.aut_c, row.multiplier_count, row.prop_covered, row.prop_rounds) == (None,) * 5
+    assert report.failures == tuple(cp.SweepFailure(cp.instance_key(cs), "ValueError: boom") for cs in at5)
+    assert report.aggregates["error"] == 15
+    assert cp.load_report(cp.report_to_json(report)).instances == report.instances
+    assert "\n5,1,d,true,,,,,,error,," in cp.report_to_csv(report)
 
 
 def test_negative_max_solutions_rejected_before_any_search():

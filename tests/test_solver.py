@@ -68,7 +68,7 @@ def test_enumerate_disconnected_two_triangles():
     )
     assert sols == expected
     assert len(sols) == 12
-    assert sols == cp.brute_oracle(g, c)
+    assert [sols] == cp.brute_oracle(g, [c])
     multiplier_set = {cp.multiplier_perm(6, j) for j in cp.multipliers(6, (2, 4))}
     assert multiplier_set < set(sols)
     assert len(multiplier_set) == 2
@@ -77,10 +77,42 @@ def test_enumerate_disconnected_two_triangles():
 def test_brute_oracle_small_cycles():
     g4 = cp.build(4, (1, 3), cp.UNDIRECTED)
     c4 = cp.partition_by_cycle(g4)
-    assert cp.brute_oracle(g4, c4) == sorted([identity(4), cp.multiplier_perm(4, 3)])
+    assert cp.brute_oracle(g4, [c4]) == [sorted([identity(4), cp.multiplier_perm(4, 3)])]
     g3 = cp.build(3, (1, 2), cp.UNDIRECTED)
     c3 = cp.partition_by_cycle(g3)
-    assert cp.brute_oracle(g3, c3) == sorted([identity(3), cp.multiplier_perm(3, 2)])
+    assert cp.brute_oracle(g3, [c3]) == [sorted([identity(3), cp.multiplier_perm(3, 2)])]
+
+
+def test_one_oracle_scan_serves_every_partition(monkeypatch):
+    draws = []
+    permutations = itertools.permutations
+
+    def counted(*args):
+        draws.append(args)
+        return permutations(*args)
+
+    def scan(g, partitions, fix_zero):
+        before = len(draws)
+        lists = cp.brute_oracle(g, partitions, fix_zero=fix_zero)
+        assert len(draws) == before + 1
+        return lists
+
+    monkeypatch.setattr(itertools, "permutations", counted)
+    for n in range(2, 7):
+        foreign = cp.arc_partition(cp.build(n + 1, (1,), cp.DIRECTED), "C")
+        for mode, subsets in ((cp.DIRECTED, directed_subsets(n)), (cp.UNDIRECTED, inverse_closed_subsets(n))):
+            for elements in subsets:
+                g = cp.build(n, elements, mode)
+                b, c = cp.arc_partition(g, "B"), cp.arc_partition(g, "C")
+                for fix_zero in (True, False):
+                    both = scan(g, [b, c], fix_zero)
+                    assert both == scan(g, [b], fix_zero) + scan(g, [c], fix_zero)
+                    assert scan(g, [c, b], fix_zero) == both[::-1]
+                    before = len(draws)
+                    for partitions in ([foreign, b, c], [b, foreign, c], [b, c, foreign]):
+                        with pytest.raises(ValueError, match="does not partition this graph's arcs"):
+                            cp.brute_oracle(g, partitions, fix_zero=fix_zero)
+                    assert len(draws) == before
 
 
 def test_identity_always_enumerated():
@@ -110,11 +142,10 @@ def test_enumerator_matches_oracle_exhaustively_to_n7():
         for mode, subsets in ((cp.DIRECTED, directed_subsets(n)), (cp.UNDIRECTED, inverse_closed_subsets(n))):
             for elements in subsets:
                 g = cp.build(n, elements, mode)
-                for kind in ("B", "C"):
-                    partition = cp.arc_partition(g, kind)
-                    for fix_zero in (True, False):
-                        cfg = cp.SearchConfig(fix_zero=fix_zero)
-                        expected = cp.brute_oracle(g, partition, fix_zero=fix_zero)
+                partitions = [cp.arc_partition(g, kind) for kind in ("B", "C")]
+                for fix_zero in (True, False):
+                    cfg = cp.SearchConfig(fix_zero=fix_zero)
+                    for partition, expected in zip(partitions, cp.brute_oracle(g, partitions, fix_zero=fix_zero)):
                         assert cp.enumerate_respecting(g, partition, cfg) == expected
                         group = cp.respecting_group(g, partition, cfg)
                         assert group.order == len(expected)
@@ -128,10 +159,10 @@ def test_group_order_is_the_oracle_count_at_n8():
     for mode, subsets in ((cp.DIRECTED, directed_subsets(n)), (cp.UNDIRECTED, inverse_closed_subsets(n))):
         for elements in subsets:
             g = cp.build(n, elements, mode)
-            for kind in ("B", "C"):
-                partition = cp.arc_partition(g, kind)
+            partitions = [cp.arc_partition(g, kind) for kind in ("B", "C")]
+            for partition, expected in zip(partitions, cp.brute_oracle(g, partitions)):
                 group = cp.respecting_group(g, partition)
-                assert group.order == len(cp.brute_oracle(g, partition))
+                assert group.order == len(expected)
                 assert_stabilizer_chain(group, n)
 
 
@@ -232,7 +263,7 @@ def test_enumerate_without_fixing_zero():
     cfg = cp.SearchConfig(fix_zero=False)
     sols = cp.enumerate_respecting(g, c, cfg)
     assert len(sols) == 8  # the full dihedral group of the 4-cycle
-    assert sols == cp.brute_oracle(g, c, fix_zero=False)
+    assert cp.brute_oracle(g, [c], fix_zero=False) == [sols]
 
 
 def test_search_cap_and_oracle_limit():
@@ -242,7 +273,7 @@ def test_search_cap_and_oracle_limit():
         cp.enumerate_respecting(g, c)
     g10 = cp.build(10, (1, 9), cp.UNDIRECTED)
     with pytest.raises(cp.ResourceLimitError):
-        cp.brute_oracle(g10, cp.partition_by_cycle(g10))
+        cp.brute_oracle(g10, [cp.partition_by_cycle(g10)])
 
 
 def test_long_cycles_search_without_recursion():
@@ -268,7 +299,7 @@ def test_enumerate_rejects_foreign_partition():
     with pytest.raises(ValueError):
         cp.enumerate_respecting(g, other)
     with pytest.raises(ValueError):
-        cp.brute_oracle(g, other)
+        cp.brute_oracle(g, [other])
 
 
 def test_normalize_multiplier_inputs_return_themselves():
