@@ -1,8 +1,10 @@
 """Sweep harness: instance generation, theorem verification, reports.
 
 A sweep enumerates connection sets for a range of n, computes the group
-of respecting automorphisms per instance from its generators, compares it
-with the multiplier group, and assembles a deterministic report.
+of respecting automorphisms from its generators once per orbit of sets
+under the unit multipliers, carries it to the orbit's other sets by
+conjugation, compares it per set with the multiplier group, and assembles
+a deterministic report.
 Per-instance rows are keyed and ordered by (n, mode, set size, set), never
 by completion time, so the report content is independent of the worker
 count. Wall-clock timings are kept for the CSV view but excluded from JSON
@@ -55,11 +57,14 @@ ENUMERATOR_CHOICES = ("backtracking", "both")
 class SweepSpec:
     """What to sweep and how. An empty range (n_max < n_min) is legal.
 
-    The search runs under the fixed ``DEFAULT_SEARCH_CAP``. ``enumerator="both"``
-    also lists each group and checks it against ``brute_oracle``, whose one
-    scan per instance serves every kind, so n_max is at most
-    ``DEFAULT_ORACLE_LIMIT``. An instance whose group has more than
-    ``max_solutions`` elements (None: no cap) becomes an ``error`` row.
+    The search runs under the fixed ``DEFAULT_SEARCH_CAP``, once per kind
+    and unit orbit of connection sets (see ``verify_theorem``).
+    ``enumerator="both"`` also lists each group and checks it against
+    ``brute_oracle``, whose one scan per instance serves every kind whose
+    search returned, so n_max is at most ``DEFAULT_ORACLE_LIMIT``. An
+    instance whose group has more than ``max_solutions`` elements (None: no
+    cap) becomes an ``error`` row. ``jobs`` bounds the worker processes,
+    which take one orbit at a time.
     """
 
     n_min: int
@@ -193,49 +198,133 @@ def generate_instances(spec: SweepSpec):
                 yield ConnectionSet(n, elements, mode)
 
 
-def _evaluate(spec: SweepSpec, cs: ConnectionSet):
-    """Worker body: one instance in, one (row, failures) out. Pure and picklable.
+def _unit_orbits(instances) -> list[list[tuple[ConnectionSet, int]]]:
+    """Group connection sets into orbits of S -> j*S under the units j of Z_n.
 
-    An exception from the checks does not end the sweep: it becomes an
-    ``error`` row and a failure naming it, after those already recorded.
+    Each orbit lists (set, j) pairs in the order of ``instances``: first its
+    representative R with j = 1, then every other set with the least unit j
+    for which it is j*R. Over ``generate_instances`` the representative is
+    the orbit's lexicographically least set. The units preserve n, the mode,
+    the set size and gcd(n, S), so an orbit never straddles a filter.
     """
-    started = time.perf_counter()
-    failures: list[SweepFailure] = []
-    try:
-        row = _check_instance(spec, cs, failures)
-    except Exception as exc:
-        failures.append(SweepFailure(instance_key(cs), f"{type(exc).__name__}: {exc}"))
-        row = InstanceResult(
-            cs.n, cs.elements, cs.mode, connected=math.gcd(cs.n, *cs.elements) == 1,
-            parts_b=None, parts_c=None, aut_b=None, aut_c=None, multiplier_count=None,
-            verdict="error", prop_covered=None, prop_rounds=None,
-        )
-    return replace(row, ms=(time.perf_counter() - started) * 1e3), tuple(failures)
+    orbits: list[list] = []
+    pending: dict = {}  # a set not met yet -> (its orbit, its j)
+    for cs in instances:
+        found = pending.pop((cs.n, cs.mode, cs.elements), None)
+        if found is not None:
+            orbit, j = found
+            orbit.append((cs, j))
+            continue
+        orbit = [(cs, 1)]
+        orbits.append(orbit)
+        for j in range(2, cs.n):
+            if math.gcd(j, cs.n) == 1:
+                image = tuple(sorted(j * s % cs.n for s in cs.elements))
+                if image != cs.elements:
+                    pending.setdefault((cs.n, cs.mode, image), (orbit, j))
+    return orbits
 
 
-def _check_instance(spec: SweepSpec, cs: ConnectionSet, failures: list) -> InstanceResult:
-    """Compute one row, appending what fails to ``failures``."""
+def _evaluate(spec: SweepSpec, orbit) -> list:
+    """Worker body: one unit orbit in, one (row, failures) pair per set out. Pure and picklable.
+
+    The orbit's other sets take their groups from its first set's. An
+    exception from the checks does not end the sweep: it becomes that set's
+    ``error`` row and a failure naming it, after those already recorded; if
+    the first set raised, every other set is searched on its own.
+    """
+    out = []
+    source = None
+    for index, (cs, j) in enumerate(orbit):
+        started = time.perf_counter()
+        failures: list[SweepFailure] = []
+        checked = None
+        try:
+            row, checked = _check_instance(spec, cs, failures, source, j)
+        except Exception as exc:
+            failures.append(SweepFailure(instance_key(cs), f"{type(exc).__name__}: {exc}"))
+            row = InstanceResult(
+                cs.n, cs.elements, cs.mode, connected=math.gcd(cs.n, *cs.elements) == 1,
+                parts_b=None, parts_c=None, aut_b=None, aut_c=None, multiplier_count=None,
+                verdict="error", prop_covered=None, prop_rounds=None,
+            )
+        if index == 0:
+            source = checked
+        out.append((replace(row, ms=(time.perf_counter() - started) * 1e3), tuple(failures)))
+    return out
+
+
+class _Source(NamedTuple):
+    """A checked set's groups, with what certifies them for the rest of its orbit."""
+
+    key: str
+    units: tuple[int, ...]  # its multipliers
+    partitions: dict
+    groups: dict  # kind -> its respecting group, or the ResourceLimitError its search raised
+
+
+def _transported(source: _Source, n: int, j: int, partitions: dict, units: tuple[int, ...]) -> dict:
+    """The groups of ``source``'s set R carried onto the set j*R by m: v -> j*v.
+
+    Certifies first, per kind, that m maps the family of R's parts onto the
+    family of ``partitions``' parts: exact set equality, as in ``respects``,
+    across the two graphs. Then m maps R's arcs onto this graph's too, and
+    conjugation by m is a bijection between the two respecting groups, both
+    fixing 0. Raises ValueError when a certificate fails or the two sets'
+    multipliers differ.
+    """
+    if units != source.units:
+        raise ValueError(f"multipliers {list(units)} differ from {list(source.units)} of {source.key}")
+    m = multiplier_perm(n, j)
+    groups = {}
+    for kind, group in source.groups.items():
+        image = {frozenset((m[u], m[v]) for u, v in part.arcs) for part in source.partitions[kind].parts}
+        if image != partitions[kind].part_keys():
+            raise ValueError(f"kind {kind}: v -> {j}*v does not map the parts of {source.key} onto these parts")
+        groups[kind] = group if isinstance(group, ResourceLimitError) else group.conjugate(m)
+    return groups
+
+
+def _check_instance(
+    spec: SweepSpec, cs: ConnectionSet, failures: list, source: _Source | None = None, j: int = 1
+) -> tuple[InstanceResult, _Source]:
+    """Compute one row, appending what fails to ``failures``; return it with this set's groups.
+
+    The groups are searched, or, given the ``source`` of a set R with
+    ``cs`` = j*R, transported from R's. Every check runs on this set's own
+    graph, partitions and multipliers. The oracle scan comes after the
+    searches and only for the kinds whose search returned.
+    """
     n, elements = cs.n, cs.elements
     graph = build(n, elements, cs.mode)
     key = instance_key(graph.cs)
     connected = is_connected(graph)
     partitions = {"B": partition_by_generator(graph), "C": partition_by_cycle(graph)}
-    mult_perms = [multiplier_perm(n, j) for j in multipliers(n, elements)]
+    units = multipliers(n, elements)
+    if source is None:
+        cfg = SearchConfig(fix_zero=True, max_solutions=spec.max_solutions)
+        groups = {}
+        for kind in spec.kinds:
+            try:
+                groups[kind] = respecting_group(graph, partitions[kind], cfg)
+            except ResourceLimitError as exc:
+                groups[kind] = exc
+    else:
+        groups = _transported(source, n, j, partitions, units)
+    mult_perms = [multiplier_perm(n, u) for u in units]
 
-    cfg = SearchConfig(fix_zero=True, max_solutions=spec.max_solutions)
+    found = [kind for kind in spec.kinds if not isinstance(groups[kind], ResourceLimitError)]
     oracle = {}
-    if spec.enumerator == "both":
-        lists = brute_oracle(graph, [partitions[kind] for kind in spec.kinds], fix_zero=True)
-        oracle = dict(zip(spec.kinds, lists))
+    if spec.enumerator == "both" and found:
+        oracle = dict(zip(found, brute_oracle(graph, [partitions[kind] for kind in found], fix_zero=True)))
     aut_counts: dict[str, int | None] = {"B": None, "C": None}
     outcomes = []
     had_error = False
     for kind in spec.kinds:
         part = partitions[kind]
-        try:
-            group = respecting_group(graph, part, cfg)
-        except ResourceLimitError as exc:
-            failures.append(SweepFailure(key, f"kind {kind}: {exc}"))
+        group = groups[kind]
+        if isinstance(group, ResourceLimitError):
+            failures.append(SweepFailure(key, f"kind {kind}: {group}"))
             had_error = True
             continue
         if spec.enumerator == "both" and oracle[kind] != group.elements():
@@ -283,7 +372,7 @@ def _check_instance(spec: SweepSpec, cs: ConnectionSet, failures: list) -> Insta
         verdict=verdict,
         prop_covered=trace.covered,
         prop_rounds=trace.total_rounds,
-    )
+    ), _Source(key, units, partitions, groups)
 
 
 def _row_key(row: InstanceResult):
@@ -317,23 +406,36 @@ def _spec_echo(spec: SweepSpec) -> dict:
 def verify_theorem(spec: SweepSpec) -> VerificationReport:
     """Run the sweep and assemble the report.
 
+    The sets are grouped into orbits of S -> j*S under the units j of Z_n,
+    and each orbit is one unit of work. For a unit j, v -> j*v maps
+    Circ(n; S) onto Circ(n; jS) and each kind's parts onto its parts, so
+    the respecting groups of an orbit are conjugate. The search runs once
+    per kind, on the orbit's lexicographically least set. Every other set
+    builds its own graph and partitions, certifies per kind that v -> j*v
+    maps the representative's parts onto its own, and takes the conjugated
+    group; its multipliers (compared with the representative's),
+    generator checks, propagation trace and, under ``enumerator="both"``,
+    oracle scan are its own. A row's ``ms`` times that row's own work, so
+    it leaves out the representative's search. The report is the same as
+    that of a search per set.
+
     A per-instance exception, a resource limit or any other, is recorded
     in the failures list without aborting the rest of the sweep. Every
     connected instance must come back with verdict "match"; a disconnected
     instance whose respecting group strictly contains the multipliers
     reports "expected-mismatch". At most
-    min(jobs, instances, processor cores) worker processes are started.
+    min(jobs, orbits, processor cores) worker processes are started.
     """
-    instances = list(generate_instances(spec))
+    orbits = _unit_orbits(generate_instances(spec))
     evaluate = functools.partial(_evaluate, spec)
-    workers = min(spec.jobs, len(instances), os.cpu_count() or 1)
+    workers = min(spec.jobs, len(orbits), os.cpu_count() or 1)
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            outcomes = pool.map(evaluate, instances)
+            outcomes = pool.map(evaluate, orbits)
     else:
-        outcomes = [evaluate(cs) for cs in instances]
+        outcomes = [evaluate(orbit) for orbit in orbits]
 
-    paired = sorted(outcomes, key=lambda pair: _row_key(pair[0]))
+    paired = sorted((pair for pairs in outcomes for pair in pairs), key=lambda pair: _row_key(pair[0]))
     rows = tuple(row for row, _ in paired)
     failures = tuple(f for _, errs in paired for f in errs)
     return VerificationReport(

@@ -116,6 +116,31 @@ class RespectingGroup(NamedTuple):
         elems.sort()
         return elems
 
+    def conjugate(self, m: Perm) -> "RespectingGroup":
+        """m G m^-1 along the base m[base]: every element g becomes v -> m(g(m^-1(v))).
+
+        When m maps one graph onto another and the parts of a partition of the
+        first onto the parts of one of the second, it carries the first
+        respecting group onto the second.
+        """
+        inverse = [0] * len(m)
+        for v, w in enumerate(m):
+            inverse[w] = v
+        image = m.__getitem__
+        done: dict = {}  # every level's transversal holds the identity
+
+        def conj(p):
+            q = done.get(p)
+            if q is None:
+                q = done[p] = tuple(map(image, map(p.__getitem__, inverse)))
+            return q
+
+        return RespectingGroup(
+            tuple(map(image, self.base)),
+            tuple([tuple(map(conj, level)) for level in self.generators]),
+            tuple([{image(x): conj(t) for x, t in trans.items()} for trans in self.transversals]),
+        )
+
 
 def _transversal(point: int, gens, identity: Perm) -> dict:
     """For each image of ``point`` under the group ``gens`` generate, one element sending it there."""

@@ -1,10 +1,12 @@
+import collections
 import hashlib
 import json
+import math
 
 import pytest
 
 import circpart as cp
-from conftest import failing_at_n5
+from conftest import directed_subsets, failing_at_n5, inverse_closed_subsets
 
 
 def test_generate_instances_directed_counts_subsets():
@@ -45,9 +47,116 @@ def test_sweep_spec_validation():
         cp.SweepSpec(n_min=3, n_max=4, connectivity="sometimes")
 
 
-def test_solution_cap_applies_to_the_search_half_of_both():
+def recording(monkeypatch, *names):
+    """Record the first argument of every call the harness makes to each named function."""
+    import circpart.harness as harness
+
+    calls = collections.defaultdict(list)
+    for name in names:
+        def wrapper(first, *args, _name=name, _real=getattr(harness, name), **kwargs):
+            calls[_name].append(first)
+            return _real(first, *args, **kwargs)
+
+        monkeypatch.setattr(harness, name, wrapper)
+    return calls
+
+
+def test_solution_cap_applies_to_the_search_half_of_both(monkeypatch):
+    # every search is refused, so no group is left to compare with an oracle scan
+    calls = recording(monkeypatch, "brute_oracle")
     both = cp.SweepSpec(n_min=6, n_max=6, modes=(cp.UNDIRECTED,), enumerator="both", max_solutions=0)
     assert cp.verify_theorem(both).aggregates["error"] == 7
+    assert calls["brute_oracle"] == []
+
+
+def unit_orbit_minima(n, subsets):
+    """The least set of each orbit of S -> j*S under the units j of Z_n, by size then lexicographically."""
+    units = [j for j in range(1, n) if math.gcd(j, n) == 1]
+    minima = {min(tuple(sorted(j * s % n for s in elements)) for j in units) for elements in subsets}
+    return sorted(minima, key=lambda rep: (len(rep), rep))
+
+
+def test_sweeps_search_once_per_unit_orbit_and_check_every_set(monkeypatch):
+    calls = recording(
+        monkeypatch, "respecting_group", "propagation_certifier", "normalize_to_multiplier", "brute_oracle"
+    )
+    spec = cp.SweepSpec(n_min=2, n_max=10, modes=(cp.DIRECTED,))
+    report = cp.verify_theorem(spec)
+    minima = [(n, rep) for n in range(2, 11) for rep in unit_orbit_minima(n, directed_subsets(n))]
+    assert len(minima) == 282 and len(report.instances) == 1013
+    # two searches per orbit, kinds B and C, on its least set
+    assert [(g.n, g.elements) for g in calls["respecting_group"]] == [pair for pair in minima for _ in "BC"]
+    traced = sorted(cp.instance_key(g.cs) for g in calls["propagation_certifier"])
+    assert traced == sorted(cp.instance_key(cs) for cs in cp.generate_instances(spec))
+    # one normalization per generator of each connected set's own cycle-respecting group
+    generators = 0
+    for row in report.instances:
+        if row.connected:
+            g = cp.build(row.n, row.elements, row.mode)
+            generators += len(cp.respecting_group(g, cp.partition_by_cycle(g)).strong_generators())
+    assert len(calls["normalize_to_multiplier"]) == generators > 0
+    assert report.failures == () and report.aggregates["mismatch"] == 0
+
+    calls.clear()
+    report = cp.verify_theorem(cp.SweepSpec(n_min=2, n_max=6, enumerator="both"))
+    orbits = sum(len(unit_orbit_minima(n, subsets(n))) for n in range(2, 7) for subsets in (directed_subsets, inverse_closed_subsets))
+    assert len(calls["respecting_group"]) == 2 * orbits < 2 * len(report.instances)
+    assert len(calls["brute_oracle"]) == len(report.instances) == 72  # each set's own scan
+    assert report.failures == ()
+
+
+@pytest.mark.parametrize(
+    "rep, member, j, message",
+    [
+        ("7:1,2:d", "7:3,6:d", 5, "kind B: v -> 5*v does not map the parts of 7:1,2:d onto these parts"),
+        ("8:1,5:d", "8:2:d", 1, "kind B: v -> 1*v does not map the parts of 8:1,5:d onto these parts"),
+        ("8:1:d", "8:2:d", 3, "multipliers [1, 5] differ from [1] of 8:1:d"),
+    ],
+)
+def test_a_set_its_unit_does_not_reach_gets_an_error_row(rep, member, j, message):
+    # 3 * {1, 2} = {3, 6} mod 7, so 5 = 3^-1 is the wrong unit. {2} lies in another orbit than
+    # {1, 5}, with the same multipliers but 4 cycle-respecting automorphisms to its 2, and in
+    # another orbit than {1}, with other multipliers. Each gives an error row, never the
+    # representative's counts
+    import circpart.harness as harness
+
+    spec = cp.SweepSpec(n_min=7, n_max=8, modes=(cp.DIRECTED,))
+    orbit = [(cp.parse_instance(rep), 1), (cp.parse_instance(member), j)]
+    (rep_row, rep_failures), (row, failures) = harness._evaluate(spec, orbit)
+    assert (rep_row.verdict, rep_failures) == ("match", ())
+    assert (row.verdict, row.aut_b, row.aut_c) == ("error", None, None)
+    assert failures == (cp.SweepFailure(member, f"ValueError: {message}"),)
+
+
+def test_the_orbit_of_a_failing_representative_is_searched_set_by_set(monkeypatch):
+    import circpart.harness as harness
+
+    spec = cp.SweepSpec(n_min=7, n_max=7, modes=(cp.DIRECTED,))
+    clean = cp.verify_theorem(spec)
+    certify = harness.propagation_certifier
+    monkeypatch.setattr(
+        harness, "propagation_certifier", lambda g, order=None: 1 / 0 if g.elements == (1, 2) else certify(g, order)
+    )
+    calls = recording(monkeypatch, "respecting_group")
+    report = cp.verify_theorem(spec)
+    assert report.failures == (cp.SweepFailure("7:1,2:d", "ZeroDivisionError: division by zero"),)
+    assert [row for row in report.instances if row.elements != (1, 2)] == [
+        row for row in clean.instances if row.elements != (1, 2)
+    ]
+    orbit = {tuple(sorted(j * s % 7 for s in (1, 2))) for j in range(1, 7)}
+    searched = [g.elements for g in calls["respecting_group"]]
+    assert len(orbit) == 6 and all(searched.count(elements) == 2 for elements in orbit)
+
+
+def test_a_capped_search_fails_each_set_of_its_orbit_as_a_search_per_set_would(monkeypatch):
+    import circpart.harness as harness
+
+    spec = cp.SweepSpec(n_min=2, n_max=7, modes=(cp.DIRECTED,), max_solutions=1)
+    report = cp.verify_theorem(spec)
+    assert 0 < report.aggregates["error"] < report.aggregates["instances"]
+    assert "kind C: more than max_solutions=1 respecting automorphisms" in {f.message for f in report.failures}
+    monkeypatch.setattr(harness, "_unit_orbits", lambda instances: [[(cs, 1)] for cs in instances])
+    assert cp.report_to_json(cp.verify_theorem(spec)) == cp.report_to_json(report)
 
 
 def test_sweeps_count_and_certify_without_listing(monkeypatch):
@@ -130,10 +239,11 @@ def test_pool_size_is_capped_by_instances_and_cores(monkeypatch):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     serial = cp.report_to_json(cp.verify_theorem(cp.SweepSpec(n_min=3, n_max=5)))
     assert cp.report_to_json(cp.verify_theorem(cp.SweepSpec(n_min=3, n_max=5, jobs=10**6))) == serial
-    cp.verify_theorem(cp.SweepSpec(n_min=3, n_max=3, modes=(cp.DIRECTED,), jobs=10**6))  # 3 instances
+    # 3 sets in 2 unit orbits, {1} ~ {2} and {1, 2}; the pool takes one orbit at a time
+    cp.verify_theorem(cp.SweepSpec(n_min=3, n_max=3, modes=(cp.DIRECTED,), jobs=10**6))
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
     cp.verify_theorem(cp.SweepSpec(n_min=3, n_max=5, jobs=10**6))
-    assert sizes == [4, 3]
+    assert sizes == [4, 2]
 
 
 def test_connected_sweep_all_match():

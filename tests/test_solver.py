@@ -201,6 +201,26 @@ def test_elements_are_the_distinct_transversal_products():
         assert all(compose(p, q) in members for q in sols)
 
 
+def test_conjugation_carries_each_group_across_its_unit_orbit():
+    # v -> j*v maps Circ(n; R) onto Circ(n; jR) and each kind's parts onto its parts. Up to n = 8
+    # every unit is its own inverse or the group is the (abelian) multiplier group, so n = 9 and
+    # 10 are needed to tell m G m^-1 from m^-1 G m
+    for n in range(2, 11):
+        units = [j for j in range(1, n) if math.gcd(j, n) == 1]
+        for mode, subsets in ((cp.DIRECTED, directed_subsets(n)), (cp.UNDIRECTED, inverse_closed_subsets(n))):
+            for elements in subsets:
+                moved_by = {tuple(sorted(j * s % n for s in elements)): j for j in reversed(units)}
+                rep = min(moved_by)
+                m = cp.multiplier_perm(n, pow(moved_by[rep], -1, n))  # elements = j * rep
+                source, target = cp.build(n, rep, mode), cp.build(n, elements, mode)
+                for kind in ("B", "C"):
+                    group = cp.respecting_group(source, cp.arc_partition(source, kind))
+                    moved = group.conjugate(m)
+                    assert moved.elements() == cp.respecting_group(target, cp.arc_partition(target, kind)).elements()
+                    assert moved.base == tuple(m[b] for b in group.base)
+                    assert_stabilizer_chain(moved, n)
+
+
 def multiplier_maps(n, elements):
     return sorted(cp.multiplier_perm(n, j) for j in cp.multipliers(n, elements))
 
