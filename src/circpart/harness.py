@@ -286,7 +286,7 @@ def _transported(source: _Source, n: int, j: int, partitions: dict, units: tuple
 
 
 def _check_instance(
-    spec: SweepSpec, cs: ConnectionSet, failures: list, source: _Source | None = None, j: int = 1
+    spec: SweepSpec, cs: ConnectionSet, failures: list, source: _Source | None, j: int
 ) -> tuple[InstanceResult, _Source]:
     """Compute one row, appending what fails to ``failures``; return it with this set's groups.
 

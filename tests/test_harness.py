@@ -99,7 +99,9 @@ def test_sweeps_search_once_per_unit_orbit_and_check_every_set(monkeypatch):
 
     calls.clear()
     report = cp.verify_theorem(cp.SweepSpec(n_min=2, n_max=6, enumerator="both"))
-    orbits = sum(len(unit_orbit_minima(n, subsets(n))) for n in range(2, 7) for subsets in (directed_subsets, inverse_closed_subsets))
+    orbits = sum(
+        len(unit_orbit_minima(n, subsets(n))) for n in range(2, 7) for subsets in (directed_subsets, inverse_closed_subsets)
+    )
     assert len(calls["respecting_group"]) == 2 * orbits < 2 * len(report.instances)
     assert len(calls["brute_oracle"]) == len(report.instances) == 72  # each set's own scan
     assert report.failures == ()
