@@ -41,7 +41,6 @@ from .perm import (
     Perm,
     format_perm,
     is_automorphism,
-    is_permutation,
     multiplier_perm,
     parse_perm,
     respects,
@@ -53,7 +52,6 @@ from .solver import (
     PropagationStage,
     PropagationTrace,
     RespectingGroup,
-    SearchConfig,
     brute_oracle,
     coset_image_check,
     enumerate_respecting,
@@ -88,7 +86,6 @@ __all__ = [
     "PropagationTrace",
     "RespectingGroup",
     "ResourceLimitError",
-    "SearchConfig",
     "SweepFailure",
     "SweepSpec",
     "VerificationReport",
@@ -106,7 +103,6 @@ __all__ = [
     "instance_key",
     "is_automorphism",
     "is_connected",
-    "is_permutation",
     "load_report",
     "multiplier_perm",
     "multipliers",

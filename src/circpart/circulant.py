@@ -26,7 +26,7 @@ class InvalidInstanceError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a build or search would exceed its configured size or solution cap."""
+    """Raised when a build, search or listing would exceed its size or solution cap."""
 
 
 @dataclass(frozen=True)
@@ -63,17 +63,15 @@ class ConnectionSet:
 
 @dataclass(frozen=True)
 class CirculantGraph:
-    """Circ(n; S) with precomputed arc set and adjacency.
+    """Circ(n; S) with its arcs precomputed, as a sorted tuple and as a set.
 
     Both modes store every arc (g, g+s), so an undirected edge is its two
-    opposite arcs. ``succ`` lists the out-neighbors of each vertex (all
-    neighbors in undirected mode).
+    opposite arcs.
     """
 
     cs: ConnectionSet
     arcs: tuple[tuple[int, int], ...]
     arc_set: frozenset
-    succ: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
@@ -102,8 +100,7 @@ def build(n: int, elements, mode: str) -> CirculantGraph:
     if arc_count > MAX_ARCS:
         raise ResourceLimitError(f"Circ({n}; S) would have {arc_count} arcs, more than the limit {MAX_ARCS}")
     arcs = tuple(sorted((g, (g + s) % n) for s in cs.elements for g in range(n)))
-    succ = tuple(tuple(sorted((u + s) % n for s in cs.elements)) for u in range(n))
-    return CirculantGraph(cs, arcs, frozenset(arcs), succ)
+    return CirculantGraph(cs, arcs, frozenset(arcs))
 
 
 def is_connected(graph: CirculantGraph) -> bool:

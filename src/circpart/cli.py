@@ -25,7 +25,6 @@ from .harness import SweepSpec, export_report, verify_theorem
 from .perm import format_perm, parse_perm
 from .solver import (
     DEFAULT_MAX_SOLUTIONS,
-    SearchConfig,
     brute_oracle,
     enumerate_respecting,
     normalize_to_multiplier,
@@ -76,8 +75,7 @@ def _cmd_autos(args) -> int:
         [sols] = brute_oracle(graph, [partition], fix_zero=args.fix_zero)
     else:
         cap = DEFAULT_MAX_SOLUTIONS if args.max_solutions is None else args.max_solutions
-        cfg = SearchConfig(fix_zero=args.fix_zero, max_solutions=cap)
-        sols = enumerate_respecting(graph, partition, cfg)
+        sols = enumerate_respecting(graph, partition, fix_zero=args.fix_zero, max_solutions=cap)
     for p in sols:
         print(format_perm(p))
     print(f"count: {len(sols)}")

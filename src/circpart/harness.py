@@ -30,7 +30,6 @@ from .circulant import (
     DIRECTED,
     UNDIRECTED,
     ConnectionSet,
-    ResourceLimitError,
     build,
     instance_key,
     is_connected,
@@ -41,10 +40,10 @@ from .perm import multiplier_perm, respects
 from .solver import (
     DEFAULT_ORACLE_LIMIT,
     DEFAULT_SEARCH_CAP,
-    SearchConfig,
     brute_oracle,
     coset_image_check,
     normalize_to_multiplier,
+    over_cap,
     propagation_certifier,
     respecting_group,
 )
@@ -60,10 +59,10 @@ class SweepSpec:
     The search runs under the fixed ``DEFAULT_SEARCH_CAP``, once per kind
     and unit orbit of connection sets (see ``verify_theorem``).
     ``enumerator="both"`` also lists each group and checks it against
-    ``brute_oracle``, whose one scan per instance serves every kind whose
-    search returned, so n_max is at most ``DEFAULT_ORACLE_LIMIT``. An
-    instance whose group has more than ``max_solutions`` elements (None: no
-    cap) becomes an ``error`` row. ``jobs`` bounds the worker processes,
+    ``brute_oracle``, whose one scan per instance serves every kind within
+    ``max_solutions``, so n_max is at most ``DEFAULT_ORACLE_LIMIT``. An
+    instance whose group has more than ``max_solutions`` elements (at least
+    0; None: no cap) becomes an ``error`` row. ``jobs`` bounds the worker processes,
     which take one orbit at a time.
     """
 
@@ -89,7 +88,8 @@ class SweepSpec:
             raise ValueError(f"enumerator must be one of {ENUMERATOR_CHOICES}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
-        SearchConfig(max_solutions=self.max_solutions)  # rejects bad search settings
+        if self.max_solutions is not None and self.max_solutions < 0:
+            raise ValueError(f"max_solutions must be at least 0, got {self.max_solutions}")
         if self.enumerator == "both" and self.n_max >= self.n_min and self.n_max > DEFAULT_ORACLE_LIMIT:
             raise ValueError(
                 f"oracle enumeration requested but n_max={self.n_max} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}"
@@ -260,7 +260,7 @@ class _Source(NamedTuple):
     key: str
     units: tuple[int, ...]  # its multipliers
     partitions: dict
-    groups: dict  # kind -> its respecting group, or the ResourceLimitError its search raised
+    groups: dict  # kind -> its respecting group
 
 
 def _transported(source: _Source, n: int, j: int, partitions: dict, units: tuple[int, ...]) -> dict:
@@ -281,7 +281,7 @@ def _transported(source: _Source, n: int, j: int, partitions: dict, units: tuple
         image = {frozenset((m[u], m[v]) for u, v in part.arcs) for part in source.partitions[kind].parts}
         if image != partitions[kind].part_keys():
             raise ValueError(f"kind {kind}: v -> {j}*v does not map the parts of {source.key} onto these parts")
-        groups[kind] = group if isinstance(group, ResourceLimitError) else group.conjugate(m)
+        groups[kind] = group.conjugate(m)
     return groups
 
 
@@ -292,8 +292,9 @@ def _check_instance(
 
     The groups are searched, or, given the ``source`` of a set R with
     ``cs`` = j*R, transported from R's. Every check runs on this set's own
-    graph, partitions and multipliers. The oracle scan comes after the
-    searches and only for the kinds whose search returned.
+    graph, partitions and multipliers. A group of more than
+    ``spec.max_solutions`` elements is a failure, not a count, and the
+    oracle scan covers only the kinds within that cap.
     """
     n, elements = cs.n, cs.elements
     graph = build(n, elements, cs.mode)
@@ -302,37 +303,29 @@ def _check_instance(
     partitions = {"B": partition_by_generator(graph), "C": partition_by_cycle(graph)}
     units = multipliers(n, elements)
     if source is None:
-        cfg = SearchConfig(fix_zero=True, max_solutions=spec.max_solutions)
-        groups = {}
-        for kind in spec.kinds:
-            try:
-                groups[kind] = respecting_group(graph, partitions[kind], cfg)
-            except ResourceLimitError as exc:
-                groups[kind] = exc
+        groups = {kind: respecting_group(graph, partitions[kind]) for kind in spec.kinds}
     else:
         groups = _transported(source, n, j, partitions, units)
     mult_perms = [multiplier_perm(n, u) for u in units]
 
-    found = [kind for kind in spec.kinds if not isinstance(groups[kind], ResourceLimitError)]
+    cap = spec.max_solutions
+    orders = {kind: group.order for kind, group in groups.items()}
+    aut_counts = {kind: order for kind, order in orders.items() if cap is None or order <= cap}  # within the cap
     oracle = {}
-    if spec.enumerator == "both" and found:
-        oracle = dict(zip(found, brute_oracle(graph, [partitions[kind] for kind in found], fix_zero=True)))
-    aut_counts: dict[str, int | None] = {"B": None, "C": None}
+    if spec.enumerator == "both" and aut_counts:
+        oracle = dict(zip(aut_counts, brute_oracle(graph, [partitions[kind] for kind in aut_counts], fix_zero=True)))
     outcomes = []
-    had_error = False
     for kind in spec.kinds:
+        if kind not in aut_counts:
+            failures.append(SweepFailure(key, f"kind {kind}: {over_cap(cap)}"))
+            continue
         part = partitions[kind]
         group = groups[kind]
-        if isinstance(group, ResourceLimitError):
-            failures.append(SweepFailure(key, f"kind {kind}: {group}"))
-            had_error = True
-            continue
         if spec.enumerator == "both" and oracle[kind] != group.elements():
             failures.append(SweepFailure(key, f"kind {kind}: backtracking disagrees with brute oracle"))
-        aut_counts[kind] = group.order
         # M <= G straight from the definition; with |G| = |M| the two are equal.
         contains = all(respects(m, part) for m in mult_perms)
-        outcomes.append((contains and group.order == len(mult_perms), contains))
+        outcomes.append((contains and aut_counts[kind] == len(mult_perms), contains))
         if kind == "C":
             # Both properties are closed under composition, so the generators suffice.
             gens = group.strong_generators()
@@ -349,7 +342,7 @@ def _check_instance(
                     if not coset_image_check(graph, p, sub):
                         failures.append(SweepFailure(key, f"coset image check failed for {p} on {sub}"))
 
-    if had_error:
+    if len(aut_counts) < len(spec.kinds):
         verdict = "error"
     elif all(equal for equal, _ in outcomes):
         verdict = "match"
@@ -366,8 +359,8 @@ def _check_instance(
         connected=connected,
         parts_b=len(partitions["B"].parts),
         parts_c=len(partitions["C"].parts),
-        aut_b=aut_counts["B"],
-        aut_c=aut_counts["C"],
+        aut_b=aut_counts.get("B"),
+        aut_c=aut_counts.get("C"),
         multiplier_count=len(mult_perms),
         verdict=verdict,
         prop_covered=trace.covered,

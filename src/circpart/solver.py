@@ -33,27 +33,6 @@ DEFAULT_SEARCH_CAP = 64
 DEFAULT_MAX_SOLUTIONS = 100_000
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Settings of the backtracking search.
-
-    ``fix_zero`` keeps vertex 0 in place. Graphs with more than ``hard_cap``
-    vertices are refused. A group of more than ``max_solutions`` elements
-    (at least 0; None for no cap) raises rather than being returned, and so
-    before any element is listed; a capped run can never be mistaken for a
-    complete one. The brute-force filter is a separate function,
-    ``brute_oracle``, with its own size limit.
-    """
-
-    fix_zero: bool = True
-    max_solutions: int | None = DEFAULT_MAX_SOLUTIONS
-    hard_cap: int = DEFAULT_SEARCH_CAP
-
-    def __post_init__(self):
-        if self.max_solutions is not None and self.max_solutions < 0:
-            raise ValueError(f"max_solutions must be at least 0, got {self.max_solutions}")
-
-
 def _search_order(graph: CirculantGraph):
     """Cycle-first vertex order from 0 (then any later components from their
     smallest vertex). Visiting ``u`` walks ``u+s, u+2s, ...`` for each
@@ -156,9 +135,7 @@ def _transversal(point: int, gens, identity: Perm) -> dict:
     return trans
 
 
-def respecting_group(
-    graph: CirculantGraph, partition: ArcPartition, cfg: SearchConfig = SearchConfig()
-) -> RespectingGroup:
+def respecting_group(graph: CirculantGraph, partition: ArcPartition, *, fix_zero: bool = True) -> RespectingGroup:
     """The group of automorphisms of ``graph`` respecting ``partition``, by generators.
 
     Depth-first assignment of vertex images in the cycle-first order of
@@ -176,12 +153,14 @@ def respecting_group(
     depth i the search stops at the first leaf that passes the full
     automorphism-plus-respect re-check: that leaf joins the generators of
     level i, the level's orbit is recomputed and the stack is cut back to
-    depth i. Raises ResourceLimitError when the group has more than
-    ``cfg.max_solutions`` elements.
+    depth i. ``fix_zero`` keeps vertex 0 in place. Graphs of more than
+    ``DEFAULT_SEARCH_CAP`` vertices are refused. There is no solution cap:
+    the group is held as at most n transversals of at most n elements each,
+    whatever its order.
     """
     n = graph.n
-    if n > cfg.hard_cap:
-        raise ResourceLimitError(f"n={n} exceeds the search cap {cfg.hard_cap}")
+    if n > DEFAULT_SEARCH_CAP:
+        raise ResourceLimitError(f"n={n} exceeds the search cap {DEFAULT_SEARCH_CAP}")
     if partition.universe != graph.arc_set:
         raise ValueError("partition does not partition this graph's arcs")
 
@@ -200,7 +179,6 @@ def respecting_group(
 
     order, parents = _search_order(graph)
     parent_part = [None if w is None else part_at[(w, u)] for u, w in enumerate(parents)]
-    succ = graph.succ
 
     images = [-1] * n
     used = [False] * n
@@ -214,15 +192,15 @@ def respecting_group(
     def candidates(u, on_path):
         parent = parents[u]
         if parent is None:
-            if u == 0 and cfg.fix_zero:
+            if u == 0 and fix_zero:
                 return (0,)
             pool = [v for v in range(n) if not used[v]]
         else:
             mapped = part_map[parent_part[u]]
             if mapped >= 0:
                 pool = part_succ[mapped].get(images[parent], ())
-            else:
-                pool = succ[images[parent]]
+            else:  # every out-neighbour, ascending
+                pool = sorted((images[parent] + s) % n for s in graph.elements)
             pool = [v for v in pool if not used[v]]
         if on_path:  # the identity extends the identity path, so u is always a candidate
             pool.remove(u)
@@ -316,22 +294,30 @@ def respecting_group(
                 undo(depth)
                 depth -= 1
 
-    group = RespectingGroup(tuple(order), tuple(map(tuple, generators)), tuple(transversals))
-    if cfg.max_solutions is not None and group.order > cfg.max_solutions:
-        raise ResourceLimitError(f"more than max_solutions={cfg.max_solutions} respecting automorphisms")
-    return group
+    return RespectingGroup(tuple(order), tuple(map(tuple, generators)), tuple(transversals))
+
+
+def over_cap(max_solutions: int) -> str:
+    """The refusal of a group of more than ``max_solutions`` elements, listed or counted."""
+    return f"more than max_solutions={max_solutions} respecting automorphisms"
 
 
 def enumerate_respecting(
-    graph: CirculantGraph, partition: ArcPartition, cfg: SearchConfig = SearchConfig()
+    graph: CirculantGraph, partition: ArcPartition, *, fix_zero: bool = True, max_solutions: int = DEFAULT_MAX_SOLUTIONS
 ) -> list[Perm]:
     """All automorphisms of ``graph`` respecting ``partition``, ascending by image tuple.
 
-    Computes the group with ``respecting_group``, which refuses a group of
-    more than ``cfg.max_solutions`` elements before any is listed, and
-    expands it.
+    Computes the group with ``respecting_group`` and expands it. A group of
+    more than ``max_solutions`` (at least 0) elements raises
+    ResourceLimitError before any element is listed, so a capped run can
+    never be mistaken for a complete one.
     """
-    return respecting_group(graph, partition, cfg).elements()
+    if max_solutions < 0:
+        raise ValueError(f"max_solutions must be at least 0, got {max_solutions}")
+    group = respecting_group(graph, partition, fix_zero=fix_zero)
+    if group.order > max_solutions:
+        raise ResourceLimitError(over_cap(max_solutions))
+    return group.elements()
 
 
 def brute_oracle(
@@ -451,9 +437,6 @@ class PropagationTrace:
     @property
     def total_rounds(self) -> int:
         return sum(len(stage.rounds) for stage in self.stages)
-
-    def coset_invariant_ok(self) -> bool:
-        return all(stage.coset_union_ok for stage in self.stages)
 
 
 def _is_coset_union(fixed: set, n: int, d: int) -> bool:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 from hypothesis import strategies as st
 
 import circpart as cp
+from circpart import solver
 
 
 def identity(n):
@@ -117,3 +119,11 @@ def failing_at_n5(monkeypatch):
         return certify(graph, order)
 
     monkeypatch.setattr(harness, "propagation_certifier", boom)
+
+
+def search_cap(n):
+    """Context manager that raises the solver's vertex cap to ``n`` inside its block.
+
+    A patch rather than a function-scoped fixture, so Hypothesis tests can use it too.
+    """
+    return mock.patch.object(solver, "DEFAULT_SEARCH_CAP", n)

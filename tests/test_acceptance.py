@@ -185,7 +185,7 @@ def test_07_propagation_certifier():
             graph = cp.build(n, elements, cp.DIRECTED)
             trace = cp.propagation_certifier(graph)
             assert trace.covered == (math.gcd(n, *elements) == 1)
-            assert trace.coset_invariant_ok()
+            assert all(stage.coset_union_ok for stage in trace.stages)
             assert all(stage.closed for stage in trace.stages)
             exhaustive += 1
 
@@ -196,7 +196,7 @@ def test_07_propagation_certifier():
         elements = tuple(sorted(rng.sample(range(1, n), size)))
         trace = cp.propagation_certifier(cp.build(n, elements, cp.DIRECTED))
         assert trace.covered == (math.gcd(n, *elements) == 1)
-        assert trace.coset_invariant_ok()
+        assert all(stage.coset_union_ok for stage in trace.stages)
 
     order_checked = 0
     for n in range(2, 13):

@@ -161,6 +161,20 @@ def test_a_capped_search_fails_each_set_of_its_orbit_as_a_search_per_set_would(m
     assert cp.report_to_json(cp.verify_theorem(spec)) == cp.report_to_json(report)
 
 
+@pytest.mark.parametrize("cap", [11, 12])
+def test_sweep_row_at_the_solution_cap(cap):
+    # Circ(6; {2, 4}) is two triangles; its groups fixing 0 have 12 elements for both kinds
+    spec = cp.SweepSpec(n_min=6, n_max=6, modes=(cp.UNDIRECTED,), max_solutions=cap)
+    report = cp.verify_theorem(spec)
+    [row] = [row for row in report.instances if row.elements == (2, 4)]
+    messages = [f.message for f in report.failures if f.instance == "6:2,4:u"]
+    if cap == 12:
+        assert (row.verdict, row.aut_b, row.aut_c, messages) == ("expected-mismatch", 12, 12, [])
+    else:
+        assert (row.verdict, row.aut_b, row.aut_c) == ("error", None, None)
+        assert messages == [f"kind {kind}: more than max_solutions=11 respecting automorphisms" for kind in "BC"]
+
+
 def test_sweeps_count_and_certify_without_listing(monkeypatch):
     # only enumerator="both" lists a group, to compare it with the oracle
     monkeypatch.setattr(cp.RespectingGroup, "elements", None)
@@ -211,12 +225,19 @@ def test_a_failing_instance_does_not_abort_the_sweep(monkeypatch):
     assert "\n5,1,d,true,,,,,,error,," in cp.report_to_csv(report)
 
 
-def test_negative_max_solutions_rejected_before_any_search():
+def test_negative_max_solutions_rejected_before_any_search(monkeypatch):
+    import circpart.solver as solver
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched despite a negative cap")
+
+    monkeypatch.setattr(solver, "respecting_group", no_search)
     with pytest.raises(ValueError, match="max_solutions"):
         cp.SweepSpec(n_min=3, n_max=4, max_solutions=-1)
-    with pytest.raises(ValueError, match="max_solutions"):
-        cp.SearchConfig(max_solutions=-1)
-    assert cp.SearchConfig(max_solutions=0).max_solutions == 0
+    g = cp.from_instance("6:2,4:u")
+    with pytest.raises(ValueError, match="max_solutions must be at least 0, got -1"):
+        cp.enumerate_respecting(g, cp.partition_by_cycle(g), max_solutions=-1)
+    assert cp.SweepSpec(n_min=3, n_max=4, max_solutions=0).max_solutions == 0
 
 
 def test_pool_size_is_capped_by_instances_and_cores(monkeypatch):

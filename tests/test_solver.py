@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import circpart as cp
-from conftest import compose, connection_sets, directed_subsets, identity, inverse_closed_subsets
+from conftest import compose, connection_sets, directed_subsets, identity, inverse_closed_subsets, search_cap
 
 
 def closure_oracle(n, gens):
@@ -144,10 +144,9 @@ def test_enumerator_matches_oracle_exhaustively_to_n7():
                 g = cp.build(n, elements, mode)
                 partitions = [cp.arc_partition(g, kind) for kind in ("B", "C")]
                 for fix_zero in (True, False):
-                    cfg = cp.SearchConfig(fix_zero=fix_zero)
                     for partition, expected in zip(partitions, cp.brute_oracle(g, partitions, fix_zero=fix_zero)):
-                        assert cp.enumerate_respecting(g, partition, cfg) == expected
-                        group = cp.respecting_group(g, partition, cfg)
+                        assert cp.enumerate_respecting(g, partition, fix_zero=fix_zero) == expected
+                        group = cp.respecting_group(g, partition, fix_zero=fix_zero)
                         assert group.order == len(expected)
                         assert_stabilizer_chain(group, n)
 
@@ -176,7 +175,7 @@ def test_group_orders_of_disjoint_unions_without_listing(text, order, monkeypatc
     monkeypatch.setattr(cp.RespectingGroup, "elements", None)
     g = cp.from_instance(text)
     for kind in ("B", "C"):
-        group = cp.respecting_group(g, cp.arc_partition(g, kind), cp.SearchConfig(max_solutions=None))
+        group = cp.respecting_group(g, cp.arc_partition(g, kind))
         assert group.order == order
         assert len(group.strong_generators()) < g.n
         assert_stabilizer_chain(group, g.n)
@@ -186,7 +185,7 @@ def test_group_over_the_solution_cap_is_refused_before_listing():
     g = cp.from_instance("64:32:u")
     with pytest.raises(cp.ResourceLimitError, match="more than max_solutions=100000"):
         cp.enumerate_respecting(g, cp.partition_by_cycle(g))
-    assert cp.SearchConfig().max_solutions == cp.DEFAULT_MAX_SOLUTIONS == 100_000
+    assert cp.DEFAULT_MAX_SOLUTIONS == 100_000
 
 
 def test_elements_are_the_distinct_transversal_products():
@@ -241,9 +240,9 @@ def test_units_of_z60_give_exactly_the_multipliers(kind):
 def test_connected_instances_to_n200_give_exactly_the_multipliers(cs):
     g = cp.build(cs.n, cs.elements, cs.mode)
     expected = multiplier_maps(cs.n, cs.elements)
-    cfg = cp.SearchConfig(hard_cap=cs.n)
-    for kind in ("B", "C"):
-        assert cp.enumerate_respecting(g, cp.arc_partition(g, kind), cfg) == expected
+    with search_cap(cs.n):
+        for kind in ("B", "C"):
+            assert cp.enumerate_respecting(g, cp.arc_partition(g, kind)) == expected
 
 
 def test_connected_random_instances_match_multipliers():
@@ -270,8 +269,8 @@ def test_free_group_size_is_n_times_stabilizer(text):
     g = cp.from_instance(text)
     for kind in ("B", "C"):
         partition = cp.arc_partition(g, kind)
-        free = cp.enumerate_respecting(g, partition, cp.SearchConfig(fix_zero=False))
-        fixed = cp.enumerate_respecting(g, partition, cp.SearchConfig(fix_zero=True))
+        free = cp.enumerate_respecting(g, partition, fix_zero=False)
+        fixed = cp.enumerate_respecting(g, partition, fix_zero=True)
         assert len(free) == g.n * len(fixed)
         assert free == sorted(free)
         assert fixed == sorted(fixed)
@@ -280,8 +279,7 @@ def test_free_group_size_is_n_times_stabilizer(text):
 def test_enumerate_without_fixing_zero():
     g = cp.build(4, (1, 3), cp.UNDIRECTED)
     c = cp.partition_by_cycle(g)
-    cfg = cp.SearchConfig(fix_zero=False)
-    sols = cp.enumerate_respecting(g, c, cfg)
+    sols = cp.enumerate_respecting(g, c, fix_zero=False)
     assert len(sols) == 8  # the full dihedral group of the 4-cycle
     assert cp.brute_oracle(g, [c], fix_zero=False) == [sols]
 
@@ -297,20 +295,20 @@ def test_search_cap_and_oracle_limit():
 
 
 def test_long_cycles_search_without_recursion():
-    cfg = cp.SearchConfig(hard_cap=5000)
     g = cp.build(1200, (1,), cp.DIRECTED)
-    assert cp.enumerate_respecting(g, cp.partition_by_cycle(g), cfg) == [identity(1200)]
-    g = cp.build(1200, (1, 1199), cp.UNDIRECTED)
+    g2 = cp.build(1200, (1, 1199), cp.UNDIRECTED)
     identity_and_negation = sorted([identity(1200), cp.multiplier_perm(1200, 1199)])
-    assert cp.enumerate_respecting(g, cp.partition_by_cycle(g), cfg) == identity_and_negation
+    with search_cap(5000):
+        assert cp.enumerate_respecting(g, cp.partition_by_cycle(g)) == [identity(1200)]
+        assert cp.enumerate_respecting(g2, cp.partition_by_cycle(g2)) == identity_and_negation
 
 
 def test_max_solutions_raises_instead_of_truncating():
     g = cp.build(6, (2, 4), cp.UNDIRECTED)
     c = cp.partition_by_cycle(g)
     with pytest.raises(cp.ResourceLimitError):
-        cp.enumerate_respecting(g, c, cp.SearchConfig(max_solutions=3))
-    assert len(cp.enumerate_respecting(g, c, cp.SearchConfig(max_solutions=12))) == 12
+        cp.enumerate_respecting(g, c, max_solutions=3)
+    assert len(cp.enumerate_respecting(g, c, max_solutions=12)) == 12
 
 
 def test_enumerate_rejects_foreign_partition():
