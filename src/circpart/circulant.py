@@ -50,7 +50,8 @@ class ConnectionSet:
             if not 1 <= s <= self.n - 1:
                 raise InvalidInstanceError(f"element {s} outside 1..{self.n - 1}")
         if self.mode == UNDIRECTED:
-            missing = sorted(s for s in self.elements if self.n - s not in self.elements)
+            members = set(self.elements)
+            missing = sorted(s for s in self.elements if self.n - s not in members)
             if missing:
                 raise InvalidInstanceError(
                     f"undirected connection set must contain n-s for every s; missing inverses of {missing}"
@@ -120,7 +121,8 @@ def parse_instance(text: str) -> ConnectionSet:
         raise InvalidInstanceError(f"expected 'n:s1,s2,...[:d|:u]', got {text!r}")
     try:
         n = int(fields[0])
-        elements = tuple(sorted({int(tok) for tok in fields[1].split(",") if tok.strip()}))
+        members = {int(tok) for tok in fields[1].split(",") if tok.strip()}
+        elements = tuple(sorted(members))
     except ValueError as exc:
         raise InvalidInstanceError(f"malformed instance {text!r}: {exc}") from None
     if len(fields) == 3:
@@ -132,7 +134,7 @@ def parse_instance(text: str) -> ConnectionSet:
         else:
             raise InvalidInstanceError(f"mode suffix must be 'd' or 'u', got {fields[2]!r}")
     else:
-        inverse_closed = all(1 <= s <= n - 1 and n - s in elements for s in elements) if n >= 2 else False
+        inverse_closed = all(1 <= s <= n - 1 and n - s in members for s in elements) if n >= 2 else False
         mode = UNDIRECTED if inverse_closed else DIRECTED
     return ConnectionSet(n, elements, mode)
 

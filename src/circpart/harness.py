@@ -43,7 +43,6 @@ from .solver import (
     brute_oracle,
     coset_image_check,
     normalize_to_multiplier,
-    over_cap,
     propagation_certifier,
     respecting_group,
 )
@@ -57,13 +56,12 @@ class SweepSpec:
     """What to sweep and how. An empty range (n_max < n_min) is legal.
 
     The search runs under the fixed ``DEFAULT_SEARCH_CAP``, once per kind
-    and unit orbit of connection sets (see ``verify_theorem``).
+    and unit orbit of connection sets (see ``verify_theorem``). A sweep
+    counts every group from its transversals, so it has no solution cap.
     ``enumerator="both"`` also lists each group and checks it against
-    ``brute_oracle``, whose one scan per instance serves every kind within
-    ``max_solutions``, so n_max is at most ``DEFAULT_ORACLE_LIMIT``. An
-    instance whose group has more than ``max_solutions`` elements (at least
-    0; None: no cap) becomes an ``error`` row. ``jobs`` bounds the worker processes,
-    which take one orbit at a time.
+    ``brute_oracle``, whose one scan per instance serves every kind, so
+    n_max is at most ``DEFAULT_ORACLE_LIMIT``. ``jobs`` bounds the worker
+    processes, which take one orbit at a time.
     """
 
     n_min: int
@@ -73,7 +71,6 @@ class SweepSpec:
     kinds: tuple[str, ...] = ("B", "C")
     enumerator: str = "backtracking"
     jobs: int = 1
-    max_solutions: int | None = None
 
     def __post_init__(self):
         if self.n_min < 2:
@@ -88,8 +85,6 @@ class SweepSpec:
             raise ValueError(f"enumerator must be one of {ENUMERATOR_CHOICES}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
-        if self.max_solutions is not None and self.max_solutions < 0:
-            raise ValueError(f"max_solutions must be at least 0, got {self.max_solutions}")
         if self.enumerator == "both" and self.n_max >= self.n_min and self.n_max > DEFAULT_ORACLE_LIMIT:
             raise ValueError(
                 f"oracle enumeration requested but n_max={self.n_max} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}"
@@ -292,9 +287,8 @@ def _check_instance(
 
     The groups are searched, or, given the ``source`` of a set R with
     ``cs`` = j*R, transported from R's. Every check runs on this set's own
-    graph, partitions and multipliers. A group of more than
-    ``spec.max_solutions`` elements is a failure, not a count, and the
-    oracle scan covers only the kinds within that cap.
+    graph, partitions and multipliers. A group is listed only to compare
+    it with the oracle scan.
     """
     n, elements = cs.n, cs.elements
     graph = build(n, elements, cs.mode)
@@ -308,17 +302,11 @@ def _check_instance(
         groups = _transported(source, n, j, partitions, units)
     mult_perms = [multiplier_perm(n, u) for u in units]
 
-    cap = spec.max_solutions
-    orders = {kind: group.order for kind, group in groups.items()}
-    aut_counts = {kind: order for kind, order in orders.items() if cap is None or order <= cap}  # within the cap
-    oracle = {}
-    if spec.enumerator == "both" and aut_counts:
-        oracle = dict(zip(aut_counts, brute_oracle(graph, [partitions[kind] for kind in aut_counts], fix_zero=True)))
+    aut_counts = {kind: group.order for kind, group in groups.items()}
+    if spec.enumerator == "both":
+        oracle = dict(zip(spec.kinds, brute_oracle(graph, [partitions[kind] for kind in spec.kinds], fix_zero=True)))
     outcomes = []
     for kind in spec.kinds:
-        if kind not in aut_counts:
-            failures.append(SweepFailure(key, f"kind {kind}: {over_cap(cap)}"))
-            continue
         part = partitions[kind]
         group = groups[kind]
         if spec.enumerator == "both" and oracle[kind] != group.elements():
@@ -342,9 +330,7 @@ def _check_instance(
                     if not coset_image_check(graph, p, sub):
                         failures.append(SweepFailure(key, f"coset image check failed for {p} on {sub}"))
 
-    if len(aut_counts) < len(spec.kinds):
-        verdict = "error"
-    elif all(equal for equal, _ in outcomes):
+    if all(equal for equal, _ in outcomes):
         verdict = "match"
     elif not connected and all(contains for _, contains in outcomes):
         verdict = "expected-mismatch"
@@ -387,8 +373,9 @@ def _aggregate(rows, failures) -> dict:
 def _spec_echo(spec: SweepSpec) -> dict:
     # Parallelism degree is an execution detail, not part of the result.
     # Tuples become lists, as they come back from JSON. The fixed limits are
-    # echoed too, so a report states the caps it ran under.
-    echo = {"hard_cap": DEFAULT_SEARCH_CAP, "oracle_limit": DEFAULT_ORACLE_LIMIT}
+    # echoed too, so a report states the caps it ran under; sweeps count
+    # groups and run under no solution cap.
+    echo = {"hard_cap": DEFAULT_SEARCH_CAP, "max_solutions": None, "oracle_limit": DEFAULT_ORACLE_LIMIT}
     for f in fields(SweepSpec):
         if f.name != "jobs":
             value = getattr(spec, f.name)

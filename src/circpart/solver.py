@@ -297,26 +297,17 @@ def respecting_group(graph: CirculantGraph, partition: ArcPartition, *, fix_zero
     return RespectingGroup(tuple(order), tuple(map(tuple, generators)), tuple(transversals))
 
 
-def over_cap(max_solutions: int) -> str:
-    """The refusal of a group of more than ``max_solutions`` elements, listed or counted."""
-    return f"more than max_solutions={max_solutions} respecting automorphisms"
-
-
-def enumerate_respecting(
-    graph: CirculantGraph, partition: ArcPartition, *, fix_zero: bool = True, max_solutions: int = DEFAULT_MAX_SOLUTIONS
-) -> list[Perm]:
+def enumerate_respecting(graph: CirculantGraph, partition: ArcPartition, *, fix_zero: bool = True) -> list[Perm]:
     """All automorphisms of ``graph`` respecting ``partition``, ascending by image tuple.
 
     Computes the group with ``respecting_group`` and expands it. A group of
-    more than ``max_solutions`` (at least 0) elements raises
-    ResourceLimitError before any element is listed, so a capped run can
-    never be mistaken for a complete one.
+    more than the fixed ``DEFAULT_MAX_SOLUTIONS`` elements, read at call
+    time, raises ResourceLimitError before any element is listed, so a
+    refused run can never be mistaken for a complete one.
     """
-    if max_solutions < 0:
-        raise ValueError(f"max_solutions must be at least 0, got {max_solutions}")
     group = respecting_group(graph, partition, fix_zero=fix_zero)
-    if group.order > max_solutions:
-        raise ResourceLimitError(over_cap(max_solutions))
+    if group.order > DEFAULT_MAX_SOLUTIONS:
+        raise ResourceLimitError(f"more than max_solutions={DEFAULT_MAX_SOLUTIONS} respecting automorphisms")
     return group.elements()
 
 

@@ -127,3 +127,8 @@ def search_cap(n):
     A patch rather than a function-scoped fixture, so Hypothesis tests can use it too.
     """
     return mock.patch.object(solver, "DEFAULT_SEARCH_CAP", n)
+
+
+def solution_cap(n):
+    """Context manager that sets the solver's listing cap to ``n`` inside its block."""
+    return mock.patch.object(solver, "DEFAULT_MAX_SOLUTIONS", n)

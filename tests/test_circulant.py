@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -59,6 +60,18 @@ def test_build_is_refused_above_the_arc_limit_before_any_arc_is_built(monkeypatc
     finally:
         tracemalloc.stop()
     assert peak < 100_000  # the 20,000 arcs would take megabytes
+
+
+def test_a_large_inverse_closed_set_is_refused_quickly():
+    # 40,000 elements: an inverse-closure test quadratic in |S| takes tens of seconds on this set
+    elements = [*range(1, 20_001), *range(180_000, 200_000)]
+    text = f"200000:{','.join(map(str, elements))}"
+    started = time.perf_counter()
+    with pytest.raises(cp.ResourceLimitError, match="more than the limit"):
+        cp.build(200_000, elements, cp.UNDIRECTED)
+    with pytest.raises(cp.ResourceLimitError, match="more than the limit"):
+        cp.from_instance(text)  # no suffix: parse_instance tests inverse closure to infer the mode
+    assert time.perf_counter() - started < 2
 
 
 def test_parse_instance_forms():

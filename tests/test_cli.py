@@ -143,6 +143,18 @@ def test_build_is_refused_above_the_arc_limit(monkeypatch, capsys):
     assert out.err == "resource limit: Circ(13; S) would have 13 arcs, more than the limit 12\n"
 
 
+def test_a_failed_check_makes_verify_exit_3_with_a_report(tmp_path, monkeypatch, capsys):
+    import circpart.harness as harness
+
+    monkeypatch.setattr(harness, "coset_image_check", lambda graph, p, subset: False)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--n-min", "3", "--n-max", "5", "--mode", "d", "--out", str(out)]) == 3
+    assert "errors: 0  failures: " in capsys.readouterr().out
+    report = cp.load_report(out.read_text())
+    assert {row.verdict for row in report.instances} == {"match"}
+    assert report.aggregates["error"] == 0 < report.aggregates["failures"]
+
+
 def test_a_failing_instance_makes_verify_exit_3_with_a_report(tmp_path, monkeypatch, capsys):
     failing_at_n5(monkeypatch)
     out = tmp_path / "r.json"
@@ -161,17 +173,14 @@ def test_autos_has_a_default_solution_cap(monkeypatch, capsys):
     assert out.err == f"resource limit: more than max_solutions={cp.DEFAULT_MAX_SOLUTIONS} respecting automorphisms\n"
 
 
-def test_oracle_rejects_a_solution_cap(capsys):
-    argv = ["autos", "--instance", "6:2,4:u", "--kind", "C", "--fix-zero", "--oracle", "--max-solutions", "1"]
-    assert main(argv) == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert "--max-solutions" in out.err
-
-
-def test_negative_max_solutions_is_invalid_input(tmp_path, capsys):
-    assert main(["autos", "--instance", "6:2,4:u", "--kind", "C", "--fix-zero", "--max-solutions", "-1"]) == 2
+def test_the_solution_cap_is_no_option(tmp_path, capsys):
     out = tmp_path / "r.json"
-    assert main(["verify", "--n-min", "3", "--n-max", "4", "--max-solutions", "-1", "--out", str(out)]) == 2
+    for argv in (
+        ["autos", "--instance", "6:2,4:u", "--kind", "C", "--fix-zero", "--max-solutions", "1"],
+        ["verify", "--n-min", "3", "--n-max", "4", "--max-solutions", "1", "--out", str(out)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-solutions 1" in capsys.readouterr().err
     assert not out.exists()
-    assert "max_solutions must be at least 0" in capsys.readouterr().err

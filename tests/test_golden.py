@@ -40,7 +40,7 @@ def test_standard_sweep_json_digests(spec, digest):
 
 GOLDEN_CSV = [
     (
-        dict(n_min=4, n_max=6, modes=(cp.UNDIRECTED,), max_solutions=4),
+        dict(n_min=4, n_max=6, modes=(cp.UNDIRECTED,)),
         """\
 n,set,mode,connected,parts_B,parts_C,aut_B,aut_C,multipliers,verdict,prop_rounds
 4,2,u,false,1,2,2,2,2,match,0
@@ -49,9 +49,9 @@ n,set,mode,connected,parts_B,parts_C,aut_B,aut_C,multipliers,verdict,prop_rounds
 5,"1,4",u,true,1,1,2,2,2,match,0
 5,"2,3",u,true,1,1,2,2,2,match,0
 5,"1,2,3,4",u,true,2,2,4,4,4,match,0
-6,3,u,false,1,3,,,2,error,0
+6,3,u,false,1,3,8,8,2,expected-mismatch,0
 6,"1,5",u,true,1,1,2,2,2,match,0
-6,"2,4",u,false,1,2,,,2,error,0
+6,"2,4",u,false,1,2,12,12,2,expected-mismatch,0
 6,"1,3,5",u,true,2,4,2,2,2,match,0
 6,"2,3,4",u,true,2,5,2,2,2,match,2
 6,"1,2,4,5",u,true,2,3,2,2,2,match,0
@@ -74,7 +74,7 @@ n,set,mode,connected,parts_B,parts_C,aut_B,aut_C,multipliers,verdict,prop_rounds
 ]
 
 
-@pytest.mark.parametrize("spec, expected", GOLDEN_CSV, ids=["undirected-capped", "directed-kind-C"])
+@pytest.mark.parametrize("spec, expected", GOLDEN_CSV, ids=["undirected", "directed-kind-C"])
 def test_small_sweep_csv_without_timings(spec, expected):
     text = cp.report_to_csv(cp.verify_theorem(cp.SweepSpec(**spec)))
     assert "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines()) == expected
@@ -191,9 +191,6 @@ $ circpart autos --instance 5:1,4:u --kind B
 [4, 3, 2, 1, 0]
 count: 10
 [exit 0]
-$ circpart autos --instance 6:2,4:u --kind C --fix-zero --max-solutions 3
-stderr: resource limit: more than max_solutions=3 respecting automorphisms
-[exit 3]
 $ circpart autos --instance 10:1,9:u --kind C --oracle
 stderr: resource limit: n=10 exceeds the oracle limit 9
 [exit 3]
@@ -237,10 +234,10 @@ $ circpart verify --n-min 3 --n-max 5 --out report.json
 instances: 32  match: 32  expected-mismatch: 0  mismatch: 0  errors: 0  failures: 0
 report written to report.json
 [exit 0]
-$ circpart verify --n-min 6 --n-max 6 --mode u --max-solutions 4 --out report.csv
-instances: 7  match: 5  expected-mismatch: 0  mismatch: 0  errors: 2  failures: 4
+$ circpart verify --n-min 6 --n-max 6 --mode u --out report.csv
+instances: 7  match: 5  expected-mismatch: 2  mismatch: 0  errors: 0  failures: 0
 report written to report.csv
-[exit 3]
+[exit 0]
 $ circpart build --instance 8:0,1:d
 stderr: error: element 0 outside 1..7
 [exit 2]

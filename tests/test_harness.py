@@ -61,14 +61,6 @@ def recording(monkeypatch, *names):
     return calls
 
 
-def test_solution_cap_applies_to_the_search_half_of_both(monkeypatch):
-    # every search is refused, so no group is left to compare with an oracle scan
-    calls = recording(monkeypatch, "brute_oracle")
-    both = cp.SweepSpec(n_min=6, n_max=6, modes=(cp.UNDIRECTED,), enumerator="both", max_solutions=0)
-    assert cp.verify_theorem(both).aggregates["error"] == 7
-    assert calls["brute_oracle"] == []
-
-
 def unit_orbit_minima(n, subsets):
     """The least set of each orbit of S -> j*S under the units j of Z_n, by size then lexicographically."""
     units = [j for j in range(1, n) if math.gcd(j, n) == 1]
@@ -150,31 +142,6 @@ def test_the_orbit_of_a_failing_representative_is_searched_set_by_set(monkeypatc
     assert len(orbit) == 6 and all(searched.count(elements) == 2 for elements in orbit)
 
 
-def test_a_capped_search_fails_each_set_of_its_orbit_as_a_search_per_set_would(monkeypatch):
-    import circpart.harness as harness
-
-    spec = cp.SweepSpec(n_min=2, n_max=7, modes=(cp.DIRECTED,), max_solutions=1)
-    report = cp.verify_theorem(spec)
-    assert 0 < report.aggregates["error"] < report.aggregates["instances"]
-    assert "kind C: more than max_solutions=1 respecting automorphisms" in {f.message for f in report.failures}
-    monkeypatch.setattr(harness, "_unit_orbits", lambda instances: [[(cs, 1)] for cs in instances])
-    assert cp.report_to_json(cp.verify_theorem(spec)) == cp.report_to_json(report)
-
-
-@pytest.mark.parametrize("cap", [11, 12])
-def test_sweep_row_at_the_solution_cap(cap):
-    # Circ(6; {2, 4}) is two triangles; its groups fixing 0 have 12 elements for both kinds
-    spec = cp.SweepSpec(n_min=6, n_max=6, modes=(cp.UNDIRECTED,), max_solutions=cap)
-    report = cp.verify_theorem(spec)
-    [row] = [row for row in report.instances if row.elements == (2, 4)]
-    messages = [f.message for f in report.failures if f.instance == "6:2,4:u"]
-    if cap == 12:
-        assert (row.verdict, row.aut_b, row.aut_c, messages) == ("expected-mismatch", 12, 12, [])
-    else:
-        assert (row.verdict, row.aut_b, row.aut_c) == ("error", None, None)
-        assert messages == [f"kind {kind}: more than max_solutions=11 respecting automorphisms" for kind in "BC"]
-
-
 def test_sweeps_count_and_certify_without_listing(monkeypatch):
     # only enumerator="both" lists a group, to compare it with the oracle
     monkeypatch.setattr(cp.RespectingGroup, "elements", None)
@@ -223,21 +190,6 @@ def test_a_failing_instance_does_not_abort_the_sweep(monkeypatch):
     assert report.aggregates["error"] == 15
     assert cp.load_report(cp.report_to_json(report)).instances == report.instances
     assert "\n5,1,d,true,,,,,,error,," in cp.report_to_csv(report)
-
-
-def test_negative_max_solutions_rejected_before_any_search(monkeypatch):
-    import circpart.solver as solver
-
-    def no_search(*args, **kwargs):
-        raise AssertionError("searched despite a negative cap")
-
-    monkeypatch.setattr(solver, "respecting_group", no_search)
-    with pytest.raises(ValueError, match="max_solutions"):
-        cp.SweepSpec(n_min=3, n_max=4, max_solutions=-1)
-    g = cp.from_instance("6:2,4:u")
-    with pytest.raises(ValueError, match="max_solutions must be at least 0, got -1"):
-        cp.enumerate_respecting(g, cp.partition_by_cycle(g), max_solutions=-1)
-    assert cp.SweepSpec(n_min=3, n_max=4, max_solutions=0).max_solutions == 0
 
 
 def test_pool_size_is_capped_by_instances_and_cores(monkeypatch):

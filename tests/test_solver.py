@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import circpart as cp
-from conftest import compose, connection_sets, directed_subsets, identity, inverse_closed_subsets, search_cap
+from conftest import compose, connection_sets, directed_subsets, identity, inverse_closed_subsets, search_cap, solution_cap
 
 
 def closure_oracle(n, gens):
@@ -306,9 +306,10 @@ def test_long_cycles_search_without_recursion():
 def test_max_solutions_raises_instead_of_truncating():
     g = cp.build(6, (2, 4), cp.UNDIRECTED)
     c = cp.partition_by_cycle(g)
-    with pytest.raises(cp.ResourceLimitError):
-        cp.enumerate_respecting(g, c, max_solutions=3)
-    assert len(cp.enumerate_respecting(g, c, max_solutions=12)) == 12
+    with solution_cap(3), pytest.raises(cp.ResourceLimitError):
+        cp.enumerate_respecting(g, c)
+    with solution_cap(12):
+        assert len(cp.enumerate_respecting(g, c)) == 12
 
 
 def test_enumerate_rejects_foreign_partition():
