@@ -173,14 +173,25 @@ def test_autos_has_a_default_solution_cap(monkeypatch, capsys):
     assert out.err == f"resource limit: more than max_solutions={cp.DEFAULT_MAX_SOLUTIONS} respecting automorphisms\n"
 
 
-def test_the_solution_cap_is_no_option(tmp_path, capsys):
+def test_oracle_rejects_a_solution_cap(capsys):
+    # the solution cap is a fixed constant, so argparse refuses the old flag with or without --oracle
+    argv = ["autos", "--instance", "6:2,4:u", "--kind", "C", "--fix-zero", "--oracle", "--max-solutions", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments: --max-solutions 1" in out.err
+
+
+def test_negative_max_solutions_is_invalid_input(tmp_path, capsys):
     out = tmp_path / "r.json"
     for argv in (
-        ["autos", "--instance", "6:2,4:u", "--kind", "C", "--fix-zero", "--max-solutions", "1"],
-        ["verify", "--n-min", "3", "--n-max", "4", "--max-solutions", "1", "--out", str(out)],
+        ["autos", "--instance", "6:2,4:u", "--kind", "C", "--fix-zero", "--max-solutions", "-1"],
+        ["verify", "--n-min", "3", "--n-max", "4", "--max-solutions", "-1", "--out", str(out)],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --max-solutions 1" in capsys.readouterr().err
+        assert "unrecognized arguments: --max-solutions -1" in capsys.readouterr().err
     assert not out.exists()
