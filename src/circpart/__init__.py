@@ -14,7 +14,6 @@ from .circulant import (
     CirculantGraph,
     ConnectionSet,
     InvalidInstanceError,
-    Part,
     ResourceLimitError,
     arc_partition,
     build,
@@ -80,7 +79,6 @@ __all__ = [
     "InstanceResult",
     "InvalidInstanceError",
     "MultiplierWitness",
-    "Part",
     "Perm",
     "PropagationStage",
     "PropagationTrace",

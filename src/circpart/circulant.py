@@ -4,20 +4,23 @@
 every s in the connection set S. Kind "B" groups arcs by the generator that
 produced them; kind "C" refines "B" by splitting each generator class along
 the cosets of the cyclic subgroup that generator spans, so every part of "C"
-is the arc set of one monochromatic cycle.
+is the arc set of one monochromatic cycle. Both follow from S alone and are
+stored as one part label per arc.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 DIRECTED = "directed"
 UNDIRECTED = "undirected"
 
 PARTITION_KINDS = ("B", "C")
-# Largest n*|S| that ``build`` materializes; at about 300 bytes per arc
-# (the arc tuple, its sorted copy and the frozenset) that is some 30 MB.
+# Largest n*|S| that ``build`` materializes. Under tracemalloc, ``build`` plus both ``arc_partition``
+# calls peak at 170-250 bytes per arc (about 190 of them for the arc tuples, their sorted tuple and
+# the frozenset; the rest for the labels), so at most 25 MB at this limit.
 MAX_ARCS = 100_000
 
 
@@ -149,79 +152,71 @@ def instance_key(cs: ConnectionSet) -> str:
     return f"{cs.n}:{','.join(str(s) for s in cs.elements)}:{'d' if cs.directed else 'u'}"
 
 
-@dataclass(frozen=True, eq=False)
-class Part:
-    """One cell of an arc partition.
-
-    Identity is the frozen sorted arc list alone; the generator and coset
-    metadata are informational and never split parts with equal arc sets.
-    An undirected part holds both arcs of each of its edges.
-    """
-
-    arcs: tuple[tuple[int, int], ...]
-    generators: tuple[int, ...]
-    coset_rep: int | None = None
-
-    def __eq__(self, other):
-        return isinstance(other, Part) and self.arcs == other.arcs
-
-    def __hash__(self):
-        return hash(self.arcs)
-
-    def __len__(self):
-        return len(self.arcs)
-
-
 @dataclass(frozen=True)
 class ArcPartition:
-    """A partition of the full arc set of a circulant graph."""
+    """A partition of the arcs of Circ(n; S), stored as one label per arc.
+
+    ``labels[u*|S| + k]`` is the part of arc (u, u+s_k), for s_k the k-th
+    element of the ascending S. ``slot[d]`` is k for d = s_k and -1 for d not
+    in S, and ``sizes`` counts each part's arcs. The storage is internal:
+    ``parts()`` gives each part as arcs and metadata.
+    """
 
     kind: str
-    n: int
-    parts: tuple[Part, ...]
+    cs: ConnectionSet
+    labels: tuple[int, ...]
+    slot: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in PARTITION_KINDS:
             raise ValueError(f"kind must be one of {PARTITION_KINDS}, got {self.kind!r}")
-        universe = frozenset(a for part in self.parts for a in part.arcs)
-        if sum(len(part.arcs) for part in self.parts) != len(universe):
-            raise ValueError("parts must be pairwise disjoint")
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "_keys", frozenset(frozenset(part.arcs) for part in self.parts))
+        index = {s: k for k, s in enumerate(self.cs.elements)}
+        counts = Counter(self.labels)
+        object.__setattr__(self, "slot", tuple(index.get(d, -1) for d in range(self.cs.n)))
+        object.__setattr__(self, "sizes", tuple(counts[label] for label in range(max(counts) + 1)))
 
-    def part_keys(self) -> frozenset:
-        """Frozen arc sets of all parts, for O(1) membership tests."""
-        return self._keys
+    def parts(self) -> tuple:
+        """Each part, by label, as (sorted arcs, generators, coset): the s with
+        an arc (u, u+s) in the part, and its least vertex for kind "C" (None for
+        kind "B"). An undirected part holds both arcs of each of its edges.
+        """
+        n, elements = self.cs.n, self.cs.elements
+        arcs: list[list] = [[] for _ in self.sizes]
+        for a, label in enumerate(self.labels):
+            u, k = divmod(a, len(elements))
+            arcs[label].append((u, (u + elements[k]) % n))
+        return tuple(
+            (tuple(part), tuple(sorted({(v - u) % n for u, v in part})), part[0][0] if self.kind == "C" else None)
+            for part in map(sorted, arcs)
+        )
 
 
 def arc_partition(graph: CirculantGraph, kind: str) -> ArcPartition:
     """Build the kind "B" or kind "C" partition of the graph's arcs.
 
-    For each generator s the arcs x -> x+s are taken one coset of a step at
-    a time: kind "B" uses step 1, so all of s's arcs form one part, and kind
-    "C" uses step gcd(n, s), the number of cosets of the subgroup s spans, so
+    The generators fall into classes, {s} in directed mode and {s, n-s} in
+    undirected mode, numbered by least member. Kind "B" labels the arc
+    (u, u+s) with the number of s's class. Kind "C" gives each class
+    gcd(n, s) consecutive labels, one per coset of the subgroup s spans, and
+    labels the arc with the class's first label plus u mod gcd(n, s), so
     each part is one monochromatic cycle (a lone edge for an order-2
-    generator in undirected mode). A kind "B" part is thus the union of one
-    generator's kind "C" parts. In undirected mode a coset's arcs are taken
-    for both s and n-s, so s and n-s yield one merged part that records both
-    generators. Parts are ordered by first generator, then coset.
+    generator in undirected mode) and a kind "B" part is the union of its
+    class's kind "C" parts. Parts are ordered by least generator, then coset.
     """
-    if kind not in PARTITION_KINDS:
-        raise ValueError(f"kind must be one of {PARTITION_KINDS}, got {kind!r}")
-    n = graph.n
-    groups: dict[tuple, tuple[list[int], int]] = {}
-    for s in graph.elements:
-        step = 1 if kind == "B" else math.gcd(n, s)
-        shifts = (s,) if graph.directed else (s, n - s)
-        for rep in range(step):
-            arcs = tuple(sorted({(x, (x + t) % n) for x in range(rep, n, step) for t in shifts}))
-            entry = groups.setdefault(arcs, ([], rep))
-            entry[0].append(s)
-    parts = tuple(
-        Part(arcs, tuple(gens), rep if kind == "C" else None)
-        for arcs, (gens, rep) in sorted(groups.items(), key=lambda kv: (kv[1][0][0], kv[1][1]))
-    )
-    return ArcPartition(kind, n, parts)
+    cs, n = graph.cs, graph.n
+    first: dict[int, int] = {}  # least member of a class -> its first label
+    offsets, steps = [], []
+    count = 0
+    for s in cs.elements:  # ascending, so a class is met first at its least member
+        step = 1 if kind == "B" else math.gcd(n, s)  # the same for s and n-s
+        least = s if cs.directed else min(s, n - s)
+        if least not in first:
+            first[least], count = count, count + step
+        offsets.append(first[least])
+        steps.append(step)
+    labels = tuple([offset + u % step for u in range(n) for offset, step in zip(offsets, steps)])
+    return ArcPartition(kind, cs, labels)
 
 
 def partition_by_generator(graph: CirculantGraph) -> ArcPartition:

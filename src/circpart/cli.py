@@ -54,14 +54,13 @@ def _cmd_partition(args) -> int:
     partition = arc_partition(graph, args.kind)
     print(f"instance: {instance_key(graph.cs)}")
     print(f"kind: {partition.kind}")
-    print(f"parts: {len(partition.parts)}")
-    for i, part in enumerate(partition.parts):
+    parts = partition.parts()
+    print(f"parts: {len(parts)}")
+    for i, (arcs, generators, coset) in enumerate(parts):
         # An undirected edge is stored as its two arcs and shown once, as (min,max).
-        arcs = " ".join(f"({u},{v})" for u, v in part.arcs if graph.directed or u < v)
-        meta = f"s={','.join(str(s) for s in part.generators)}"
-        if part.coset_rep is not None:
-            meta += f" coset={part.coset_rep}"
-        print(f"part {i} {meta}: {arcs}")
+        shown = " ".join(f"({u},{v})" for u, v in arcs if graph.directed or u < v)
+        meta = f"s={','.join(str(s) for s in generators)}" + ("" if coset is None else f" coset={coset}")
+        print(f"part {i} {meta}: {shown}")
     return EXIT_OK
 
 

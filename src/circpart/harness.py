@@ -36,7 +36,7 @@ from .circulant import (
     partition_by_cycle,
     partition_by_generator,
 )
-from .perm import multiplier_perm, respects
+from .perm import multiplier_perm, part_map, respects
 from .solver import (
     DEFAULT_ORACLE_LIMIT,
     DEFAULT_SEARCH_CAP,
@@ -160,19 +160,12 @@ class VerificationReport:
 
 def _connection_sets(n: int, mode: str):
     if mode == DIRECTED:
-        pool = range(1, n)
         for size in range(1, n):
-            for combo in itertools.combinations(pool, size):
-                yield combo
-    else:
-        reps = range(1, n // 2 + 1)
+            yield from itertools.combinations(range(1, n), size)
+    else:  # each set of representatives s <= n/2, closed under s -> n-s
         for size in range(1, n // 2 + 1):
-            for combo in itertools.combinations(reps, size):
-                elems = set()
-                for s in combo:
-                    elems.add(s)
-                    elems.add(n - s)
-                yield tuple(sorted(elems))
+            for combo in itertools.combinations(range(1, n // 2 + 1), size):
+                yield tuple(sorted({t for s in combo for t in (s, n - s)}))
 
 
 def generate_instances(spec: SweepSpec):
@@ -261,20 +254,20 @@ class _Source(NamedTuple):
 def _transported(source: _Source, n: int, j: int, partitions: dict, units: tuple[int, ...]) -> dict:
     """The groups of ``source``'s set R carried onto the set j*R by m: v -> j*v.
 
-    Certifies first, per kind, that m maps the family of R's parts onto the
-    family of ``partitions``' parts: exact set equality, as in ``respects``,
-    across the two graphs. Then m maps R's arcs onto this graph's too, and
-    conjugation by m is a bijection between the two respecting groups, both
-    fixing 0. Raises ValueError when a certificate fails or the two sets'
-    multipliers differ.
+    Certifies first, per kind, that j*R is this set, so that m maps R's arcs
+    onto this graph's, and that ``part_map`` from R's partition to this one
+    gives a label map, so that m maps R's parts onto ``partitions``' parts.
+    Then conjugation by m is a bijection between the two respecting groups,
+    both fixing 0. Raises ValueError when a certificate fails or the two
+    sets' multipliers differ.
     """
     if units != source.units:
         raise ValueError(f"multipliers {list(units)} differ from {list(source.units)} of {source.key}")
     m = multiplier_perm(n, j)
     groups = {}
     for kind, group in source.groups.items():
-        image = {frozenset((m[u], m[v]) for u, v in part.arcs) for part in source.partitions[kind].parts}
-        if image != partitions[kind].part_keys():
+        theirs, mine = source.partitions[kind], partitions[kind]
+        if {j * s % n for s in theirs.cs.elements} != set(mine.cs.elements) or part_map(m, theirs, mine) is None:
             raise ValueError(f"kind {kind}: v -> {j}*v does not map the parts of {source.key} onto these parts")
         groups[kind] = group.conjugate(m)
     return groups
@@ -343,8 +336,8 @@ def _check_instance(
         elements=elements,
         mode=cs.mode,
         connected=connected,
-        parts_b=len(partitions["B"].parts),
-        parts_c=len(partitions["C"].parts),
+        parts_b=len(partitions["B"].sizes),
+        parts_c=len(partitions["C"].sizes),
         aut_b=aut_counts.get("B"),
         aut_c=aut_counts.get("C"),
         multiplier_count=len(mult_perms),

@@ -13,6 +13,7 @@ if TYPE_CHECKING:
     from .circulant import ArcPartition, CirculantGraph
 
 Perm = tuple[int, ...]
+_NOT_AN_AUTOMORPHISM = "permutation is not an automorphism of the partitioned graph"
 
 
 def is_permutation(p) -> bool:
@@ -34,24 +35,45 @@ def is_automorphism(graph: "CirculantGraph", p: Perm) -> bool:
     return is_permutation(p) and all((p[u], p[v]) in arcs for u, v in graph.arcs)
 
 
+def part_map(p: Perm, source: "ArcPartition", target: "ArcPartition") -> list[int] | None:
+    """The map of part labels, as a list indexed by source label, that the vertex
+    map p induces from ``source``'s graph to ``target``'s; None when it is not
+    well defined or not injective. Raises ValueError unless p is a permutation
+    of Z_n that maps every source arc to a target arc, and so onto the target
+    arcs; then each source part maps onto a target part exactly when the
+    label map is well defined and injective.
+    """
+    n = source.cs.n
+    if len(p) != n or target.cs.n != n:
+        raise ValueError(f"degree mismatch: permutation of {len(p)} on partition of order {n}")
+    if len(source.labels) != len(target.labels) or not is_permutation(p):
+        raise ValueError(_NOT_AN_AUTOMORPHISM)
+    slot, labels, image_labels, width = target.slot, source.labels, target.labels, len(target.cs.elements)
+    image = [-1] * len(source.sizes)
+    clash = False
+    wrapped = p + p  # wrapped[u+s] is p[(u+s) mod n], and slot[d-n] is slot[d]
+    a = 0  # the index u*|S|+k of the arc (u, u+s_k)
+    for u, pu in enumerate(p):
+        for s in source.cs.elements:
+            k = slot[wrapped[u + s] - pu]
+            if k < 0:
+                raise ValueError(_NOT_AN_AUTOMORPHISM)
+            mapped = image_labels[pu * width + k]
+            if image[labels[a]] != mapped:
+                clash = clash or image[labels[a]] >= 0
+                image[labels[a]] = mapped
+            a += 1
+    return None if clash or len(set(image)) < len(image) else image
+
+
 def respects(p: Perm, partition: "ArcPartition") -> bool:
-    """True iff the image of the set of parts equals the set of parts.
+    """True iff p maps every part of ``partition`` onto a part.
 
     Defined only for automorphisms of the partitioned graph; anything else
-    raises ValueError. Parts may permute among themselves. Depends only on
-    the parts' arc sets, not on their metadata or order. When the part
-    images are exactly the parts, they cover the arc set, so p maps it onto
-    itself and is an automorphism; only otherwise is the arc set's image
-    built, to tell False from a non-automorphism.
+    raises ValueError. Parts may permute among themselves, and the answer
+    depends only on the parts' arc sets, not on how they are numbered.
     """
-    if len(p) != partition.n:
-        raise ValueError(f"degree mismatch: permutation of {len(p)} on partition of order {partition.n}")
-    if {frozenset((p[u], p[v]) for u, v in part.arcs) for part in partition.parts} == partition.part_keys():
-        return True
-    universe = partition.universe
-    if {(p[u], p[v]) for u, v in universe} != universe:
-        raise ValueError("permutation is not an automorphism of the partitioned graph")
-    return False
+    return part_map(p, partition, partition) is not None
 
 
 def format_perm(p: Perm) -> str:

@@ -141,7 +141,7 @@ def respecting_group(graph: CirculantGraph, partition: ArcPartition, *, fix_zero
     Depth-first assignment of vertex images in the cycle-first order of
     ``_search_order``, which is also the base, pruned by two incremental
     invariants: every arc between assigned vertices must map to an arc, and
-    the induced part-to-part map must stay injective in both directions
+    the induced map of part labels must stay injective in both directions
     (with matching part sizes). A vertex's candidates are the endpoints of
     arcs leaving its parent's image; once the part of its parent arc is
     mapped, only arcs of the image part qualify, which forces the rest of a
@@ -154,36 +154,33 @@ def respecting_group(graph: CirculantGraph, partition: ArcPartition, *, fix_zero
     automorphism-plus-respect re-check: that leaf joins the generators of
     level i, the level's orbit is recomputed and the stack is cut back to
     depth i. ``fix_zero`` keeps vertex 0 in place. Graphs of more than
-    ``DEFAULT_SEARCH_CAP`` vertices are refused. There is no solution cap:
-    the group is held as at most n transversals of at most n elements each,
-    whatever its order.
+    ``DEFAULT_SEARCH_CAP`` vertices, and partitions of another connection
+    set, are refused. There is no solution cap: the group is held as at
+    most n transversals of at most n elements each, whatever its order.
     """
     n = graph.n
     if n > DEFAULT_SEARCH_CAP:
         raise ResourceLimitError(f"n={n} exceeds the search cap {DEFAULT_SEARCH_CAP}")
-    if partition.universe != graph.arc_set:
+    if partition.cs != graph.cs:
         raise ValueError("partition does not partition this graph's arcs")
 
-    part_at = {arc: idx for idx, part in enumerate(partition.parts) for arc in part.arcs}
-    part_sizes = tuple(len(part.arcs) for part in partition.parts)
-    part_succ: list[dict] = [{} for _ in partition.parts]  # part -> vertex -> endpoints along its arcs
+    labels, slot, part_sizes, width = partition.labels, partition.slot, partition.sizes, len(graph.elements)
+    succ: list[dict] = [{} for _ in range(n)]  # vertex -> out-neighbour, ascending -> part of the arc
     incident: list[list] = [[] for _ in range(n)]  # vertex -> (other end, part, arc points out)
     directed = graph.directed
-    for (u, v), idx in part_at.items():
-        part_succ[idx].setdefault(u, []).append(v)
+    for u, v in graph.arcs:  # ascending
+        succ[u][v] = idx = labels[u * width + slot[v - u]]  # slot[d - n] is slot[d]
         incident[u].append((v, idx, True))
-        # In undirected mode each in-arc is an out-arc reversed, in the same
-        # part, so in-arc entries would double the checks and prune nothing.
-        if directed:
+        if directed:  # an undirected in-arc is an out-arc reversed, in the same part: it would prune nothing
             incident[v].append((u, idx, False))
 
     order, parents = _search_order(graph)
-    parent_part = [None if w is None else part_at[(w, u)] for u, w in enumerate(parents)]
+    parent_part = [None if w is None else succ[w][u] for u, w in enumerate(parents)]
 
     images = [-1] * n
     used = [False] * n
-    part_map = [-1] * len(partition.parts)
-    part_map_inv = [-1] * len(partition.parts)
+    part_map = [-1] * len(part_sizes)
+    part_map_inv = [-1] * len(part_sizes)
     identity = tuple(range(n))
     generators: list[list] = [[] for _ in range(n)]
     found: list[Perm] = []  # every generator so far; all fix the base above the current level
@@ -195,13 +192,9 @@ def respecting_group(graph: CirculantGraph, partition: ArcPartition, *, fix_zero
             if u == 0 and fix_zero:
                 return (0,)
             pool = [v for v in range(n) if not used[v]]
-        else:
+        else:  # the parent image's out-neighbours, ascending, along the mapped part once there is one
             mapped = part_map[parent_part[u]]
-            if mapped >= 0:
-                pool = part_succ[mapped].get(images[parent], ())
-            else:  # every out-neighbour, ascending
-                pool = sorted((images[parent] + s) % n for s in graph.elements)
-            pool = [v for v in pool if not used[v]]
+            pool = [v for v, idx in succ[images[parent]].items() if not used[v] and (mapped < 0 or idx == mapped)]
         if on_path:  # the identity extends the identity path, so u is always a candidate
             pool.remove(u)
             pool.insert(0, u)
@@ -213,7 +206,7 @@ def respecting_group(graph: CirculantGraph, partition: ArcPartition, *, fix_zero
             pw = images[w]
             if pw < 0:
                 continue
-            dp = part_at.get((v, pw) if points_out else (pw, v))
+            dp = succ[v].get(pw) if points_out else succ[pw].get(v)
             ok = dp is not None
             if ok:
                 mapped = part_map[sp]
@@ -319,24 +312,23 @@ def brute_oracle(
     Returns one ascending list per partition in ``partitions``, in the order
     given. One scan answers for all of them: the arc-set test does not depend
     on the partition, so each permutation is tested once for automorphy and
-    each automorphism once per partition for respect. Every partition is
-    checked against the graph's arcs before any permutation is drawn.
+    each automorphism once per partition for respect. Every partition must
+    be of the graph's connection set, checked before any permutation is drawn.
 
     Graphs with more than the fixed ``DEFAULT_ORACLE_LIMIT`` vertices are
     refused, since the scan covers (n-1)! or n! permutations. Deliberately
     shares no machinery with the backtracking path: the arc-set image is
     compared wholesale and the respect condition is literal set equality
-    between the family of parts and its image.
+    between the family of parts (their arcs, from ``parts()``) and its image.
     """
     n = graph.n
     if n > DEFAULT_ORACLE_LIMIT:
         raise ResourceLimitError(f"n={n} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}")
-    universe = graph.arc_set
-    if any(partition.universe != universe for partition in partitions):
+    if any(partition.cs != graph.cs for partition in partitions):
         raise ValueError("partition does not partition this graph's arcs")
-    families = [
-        (partition.parts, {frozenset(part.arcs) for part in partition.parts}) for partition in partitions
-    ]
+    universe = graph.arc_set
+    part_arcs = [[arcs for arcs, _, _ in partition.parts()] for partition in partitions]
+    families = [(parts, {frozenset(arcs) for arcs in parts}) for parts in part_arcs]
 
     if fix_zero:
         candidates = ((0,) + rest for rest in itertools.permutations(range(1, n)))
@@ -350,7 +342,7 @@ def brute_oracle(
                 break
         else:
             for (parts, part_keys), sols in zip(families, found):
-                if {frozenset((p[u], p[v]) for u, v in part.arcs) for part in parts} == part_keys:
+                if {frozenset((p[u], p[v]) for u, v in arcs) for arcs in parts} == part_keys:
                     sols.append(p)
     for sols in found:
         sols.sort()

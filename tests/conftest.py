@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from unittest import mock
@@ -37,12 +38,52 @@ def order_mod(n, s):
     return n // math.gcd(n, s)
 
 
+def parts_by_definition(graph, kind):
+    """The parts of the kind "B" or "C" partition, straight from the definitions.
+
+    Kind B groups the arcs (u, u+s) by the class {s, n-s} of s ({s} alone when
+    directed); kind C splits each class into its cycles u, u+s, u+2s, ...
+    Returns (sorted arcs, generators, least vertex of the cycle or None)
+    triples, ordered by least generator, then least vertex. Reads only
+    ``n``, ``elements`` and ``directed``, so a ConnectionSet serves too.
+    """
+    n = graph.n
+    classes = sorted({(s,) if graph.directed else tuple(sorted({s, n - s})) for s in graph.elements})
+    parts = []
+    for cls in classes:
+        arcs = {(u, (u + t) % n) for t in cls for u in range(n)}
+        if kind == "B":
+            parts.append((tuple(sorted(arcs)), cls, None))
+            continue
+        seen = set()
+        for start in range(n):
+            if start in seen:
+                continue
+            cycle = {start}
+            x = (start + cls[0]) % n
+            while x != start:
+                cycle.add(x)
+                x = (x + cls[0]) % n
+            seen |= cycle
+            parts.append((tuple(sorted(a for a in arcs if a[0] in cycle)), cls, start))
+    return tuple(parts)
+
+
+@functools.lru_cache(maxsize=None)
+def _definition_family(cs, kind):
+    return frozenset(frozenset(arcs) for arcs, _, _ in parts_by_definition(cs, kind))
+
+
 def refines(fine, coarse):
-    """True iff every part of ``fine`` lies inside a single part of ``coarse``."""
-    if fine.universe != coarse.universe:
+    """True iff every part of ``fine`` lies inside a single part of ``coarse``.
+
+    Both are sequences of (arcs, generators, coset) triples, as
+    ``parts_by_definition`` and ``ArcPartition.parts`` give them.
+    """
+    owner = {a: i for i, (arcs, _, _) in enumerate(coarse) for a in arcs}
+    if owner.keys() != {a for arcs, _, _ in fine for a in arcs}:
         raise ValueError("partitions cover different arc sets")
-    owner = {a: i for i, part in enumerate(coarse.parts) for a in part.arcs}
-    return all(len({owner[a] for a in part.arcs}) == 1 for part in fine.parts)
+    return all(len({owner[a] for a in arcs}) == 1 for arcs, _, _ in fine)
 
 
 def bfs_reachable(graph):
@@ -63,10 +104,12 @@ def bfs_reachable(graph):
 def naive_respects(partition, p):
     """Literal definition: the image of the family of parts equals the family.
 
-    An arc (u, v) maps to (p[u], p[v]); undirected parts hold both arcs of each edge.
+    The parts are those of ``parts_by_definition`` for the partition's
+    connection set and kind. An arc (u, v) maps to (p[u], p[v]); undirected
+    parts hold both arcs of each edge.
     """
-    parts = {frozenset(part.arcs) for part in partition.parts}
-    return {frozenset((p[u], p[v]) for u, v in part.arcs) for part in partition.parts} == parts
+    family = _definition_family(partition.cs, partition.kind)
+    return {frozenset((p[u], p[v]) for u, v in part) for part in family} == family
 
 
 def all_perms_fixing_zero(n):

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 
 import circpart as cp
-from conftest import bfs_reachable, graphs, order_mod, refines
+from conftest import (
+    bfs_reachable,
+    directed_subsets,
+    graphs,
+    inverse_closed_subsets,
+    order_mod,
+    parts_by_definition,
+    refines,
+)
 
 
 def edge_enumeration_oracle(n, elements):
@@ -123,98 +131,101 @@ def test_generator_partition_directed():
     g = cp.from_instance("8:1,2:d")
     b = cp.partition_by_generator(g)
     assert b.kind == "B"
-    assert [len(p) for p in b.parts] == [8, 8]
-    assert [p.generators for p in b.parts] == [(1,), (2,)]
+    assert [len(arcs) for arcs, _, _ in b.parts()] == [8, 8]
+    assert [gens for _, gens, _ in b.parts()] == [(1,), (2,)]
 
 
 def test_generator_partition_merges_inverse_pairs():
     g = cp.build(5, (1, 4), cp.UNDIRECTED)
-    b = cp.partition_by_generator(g)
-    assert len(b.parts) == 1
-    assert len(b.parts[0]) == 10
-    assert b.parts[0].generators == (1, 4)
+    [(arcs, gens, _)] = cp.partition_by_generator(g).parts()
+    assert len(arcs) == 10
+    assert gens == (1, 4)
 
     g = cp.build(6, (2, 3, 4), cp.UNDIRECTED)
-    b = cp.partition_by_generator(g)
-    assert sorted(len(p) for p in b.parts) == [6, 12]
-    assert {p.generators for p in b.parts} == {(2, 4), (3,)}
+    parts = cp.partition_by_generator(g).parts()
+    assert sorted(len(arcs) for arcs, _, _ in parts) == [6, 12]
+    assert {gens for _, gens, _ in parts} == {(2, 4), (3,)}
 
 
 def test_cycle_partition_directed():
     g = cp.from_instance("8:1,2:d")
-    c = cp.partition_by_cycle(g)
-    assert sorted(len(p) for p in c.parts) == [4, 4, 8]
+    parts = [arcs for arcs, _, _ in cp.partition_by_cycle(g).parts()]
+    assert sorted(len(arcs) for arcs in parts) == [4, 4, 8]
     # each part is one cycle: following its arcs from any vertex walks the whole part
-    for part in c.parts:
-        succ = dict(part.arcs)
-        x = part.arcs[0][0]
+    for arcs in parts:
+        succ = dict(arcs)
+        x = arcs[0][0]
         seen = set()
         while x not in seen:
             seen.add(x)
             x = succ[x]
-        assert len(seen) == len(part)
+        assert len(seen) == len(arcs)
 
 
 def test_cycle_partition_order_two_generator():
     g = cp.build(4, (2,), cp.UNDIRECTED)
-    c = cp.partition_by_cycle(g)
-    assert [p.arcs for p in c.parts] == [((0, 2), (2, 0)), ((1, 3), (3, 1))]
-    assert [p.coset_rep for p in c.parts] == [0, 1]
+    parts = cp.partition_by_cycle(g).parts()
+    assert [arcs for arcs, _, _ in parts] == [((0, 2), (2, 0)), ((1, 3), (3, 1))]
+    assert [coset for _, _, coset in parts] == [0, 1]
 
 
 def test_cycle_partition_mixed_orders():
     g = cp.build(6, (2, 3, 4), cp.UNDIRECTED)
-    c = cp.partition_by_cycle(g)
-    assert sorted(len(p) for p in c.parts) == [2, 2, 2, 6, 6]
-    triangles = [p for p in c.parts if len(p) == 6]
-    assert {frozenset(v for a in p.arcs for v in a) for p in triangles} == {
+    parts = [arcs for arcs, _, _ in cp.partition_by_cycle(g).parts()]
+    assert sorted(len(arcs) for arcs in parts) == [2, 2, 2, 6, 6]
+    triangles = [arcs for arcs in parts if len(arcs) == 6]
+    assert {frozenset(v for a in arcs for v in a) for arcs in triangles} == {
         frozenset({0, 2, 4}),
         frozenset({1, 3, 5}),
     }
 
 
+def test_partitions_match_the_definitions_exhaustively_to_n10():
+    """Every connection set with n <= 10, both modes and kinds: the parts derived from the
+    labels are those built from the definitions, in arcs, order, generators and coset."""
+    cases = 0
+    for n in range(2, 11):
+        for mode, subsets in ((cp.DIRECTED, directed_subsets(n)), (cp.UNDIRECTED, inverse_closed_subsets(n))):
+            for elements in subsets:
+                graph = cp.build(n, elements, mode)
+                for kind in ("B", "C"):
+                    partition = cp.arc_partition(graph, kind)
+                    parts = partition.parts()
+                    assert parts == parts_by_definition(graph, kind), (elements, mode, kind)
+                    assert partition.sizes == tuple(len(arcs) for arcs, _, _ in parts)
+                    cases += 1
+    assert cases == 2 * (sum(2 ** (n - 1) - 1 for n in range(2, 11)) + sum(2 ** (n // 2) - 1 for n in range(2, 11)))
+
+
 def test_refines_examples():
     g = cp.from_instance("8:1,2:d")
-    b = cp.partition_by_generator(g)
-    c = cp.partition_by_cycle(g)
+    b = cp.partition_by_generator(g).parts()
+    c = cp.partition_by_cycle(g).parts()
     assert refines(c, b) is True
     assert refines(b, c) is False
     assert refines(b, b) is True
 
 
 def test_refines_rejects_mismatched_universes():
-    b1 = cp.partition_by_generator(cp.from_instance("8:1,2:d"))
-    b2 = cp.partition_by_generator(cp.from_instance("8:1,3:d"))
+    b1 = cp.partition_by_generator(cp.from_instance("8:1,2:d")).parts()
+    b2 = cp.partition_by_generator(cp.from_instance("8:1,3:d")).parts()
     with pytest.raises(ValueError):
         refines(b1, b2)
-
-
-def test_part_identity_ignores_metadata():
-    arcs = ((0, 1), (1, 2))
-    assert cp.Part(arcs, (1,)) == cp.Part(arcs, (7,), coset_rep=3)
-    assert hash(cp.Part(arcs, (1,))) == hash(cp.Part(arcs, (7,), coset_rep=3))
-    assert cp.Part(arcs, (1,)) != cp.Part(((0, 1),), (1,))
-
-
-def test_partition_rejects_overlapping_parts():
-    with pytest.raises(ValueError):
-        cp.ArcPartition("B", 3, (cp.Part(((0, 1),), (1,)), cp.Part(((0, 1), (1, 2)), (1,))))
 
 
 @given(graphs())
 @settings(max_examples=200)
 def test_partitions_cover_exactly_and_refine(graph):
-    b = cp.partition_by_generator(graph)
-    c = cp.partition_by_cycle(graph)
-    assert b.universe == graph.arc_set
-    assert c.universe == graph.arc_set
-    assert sum(len(p) for p in b.parts) == len(graph.arcs)
-    assert sum(len(p) for p in c.parts) == len(graph.arcs)
+    b = cp.partition_by_generator(graph).parts()
+    c = cp.partition_by_cycle(graph).parts()
+    for parts in (b, c):
+        assert frozenset(a for arcs, _, _ in parts for a in arcs) == graph.arc_set
+        assert sum(len(arcs) for arcs, _, _ in parts) == len(graph.arcs)
     assert refines(c, b)
     assert len(graph.arcs) == graph.n * len(graph.elements)
     if not graph.directed:
         # an undirected edge is stored as its two opposite arcs, inside one part
-        for arcs in [graph.arc_set] + [frozenset(p.arcs) for p in b.parts + c.parts]:
+        for arcs in [graph.arc_set] + [frozenset(arcs) for arcs, _, _ in b + c]:
             assert {(v, u) for u, v in arcs} == arcs
 
 
@@ -222,12 +233,12 @@ def test_partitions_cover_exactly_and_refine(graph):
 @settings(max_examples=150)
 def test_directed_cycle_partition_counts(graph):
     n = graph.n
-    c = cp.partition_by_cycle(graph)
-    assert len(c.parts) == sum(math.gcd(n, s) for s in graph.elements)
+    parts = cp.partition_by_cycle(graph).parts()
+    assert len(parts) == sum(math.gcd(n, s) for s in graph.elements)
     sizes = {}
-    for part in c.parts:
-        for s in part.generators:
-            sizes.setdefault(s, []).append(len(part))
+    for arcs, gens, _ in parts:
+        for s in gens:
+            sizes.setdefault(s, []).append(len(arcs))
     for s, lens in sizes.items():
         assert set(lens) == {order_mod(n, s)}
 
@@ -237,13 +248,12 @@ def test_directed_cycle_partition_counts(graph):
 def test_undirected_partitions_share_inverse_generators(graph):
     n = graph.n
     for partition in (cp.partition_by_generator(graph), cp.partition_by_cycle(graph)):
-        for part in partition.parts:
-            gens = set(part.generators)
+        for _, gens, _ in partition.parts():
             # s and n-s always land in the same merged part
             assert all((n - s) % n in gens for s in gens)
-    c = cp.partition_by_cycle(graph)
+    parts = cp.partition_by_cycle(graph).parts()
     for s in graph.elements:
-        owning = [p for p in c.parts if s in p.generators]
+        owning = [arcs for arcs, gens, _ in parts if s in gens]
         assert len(owning) == math.gcd(n, s)
 
 

@@ -14,6 +14,7 @@ from conftest import (
     inverse_closed_subsets,
     naive_respects,
 )
+from circpart.perm import part_map
 
 
 def test_compose_identities():
@@ -98,20 +99,40 @@ def test_respects_rejects_non_automorphisms():
 
 
 def test_respects_depends_only_on_part_arc_sets():
-    g = cp.build(6, (2, 4), cp.UNDIRECTED)
-    c = cp.partition_by_cycle(g)
-    relabeled = cp.ArcPartition(
-        "C",
-        c.n,
-        tuple(cp.Part(p.arcs, (99,), coset_rep=None) for p in reversed(c.parts)),
-    )
+    # renumbering the parts by any permutation of the labels changes no answer
     rng = random.Random(7)
-    for _ in range(20):
-        rest = rng.sample(range(1, 6), 5)
-        p = (0,) + tuple(rest)
-        if not cp.is_automorphism(g, p):
-            continue
-        assert cp.respects(p, c) == cp.respects(p, relabeled)
+    outcomes = set()
+    for text in ("6:2,4:u", "4:1,2,3:u", "8:1,2:d"):
+        g = cp.from_instance(text)
+        for kind in ("B", "C"):
+            partition = cp.arc_partition(g, kind)
+            renumber = list(range(len(partition.sizes)))
+            rng.shuffle(renumber)
+            relabeled = cp.ArcPartition(kind, partition.cs, tuple(renumber[label] for label in partition.labels))
+            assert sorted(relabeled.parts()) == sorted(partition.parts())
+            for p in itertools.permutations(range(g.n)):
+                if cp.is_automorphism(g, p):
+                    outcomes.add(cp.respects(p, partition))
+                    assert cp.respects(p, partition) == cp.respects(p, relabeled)
+    assert outcomes == {True, False}
+
+
+def test_part_map_is_the_induced_label_map_or_none():
+    # a well-defined label map is onto, since p is a bijection on arcs; so only a source with
+    # more parts than the target can fail injectivity alone
+    g = cp.from_instance("8:1,2:d")
+    b, c = cp.partition_by_generator(g), cp.partition_by_cycle(g)
+    ident = identity(8)
+    assert part_map(ident, b, b) == [0, 1]
+    assert part_map(ident, c, c) == [0, 1, 2]
+    assert part_map(ident, c, b) is None  # well defined, every part of C lies in one of B, not injective
+    assert part_map(ident, b, c) is None  # not well defined: the part of 2 splits into two cycles
+    negate = cp.multiplier_perm(8, 7)  # maps Circ(8; {1, 2}) onto Circ(8; {6, 7})
+    onto = cp.partition_by_cycle(cp.from_instance("8:6,7:d"))
+    # the 1-cycle goes to the 7-cycle, and each 2-cycle to the 6-cycle on the same coset
+    assert part_map(negate, c, onto) == [2, 0, 1]
+    with pytest.raises(ValueError, match="not an automorphism"):
+        part_map(negate, c, c)
 
 
 def test_respects_matches_the_definition_exhaustively_to_n6():
