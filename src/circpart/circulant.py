@@ -13,14 +13,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 DIRECTED = "directed"
 UNDIRECTED = "undirected"
 
 PARTITION_KINDS = ("B", "C")
-# Largest n*|S| that ``build`` materializes. Under tracemalloc, ``build`` plus both ``arc_partition``
-# calls peak at 170-250 bytes per arc (about 190 of them for the arc tuples, their sorted tuple and
-# the frozenset; the rest for the labels), so at most 25 MB at this limit.
+# Largest n*|S| that ``build`` accepts. Under tracemalloc at this limit, ``build`` itself allocates
+# no arc, both ``arc_partition`` calls peak at 19-29 bytes per arc (the labels and slot tables), and
+# a first read of ``arcs``/``arc_set`` raises the peak to 205-215 bytes per arc, so at most 22 MB.
 MAX_ARCS = 100_000
 
 
@@ -67,15 +68,23 @@ class ConnectionSet:
 
 @dataclass(frozen=True)
 class CirculantGraph:
-    """Circ(n; S) with its arcs precomputed, as a sorted tuple and as a set.
+    """Circ(n; S), whose arcs are built on first read, as a sorted tuple and as a set.
 
-    Both modes store every arc (g, g+s), so an undirected edge is its two
-    opposite arcs.
+    Both modes hold every arc (g, g+s), so an undirected edge is its two
+    opposite arcs. The partitions need only S, so a graph whose arcs no
+    check reads never builds them.
     """
 
     cs: ConnectionSet
-    arcs: tuple[tuple[int, int], ...]
-    arc_set: frozenset
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        n = self.n
+        return tuple(sorted((g, (g + s) % n) for s in self.elements for g in range(n)))
+
+    @cached_property
+    def arc_set(self) -> frozenset:
+        return frozenset(self.arcs)
 
     @property
     def n(self) -> int:
@@ -103,8 +112,7 @@ def build(n: int, elements, mode: str) -> CirculantGraph:
     arc_count = n * len(cs.elements)
     if arc_count > MAX_ARCS:
         raise ResourceLimitError(f"Circ({n}; S) would have {arc_count} arcs, more than the limit {MAX_ARCS}")
-    arcs = tuple(sorted((g, (g + s) % n) for s in cs.elements for g in range(n)))
-    return CirculantGraph(cs, arcs, frozenset(arcs))
+    return CirculantGraph(cs)
 
 
 def is_connected(graph: CirculantGraph) -> bool:
@@ -171,9 +179,8 @@ class ArcPartition:
     def __post_init__(self):
         if self.kind not in PARTITION_KINDS:
             raise ValueError(f"kind must be one of {PARTITION_KINDS}, got {self.kind!r}")
-        index = {s: k for k, s in enumerate(self.cs.elements)}
-        counts = Counter(self.labels)
-        object.__setattr__(self, "slot", tuple(index.get(d, -1) for d in range(self.cs.n)))
+        index, counts = {s: k for k, s in enumerate(self.cs.elements)}, Counter(self.labels)
+        object.__setattr__(self, "slot", tuple(map(index.get, range(self.cs.n), [-1] * self.cs.n)))
         object.__setattr__(self, "sizes", tuple(counts[label] for label in range(max(counts) + 1)))
 
     def parts(self) -> tuple:
@@ -215,8 +222,9 @@ def arc_partition(graph: CirculantGraph, kind: str) -> ArcPartition:
             first[least], count = count, count + step
         offsets.append(first[least])
         steps.append(step)
-    labels = tuple([offset + u % step for u in range(n) for offset, step in zip(offsets, steps)])
-    return ArcPartition(kind, cs, labels)
+    period = math.lcm(*steps)  # divides n; the labels of vertex u depend on u mod period only
+    labels = [offset + u % step for u in range(period) for offset, step in zip(offsets, steps)]
+    return ArcPartition(kind, cs, tuple(labels) * (n // period))
 
 
 def partition_by_generator(graph: CirculantGraph) -> ArcPartition:

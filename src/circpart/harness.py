@@ -257,9 +257,9 @@ def _transported(source: _Source, n: int, j: int, partitions: dict, units: tuple
     Certifies first, per kind, that j*R is this set, so that m maps R's arcs
     onto this graph's, and that ``part_map`` from R's partition to this one
     gives a label map, so that m maps R's parts onto ``partitions``' parts.
-    Then conjugation by m is a bijection between the two respecting groups,
-    both fixing 0. Raises ValueError when a certificate fails or the two
-    sets' multipliers differ.
+    Then conjugation by m, which maps only the base and the generators, is
+    a bijection between the two respecting groups, both fixing 0. Raises
+    ValueError when a certificate fails or the two sets' multipliers differ.
     """
     if units != source.units:
         raise ValueError(f"multipliers {list(units)} differ from {list(source.units)} of {source.key}")
@@ -280,8 +280,9 @@ def _check_instance(
 
     The groups are searched, or, given the ``source`` of a set R with
     ``cs`` = j*R, transported from R's. Every check runs on this set's own
-    graph, partitions and multipliers. A group is listed only to compare
-    it with the oracle scan.
+    graph, partitions and multipliers; M <= G is tested on every multiplier
+    but 1, which respects every partition. A group is listed only to
+    compare it with the oracle scan.
     """
     n, elements = cs.n, cs.elements
     graph = build(n, elements, cs.mode)
@@ -293,7 +294,7 @@ def _check_instance(
         groups = {kind: respecting_group(graph, partitions[kind]) for kind in spec.kinds}
     else:
         groups = _transported(source, n, j, partitions, units)
-    mult_perms = [multiplier_perm(n, u) for u in units]
+    moved_by = [multiplier_perm(n, u) for u in units if u != 1]  # the identity respects every partition
 
     aut_counts = {kind: group.order for kind, group in groups.items()}
     if spec.enumerator == "both":
@@ -305,8 +306,8 @@ def _check_instance(
         if spec.enumerator == "both" and oracle[kind] != group.elements():
             failures.append(SweepFailure(key, f"kind {kind}: backtracking disagrees with brute oracle"))
         # M <= G straight from the definition; with |G| = |M| the two are equal.
-        contains = all(respects(m, part) for m in mult_perms)
-        outcomes.append((contains and aut_counts[kind] == len(mult_perms), contains))
+        contains = all(respects(m, part) for m in moved_by)
+        outcomes.append((contains and aut_counts[kind] == len(units), contains))
         if kind == "C":
             # Both properties are closed under composition, so the generators suffice.
             gens = group.strong_generators()
@@ -340,7 +341,7 @@ def _check_instance(
         parts_c=len(partitions["C"].sizes),
         aut_b=aut_counts.get("B"),
         aut_c=aut_counts.get("C"),
-        multiplier_count=len(mult_perms),
+        multiplier_count=len(units),
         verdict=verdict,
         prop_covered=trace.covered,
         prop_rounds=trace.total_rounds,

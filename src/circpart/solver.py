@@ -2,7 +2,8 @@
 
 * ``respecting_group``: the group of automorphisms (optionally fixing
   vertex 0) that respect an arc partition, computed by backtracking as a
-  base with one transversal per level.
+  base, generators and a transversal per level and the order; a conjugate
+  carries the rest but builds its transversals only for listing.
 * ``enumerate_respecting``: that group's elements, listed.
 * ``brute_oracle``: the same sets computed by filtering every permutation,
   straight from the definitions, as an independent cross-check; one scan
@@ -22,6 +23,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .circulant import ArcPartition, CirculantGraph, ResourceLimitError, is_connected
@@ -64,23 +66,33 @@ def _search_order(graph: CirculantGraph):
     return order, parents
 
 
-class RespectingGroup(NamedTuple):
+@dataclass(frozen=True)
+class RespectingGroup:
     """A group of respecting automorphisms as a stabilizer chain along ``base``.
 
-    Write G_i for the elements that fix ``base[:i]`` pointwise. For each
+    Write G_i for the elements that fix ``base[:i]`` pointwise.
+    ``generators[i]`` holds the elements the search found at level i; those
+    of levels i and up generate G_i. ``order`` is |G|, the product of the
+    orbit lengths along the base, fixed when the group is made. For each
     image x of ``base[i]`` under G_i, ``transversals[i][x]`` is one element
-    of G_i that sends ``base[i]`` to x. ``generators[i]`` holds the elements
-    the search found at level i; those of levels i and up generate G_i.
+    of G_i that sends ``base[i]`` to x. The search hands over its own; a
+    conjugated group builds them from the generators on first read, which
+    only listing ``elements()`` does.
     """
 
     base: tuple[int, ...]
     generators: tuple[tuple[Perm, ...], ...]
-    transversals: tuple[dict, ...]
+    order: int
 
-    @property
-    def order(self) -> int:
-        """|G|, the product of the orbit lengths along the base."""
-        return math.prod(len(t) for t in self.transversals)
+    @cached_property
+    def transversals(self) -> tuple[dict, ...]:
+        identity = tuple(range(len(self.base)))
+        gens: list[Perm] = []  # the generators of the levels from the deepest up to this one
+        out = []
+        for point, level in zip(reversed(self.base), reversed(self.generators)):
+            gens.extend(level)
+            out.append(_transversal(point, gens, identity))
+        return tuple(reversed(out))
 
     def strong_generators(self) -> list[Perm]:
         """Every generator, level by level; together they generate G."""
@@ -100,24 +112,15 @@ class RespectingGroup(NamedTuple):
 
         When m maps one graph onto another and the parts of a partition of the
         first onto the parts of one of the second, it carries the first
-        respecting group onto the second.
+        respecting group onto the second. Only the base and the generators
+        are mapped; the order is carried over.
         """
-        inverse = [0] * len(m)
-        for v, w in enumerate(m):
-            inverse[w] = v
+        inverse = sorted(range(len(m)), key=m.__getitem__)
         image = m.__getitem__
-        done: dict = {}  # every level's transversal holds the identity
-
-        def conj(p):
-            q = done.get(p)
-            if q is None:
-                q = done[p] = tuple(map(image, map(p.__getitem__, inverse)))
-            return q
-
         return RespectingGroup(
             tuple(map(image, self.base)),
-            tuple([tuple(map(conj, level)) for level in self.generators]),
-            tuple([{image(x): conj(t) for x, t in trans.items()} for trans in self.transversals]),
+            tuple([tuple([tuple(map(image, map(p.__getitem__, inverse))) for p in level]) for level in self.generators]),
+            self.order,
         )
 
 
@@ -287,7 +290,9 @@ def respecting_group(graph: CirculantGraph, partition: ArcPartition, *, fix_zero
                 undo(depth)
                 depth -= 1
 
-    return RespectingGroup(tuple(order), tuple(map(tuple, generators)), tuple(transversals))
+    group = RespectingGroup(tuple(order), tuple(map(tuple, generators)), math.prod(map(len, transversals)))
+    vars(group)["transversals"] = tuple(transversals)  # fills the cache: only a conjugate builds its own
+    return group
 
 
 def enumerate_respecting(graph: CirculantGraph, partition: ArcPartition, *, fix_zero: bool = True) -> list[Perm]:
@@ -386,8 +391,7 @@ def normalize_to_multiplier(graph: CirculantGraph, p: Perm) -> MultiplierWitness
     return MultiplierWitness(tuple(residues), combined)
 
 
-@dataclass(frozen=True)
-class PropagationStage:
+class PropagationStage(NamedTuple):  # a tuple, cheap to make once per generator of every swept set
     """One outer step of the closure: extending the fixed subgroup by one generator.
 
     ``subgroup_order`` is the order of the subgroup spanned by the previous
@@ -409,8 +413,7 @@ class PropagationStage:
     coset_union_ok: bool
 
 
-@dataclass(frozen=True)
-class PropagationTrace:
+class PropagationTrace(NamedTuple):
     n: int
     generator_order: tuple[int, ...]
     stages: tuple[PropagationStage, ...]
@@ -461,12 +464,12 @@ def propagation_certifier(graph: CirculantGraph, order: tuple[int, ...] | None =
         new_step = math.gcd(step, s_next)
         members = range(0, n, new_step)
 
-        fixed = set(range(0, n, step)) | set(range(0, n, math.gcd(n, s_next)))
+        fixed = {*range(0, n, step), *range(0, n, math.gcd(n, s_next))}  # inside the enlarged subgroup
         start = tuple(sorted(fixed))
         coset_ok = _is_coset_union(fixed, n, d)
         earlier = gens[:k]
         rounds = []
-        while True:
+        while len(fixed) < len(members):  # a full subgroup has nothing left to add
             added = tuple(
                 x
                 for x in members
@@ -489,8 +492,8 @@ def propagation_certifier(graph: CirculantGraph, order: tuple[int, ...] | None =
                 d=d,
                 start=start,
                 rounds=tuple(rounds),
-                final=tuple(sorted(fixed)),
-                closed=fixed == set(members),
+                final=tuple(sorted(fixed)) if rounds else start,
+                closed=len(fixed) == len(members),
                 coset_union_ok=coset_ok,
             )
         )

@@ -70,6 +70,30 @@ def test_build_is_refused_above_the_arc_limit_before_any_arc_is_built(monkeypatc
     assert peak < 100_000  # the 20,000 arcs would take megabytes
 
 
+def test_build_and_both_partitions_leave_the_arcs_to_their_first_read():
+    tracemalloc.start()
+    try:
+        g = cp.build(50_000, (1, 49_999), cp.UNDIRECTED)  # 100,000 arcs, the limit
+        built = tracemalloc.get_traced_memory()[1]
+        partitions = [cp.arc_partition(g, kind) for kind in ("B", "C")]
+    finally:
+        tracemalloc.stop()
+    assert built < 10_000  # the arcs would take about 19 MB
+    assert "arcs" not in vars(g) and "arc_set" not in vars(g)
+    assert [len(p.labels) for p in partitions] == [100_000, 100_000]
+    assert len(g.arcs) == len(g.arc_set) == 100_000
+    assert g.arcs[:3] == ((0, 1), (0, 49_999), (1, 0))
+
+
+def test_partition_labels_repeat_with_the_period_of_the_steps():
+    # kind "C" labels of vertex u depend on u mod gcd(n, s) for every s; kind "B" on nothing
+    g = cp.build(12, (2, 3, 9, 10), cp.UNDIRECTED)
+    for kind, period in (("B", 1), ("C", 6)):
+        labels = cp.arc_partition(g, kind).labels
+        assert labels == labels[: 4 * period] * (12 // period)
+    assert cp.arc_partition(g, "C").labels[:24] == (0, 2, 2, 0, 1, 3, 3, 1, 0, 4, 4, 0, 1, 2, 2, 1, 0, 3, 3, 0, 1, 4, 4, 1)
+
+
 def test_a_large_inverse_closed_set_is_refused_quickly():
     # 40,000 elements: an inverse-closure test quadratic in |S| takes tens of seconds on this set
     elements = [*range(1, 20_001), *range(180_000, 200_000)]

@@ -152,6 +152,41 @@ def test_sweeps_count_and_certify_without_listing(monkeypatch):
     assert max(row.aut_c for row in report.instances) == 3840  # 12:6:u, six edges
 
 
+def test_sweeps_never_build_transversals_unless_they_list(monkeypatch):
+    # conjugation maps only the base and the generators, and only listing for the oracle reads
+    # transversals, so a sweep that does not list never reads nor builds any
+    def refuse(group):
+        raise AssertionError("transversals built")
+
+    monkeypatch.setattr(cp.RespectingGroup, "transversals", property(refuse))
+    spec = cp.SweepSpec(n_min=2, n_max=9)
+    report = cp.verify_theorem(spec)
+    assert report.failures == ()
+    assert report.aggregates["instances"] == len(list(cp.generate_instances(spec))) == 554
+    listed = cp.verify_theorem(cp.SweepSpec(n_min=2, n_max=4, enumerator="both"))
+    assert {row.verdict for row in listed.instances} == {"error"}
+
+
+def test_sweeps_never_pass_the_identity_to_respects(monkeypatch):
+    import circpart.harness as harness
+
+    seen = []
+    real = harness.respects
+
+    def recording(p, partition):
+        seen.append(p)
+        return real(p, partition)
+
+    monkeypatch.setattr(harness, "respects", recording)
+    spec = cp.SweepSpec(n_min=2, n_max=9)
+    report = cp.verify_theorem(spec)
+    assert report.failures == ()
+    assert all(p != tuple(range(len(p))) for p in seen)
+    # every other multiplier of every set is checked, once per kind
+    assert len(seen) == sum(2 * (len(cp.multipliers(cs.n, cs.elements)) - 1) for cs in cp.generate_instances(spec))
+    assert len(seen) > 0
+
+
 def test_sweeps_check_each_multiplier_and_each_generator(monkeypatch):
     # the real checks never fail, so stubs that always fail show what the sweep checks
     import circpart.harness as harness

@@ -215,9 +215,12 @@ def test_conjugation_carries_each_group_across_its_unit_orbit():
                 for kind in ("B", "C"):
                     group = cp.respecting_group(source, cp.arc_partition(source, kind))
                     moved = group.conjugate(m)
+                    assert moved.order == group.order
+                    back = cp.multiplier_perm(n, moved_by[rep])  # m^-1
+                    assert moved.strong_generators() == [compose(m, compose(p, back)) for p in group.strong_generators()]
                     assert moved.elements() == cp.respecting_group(target, cp.arc_partition(target, kind)).elements()
                     assert moved.base == tuple(m[b] for b in group.base)
-                    assert_stabilizer_chain(moved, n)
+                    assert_stabilizer_chain(moved, n)  # on transversals read after the fact
 
 
 def multiplier_maps(n, elements):
