@@ -165,23 +165,28 @@ class ArcPartition:
     """A partition of the arcs of Circ(n; S), stored as one label per arc.
 
     ``labels[u*|S| + k]`` is the part of arc (u, u+s_k), for s_k the k-th
-    element of the ascending S. ``slot[d]`` is k for d = s_k and -1 for d not
-    in S, and ``sizes`` counts each part's arcs. The storage is internal:
-    ``parts()`` gives each part as arcs and metadata.
+    element of the ascending S; ``count`` parts are labelled 0 to count-1.
+    ``slot[d]`` is k for d = s_k and -1 for d not in S. ``sizes`` counts each
+    part's arcs on first read, which only the search does in a sweep. The
+    storage is internal: ``parts()`` gives each part as arcs and metadata.
     """
 
     kind: str
     cs: ConnectionSet
     labels: tuple[int, ...]
     slot: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in PARTITION_KINDS:
             raise ValueError(f"kind must be one of {PARTITION_KINDS}, got {self.kind!r}")
-        index, counts = {s: k for k, s in enumerate(self.cs.elements)}, Counter(self.labels)
+        index = {s: k for k, s in enumerate(self.cs.elements)}
         object.__setattr__(self, "slot", tuple(map(index.get, range(self.cs.n), [-1] * self.cs.n)))
-        object.__setattr__(self, "sizes", tuple(counts[label] for label in range(max(counts) + 1)))
+        object.__setattr__(self, "count", max(self.labels) + 1)
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(map(Counter(self.labels).__getitem__, range(self.count)))
 
     def parts(self) -> tuple:
         """Each part, by label, as (sorted arcs, generators, coset): the s with
@@ -189,7 +194,7 @@ class ArcPartition:
         kind "B"). An undirected part holds both arcs of each of its edges.
         """
         n, elements = self.cs.n, self.cs.elements
-        arcs: list[list] = [[] for _ in self.sizes]
+        arcs: list[list] = [[] for _ in range(self.count)]
         for a, label in enumerate(self.labels):
             u, k = divmod(a, len(elements))
             arcs[label].append((u, (u + elements[k]) % n))

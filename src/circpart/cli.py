@@ -29,7 +29,6 @@ from .solver import (
     normalize_to_multiplier,
     propagation_certifier,
 )
-from .zmod import multipliers
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1

@@ -20,9 +20,11 @@ import itertools
 import json
 import math
 import multiprocessing
+import operator
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii as _json_str  # what json.dumps writes a str as
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -111,35 +113,42 @@ class InstanceResult:
     ms: float | None = field(default=None, compare=False)
 
 
-def _blank_if_none(fmt):
-    return lambda value: "" if value is None else fmt(value)
+def _if_none(blank, fmt):
+    return lambda value: blank if value is None else fmt(value)
+
+
+_json_flag = {True: "true", False: "false"}.__getitem__
+
+
+def _json_list(elements):  # as json.dumps(..., indent=2) writes a list of ints inside a row
+    return "[\n        " + ",\n        ".join(map(str, elements)) + "\n      ]" if elements else "[]"
 
 
 class _Column(NamedTuple):
     field: str  # InstanceResult attribute
     key: str  # JSON key and CSV header
-    csv: Callable | None = str  # CSV cell format; None leaves the column out of the CSV
-    json: bool = True
+    csv: Callable | None  # CSV cell format; None leaves the column out of the CSV
+    json: Callable | None  # JSON value format; None leaves the column out of the JSON
 
 
 # The one row schema behind report_to_json, load_report and report_to_csv.
 # JSON leaves out the wall-clock timing so that reports stay byte-stable.
 _COLUMNS = (
-    _Column("n", "n"),
-    _Column("elements", "set", lambda elements: ",".join(str(s) for s in elements)),
-    _Column("mode", "mode", lambda mode: "d" if mode == DIRECTED else "u"),
-    _Column("connected", "connected", lambda flag: str(flag).lower()),
-    _Column("parts_b", "parts_B", _blank_if_none(str)),
-    _Column("parts_c", "parts_C", _blank_if_none(str)),
-    _Column("aut_b", "aut_B", _blank_if_none(str)),
-    _Column("aut_c", "aut_C", _blank_if_none(str)),
-    _Column("multiplier_count", "multipliers", _blank_if_none(str)),
-    _Column("verdict", "verdict"),
-    _Column("prop_covered", "prop_covered", csv=None),
-    _Column("prop_rounds", "prop_rounds", _blank_if_none(str)),
-    _Column("ms", "ms", _blank_if_none("{:.3f}".format), json=False),
+    _Column("n", "n", str, str),
+    _Column("elements", "set", lambda elements: ",".join(str(s) for s in elements), _json_list),
+    _Column("mode", "mode", lambda mode: "d" if mode == DIRECTED else "u", _json_str),
+    _Column("connected", "connected", _json_flag, _json_flag),
+    _Column("parts_b", "parts_B", _if_none("", str), _if_none("null", str)),
+    _Column("parts_c", "parts_C", _if_none("", str), _if_none("null", str)),
+    _Column("aut_b", "aut_B", _if_none("", str), _if_none("null", str)),
+    _Column("aut_c", "aut_C", _if_none("", str), _if_none("null", str)),
+    _Column("multiplier_count", "multipliers", _if_none("", str), _if_none("null", str)),
+    _Column("verdict", "verdict", str, _json_str),
+    _Column("prop_covered", "prop_covered", None, _if_none("null", _json_flag)),
+    _Column("prop_rounds", "prop_rounds", _if_none("", str), _if_none("null", str)),
+    _Column("ms", "ms", _if_none("", "{:.3f}".format), None),
 )
-_JSON_COLUMNS = tuple(c for c in _COLUMNS if c.json)
+_JSON_COLUMNS = tuple(sorted((c for c in _COLUMNS if c.json is not None), key=lambda c: c.key))  # in sort_keys order
 _CSV_COLUMNS = tuple(c for c in _COLUMNS if c.csv is not None)
 CSV_COLUMNS = tuple(c.key for c in _CSV_COLUMNS)
 
@@ -228,17 +237,17 @@ def _evaluate(spec: SweepSpec, orbit) -> list:
         failures: list[SweepFailure] = []
         checked = None
         try:
-            row, checked = _check_instance(spec, cs, failures, source, j)
+            row, checked = _check_instance(spec, cs, failures, source, j, started)
         except Exception as exc:
             failures.append(SweepFailure(instance_key(cs), f"{type(exc).__name__}: {exc}"))
             row = InstanceResult(
                 cs.n, cs.elements, cs.mode, connected=math.gcd(cs.n, *cs.elements) == 1,
                 parts_b=None, parts_c=None, aut_b=None, aut_c=None, multiplier_count=None,
-                verdict="error", prop_covered=None, prop_rounds=None,
+                verdict="error", prop_covered=None, prop_rounds=None, ms=(time.perf_counter() - started) * 1e3,
             )
         if index == 0:
             source = checked
-        out.append((replace(row, ms=(time.perf_counter() - started) * 1e3), tuple(failures)))
+        out.append((row, tuple(failures)))
     return out
 
 
@@ -274,9 +283,9 @@ def _transported(source: _Source, n: int, j: int, partitions: dict, units: tuple
 
 
 def _check_instance(
-    spec: SweepSpec, cs: ConnectionSet, failures: list, source: _Source | None, j: int
+    spec: SweepSpec, cs: ConnectionSet, failures: list, source: _Source | None, j: int, started: float
 ) -> tuple[InstanceResult, _Source]:
-    """Compute one row, appending what fails to ``failures``; return it with this set's groups.
+    """Compute one row, timed from ``started``, appending what fails to ``failures``; return it with this set's groups.
 
     The groups are searched, or, given the ``source`` of a set R with
     ``cs`` = j*R, transported from R's. Every check runs on this set's own
@@ -337,14 +346,15 @@ def _check_instance(
         elements=elements,
         mode=cs.mode,
         connected=connected,
-        parts_b=len(partitions["B"].sizes),
-        parts_c=len(partitions["C"].sizes),
+        parts_b=partitions["B"].count,
+        parts_c=partitions["C"].count,
         aut_b=aut_counts.get("B"),
         aut_c=aut_counts.get("C"),
         multiplier_count=len(units),
         verdict=verdict,
         prop_covered=trace.covered,
         prop_rounds=trace.total_rounds,
+        ms=(time.perf_counter() - started) * 1e3,
     ), _Source(key, units, partitions, groups)
 
 
@@ -420,8 +430,10 @@ def verify_theorem(spec: SweepSpec) -> VerificationReport:
     )
 
 
-def _row_to_json(row: InstanceResult) -> dict:
-    return {c.key: getattr(row, c.field) for c in _JSON_COLUMNS}
+# A row as json.dumps(..., sort_keys=True, indent=2) writes it in the "instances" list, and its cells.
+_JSON_ROW = "    {{\n" + ",\n".join(f"      {json.dumps(c.key)}: {{}}" for c in _JSON_COLUMNS) + "\n    }}"
+_JSON_FORMATS = tuple(c.json for c in _JSON_COLUMNS)
+_json_values = operator.attrgetter(*(c.field for c in _JSON_COLUMNS))
 
 
 def _row_from_json(item: dict) -> InstanceResult:
@@ -431,14 +443,25 @@ def _row_from_json(item: dict) -> InstanceResult:
 
 
 def report_to_json(report: VerificationReport) -> str:
-    """Byte-stable JSON rendering; timings are deliberately not included."""
-    payload = {
-        "sweep": report.spec_echo,
+    """Byte-stable JSON rendering; timings are deliberately not included.
+
+    Byte for byte ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` of the sweep echo, the
+    aggregates, the rows and the failures. ``indent`` selects the pure-Python encoder, so the rows,
+    nearly all of the text, are written from the row schema; the rest goes through ``json.dumps``,
+    indented one level deeper.
+    """
+    rows = ",\n".join(
+        _JSON_ROW.format(*[fmt(value) for fmt, value in zip(_JSON_FORMATS, _json_values(row))])
+        for row in report.instances
+    )
+    sections = {
         "aggregates": report.aggregates,
-        "instances": [_row_to_json(row) for row in report.instances],
         "failures": [{"instance": f.instance, "message": f.message} for f in report.failures],
+        "sweep": report.spec_echo,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = {key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ") for key, value in sections.items()}
+    text["instances"] = f"[\n{rows}\n  ]" if rows else "[]"
+    return "{\n" + ",\n".join(f"  {json.dumps(key)}: {text[key]}" for key in sorted(text)) + "\n}\n"
 
 
 def load_report(text: str) -> VerificationReport:

@@ -49,7 +49,7 @@ def part_map(p: Perm, source: "ArcPartition", target: "ArcPartition") -> list[in
     if len(source.labels) != len(target.labels) or not is_permutation(p):
         raise ValueError(_NOT_AN_AUTOMORPHISM)
     slot, labels, image_labels, width = target.slot, source.labels, target.labels, len(target.cs.elements)
-    image = [-1] * len(source.sizes)
+    image = [-1] * source.count
     clash = False
     wrapped = p + p  # wrapped[u+s] is p[(u+s) mod n], and slot[d-n] is slot[d]
     a = 0  # the index u*|S|+k of the arc (u, u+s_k)

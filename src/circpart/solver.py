@@ -19,6 +19,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -436,6 +437,14 @@ def _is_coset_union(fixed: set, n: int, d: int) -> bool:
     return len({x % q for x in fixed}) * d == len(fixed)
 
 
+@functools.lru_cache(maxsize=64)  # at most one key per pair of divisors of n; the bound caps the memory held
+def _stage_start(n: int, step: int, next_step: int, d: int) -> tuple[tuple[int, ...], bool]:
+    """A stage's start, the subgroups of steps ``step`` and ``next_step`` joined and sorted, and
+    whether it is a union of cosets of the subgroup of order d: shared by every set with these numbers."""
+    fixed = {*range(0, n, step), *range(0, n, next_step)}
+    return tuple(sorted(fixed)), _is_coset_union(fixed, n, d)
+
+
 def propagation_certifier(graph: CirculantGraph, order: tuple[int, ...] | None = None) -> PropagationTrace:
     """Replay the fixed-set closure over the generators, one stage per new generator.
 
@@ -458,46 +467,35 @@ def propagation_certifier(graph: CirculantGraph, order: tuple[int, ...] | None =
     step = math.gcd(n, gens[0])  # the fixed subgroup starts as <s_1>
     for k in range(1, len(gens)):
         s_next = gens[k]
-        subgroup_order = n // step
-        next_order = n // math.gcd(n, s_next)
+        next_step = math.gcd(n, s_next)
+        subgroup_order, next_order = n // step, n // next_step
         d = math.gcd(subgroup_order, next_order)
-        new_step = math.gcd(step, s_next)
-        members = range(0, n, new_step)
+        members = range(0, n, math.gcd(step, s_next))  # the enlarged subgroup
 
-        fixed = {*range(0, n, step), *range(0, n, math.gcd(n, s_next))}  # inside the enlarged subgroup
-        start = tuple(sorted(fixed))
-        coset_ok = _is_coset_union(fixed, n, d)
-        earlier = gens[:k]
+        start, coset_ok = _stage_start(n, step, next_step, d)
+        fixed = start  # a full subgroup has nothing left to add
         rounds = []
-        while len(fixed) < len(members):  # a full subgroup has nothing left to add
-            added = tuple(
-                x
-                for x in members
-                if x not in fixed
-                and (x - s_next) % n in fixed
-                and any((x - s_y) % n in fixed for s_y in earlier)
-            )
-            if not added:
-                break
-            fixed.update(added)
-            rounds.append(added)
-            coset_ok = coset_ok and _is_coset_union(fixed, n, d)
+        if len(start) < len(members):
+            fixed, earlier = set(start), gens[:k]
+            while len(fixed) < len(members):
+                added = tuple(
+                    x
+                    for x in members
+                    if x not in fixed
+                    and (x - s_next) % n in fixed
+                    and any((x - s_y) % n in fixed for s_y in earlier)
+                )
+                if not added:
+                    break
+                fixed.update(added)
+                rounds.append(added)
+                coset_ok = coset_ok and _is_coset_union(fixed, n, d)
 
+        final, closed = tuple(sorted(fixed)) if rounds else start, len(fixed) == len(members)
         stages.append(
-            PropagationStage(
-                k=k,
-                s_next=s_next,
-                subgroup_order=subgroup_order,
-                next_order=next_order,
-                d=d,
-                start=start,
-                rounds=tuple(rounds),
-                final=tuple(sorted(fixed)) if rounds else start,
-                closed=len(fixed) == len(members),
-                coset_union_ok=coset_ok,
-            )
+            PropagationStage(k, s_next, subgroup_order, next_order, d, start, tuple(rounds), final, closed, coset_ok)
         )
-        step = new_step
+        step = members.step
 
     final_fixed = stages[-1].final if stages else tuple(range(0, n, step))
     covered = len(final_fixed) == n and all(stage.closed for stage in stages)

@@ -6,6 +6,7 @@ multipliers that stabilize a connection set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,6 +60,12 @@ def crt_combine(congruences) -> int:
     return x
 
 
+@functools.lru_cache(maxsize=64)  # a sweep meets one n at a time; the bound caps the memory held
+def _units(n: int) -> tuple[int, ...]:
+    """The unit group of Z_n, ascending."""
+    return tuple(j for j in range(1, n) if math.gcd(j, n) == 1)
+
+
 def multipliers(n: int, elements) -> tuple[int, ...]:
     """Units j of Z_n whose multiplication map sends the set S onto itself.
 
@@ -68,11 +75,10 @@ def multipliers(n: int, elements) -> tuple[int, ...]:
     s_set = frozenset(elements)
     for s in s_set:
         _check_residue(n, s)
-    return tuple(
-        j
-        for j in range(1, n)
-        if math.gcd(j, n) == 1 and {(j * s) % n for s in s_set} == s_set
-    )
+    if not s_set:
+        return _units(n)
+    first = min(s_set)  # j*S = S needs j*first in S, a cheap test that rejects most units
+    return tuple(j for j in _units(n) if j * first % n in s_set and {(j * s) % n for s in s_set} == s_set)
 
 
 @dataclass(frozen=True)
@@ -87,9 +93,7 @@ class MultiplierWitness:
     combined: int
 
     def __post_init__(self):
-        n = 1
-        for q, _ in self.residues:
-            n *= q
+        n = self.modulus
         if n < 2:
             raise ValueError("witness needs a combined modulus of at least 2")
         if not 1 <= self.combined <= n - 1:
@@ -102,7 +106,4 @@ class MultiplierWitness:
 
     @property
     def modulus(self) -> int:
-        out = 1
-        for q, _ in self.residues:
-            out *= q
-        return out
+        return math.prod(q for q, _ in self.residues)

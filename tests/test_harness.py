@@ -355,6 +355,49 @@ def test_json_round_trip(tmp_path):
     assert cp.report_to_json(loaded) == text
 
 
+def reference_json(report):
+    """The report through json.dumps, with every row key written out here."""
+    rows = [
+        {
+            "n": r.n, "set": list(r.elements), "mode": r.mode, "connected": r.connected,
+            "parts_B": r.parts_b, "parts_C": r.parts_c, "aut_B": r.aut_b, "aut_C": r.aut_c,
+            "multipliers": r.multiplier_count, "verdict": r.verdict,
+            "prop_covered": r.prop_covered, "prop_rounds": r.prop_rounds,
+        }
+        for r in report.instances
+    ]
+    payload = {
+        "sweep": report.spec_echo,
+        "aggregates": report.aggregates,
+        "instances": rows,
+        "failures": [{"instance": f.instance, "message": f.message} for f in report.failures],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_rows_are_written_as_json_dumps_writes_them():
+    swept = cp.verify_theorem(cp.SweepSpec(n_min=2, n_max=7))
+    error = cp.InstanceResult(
+        6, (2, 4), cp.UNDIRECTED, False, None, None, None, None, None, "error", None, None, ms=0.5
+    )
+    odd = cp.InstanceResult(5, (1,), cp.DIRECTED, True, 1, 1, 1, 1, 1, 'qu"ote \\ caf\u00e9 \u2203', False, 0)
+    failures = (
+        cp.SweepFailure("6:2,4:u", 'ZeroDivisionError: "x" \\ n/0 \u2260 \u00e9\t\n'),
+        cp.SweepFailure("5:1:d", "kind C: \U0001d4aa"),
+    )
+    crafted = cp.VerificationReport(
+        {**swept.spec_echo, "note": 'a "b" \\ \u00fc'}, swept.instances[:3] + (error, odd),
+        {**swept.aggregates, "error": 1}, failures,
+    )
+    empty = cp.verify_theorem(cp.SweepSpec(n_min=5, n_max=4))
+    for report in (swept, crafted, empty):
+        text = cp.report_to_json(report)
+        assert text == reference_json(report)
+        loaded = cp.load_report(text)
+        assert cp.report_to_json(loaded) == reference_json(loaded) == text
+    assert cp.report_to_json(empty).count("[]") == 2  # no rows and no failures
+
+
 def test_export_rejects_unknown_format(tmp_path):
     report = cp.verify_theorem(cp.SweepSpec(n_min=5, n_max=4))
     with pytest.raises(ValueError):

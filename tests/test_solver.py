@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import circpart as cp
+from circpart import solver
 from conftest import compose, connection_sets, directed_subsets, identity, inverse_closed_subsets, search_cap, solution_cap
 
 
@@ -412,6 +413,15 @@ def test_propagation_trace_on_two_coprime_generators():
     assert reordered.generator_order == (4, 3)
     assert reordered.covered
     assert closure_oracle(12, (4, 3))[0][0] == reordered.stages[0].rounds
+
+
+def test_stages_that_run_rounds_leave_the_shared_starts_unchanged():
+    graphs = [cp.build(n, elements, cp.DIRECTED) for n in range(2, 11) for elements in directed_subsets(n)]
+    first = [cp.propagation_certifier(g) for g in graphs]
+    assert sum(trace.total_rounds for trace in first) > 0
+    assert [cp.propagation_certifier(g) for g in graphs] == first
+    solver._stage_start.cache_clear()
+    assert [cp.propagation_certifier(g) for g in graphs] == first
 
 
 def test_propagation_disconnected_stays_in_span():

@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import circpart as cp
+from circpart import zmod
 from circpart.zmod import MultiplierWitness
 from conftest import order_mod
 
@@ -138,6 +140,16 @@ def test_multipliers_form_a_group(pair):
         assert pow(a, -1, n) in members
         for b in group:
             assert (a * b) % n in members
+
+
+def test_cached_unit_groups_are_the_units_and_give_the_multipliers():
+    rng = random.Random(13)
+    for n in range(2, 201):
+        assert zmod._units(n) == tuple(j for j in range(n) if math.gcd(j, n) == 1)
+        for _ in range(3):
+            elements = tuple(sorted(rng.sample(range(1, n), rng.randint(1, min(n - 1, 6)))))
+            assert cp.multipliers(n, elements) == units_scan_oracle(n, elements)
+    assert cp.multipliers(12, ()) == (1, 5, 7, 11)  # every unit maps the empty set onto itself
 
 
 @given(st.integers(1, 100_000))
