@@ -11,13 +11,11 @@ from .circulant import (
     DIRECTED,
     UNDIRECTED,
     ArcPartition,
-    CirculantGraph,
     ConnectionSet,
     InvalidInstanceError,
     ResourceLimitError,
     arc_partition,
     build,
-    from_instance,
     instance_key,
     is_connected,
     parse_instance,
@@ -74,7 +72,6 @@ __all__ = [
     "DEFAULT_ORACLE_LIMIT",
     "DEFAULT_SEARCH_CAP",
     "ArcPartition",
-    "CirculantGraph",
     "ConnectionSet",
     "InstanceResult",
     "InvalidInstanceError",
@@ -96,7 +93,6 @@ __all__ = [
     "export_report",
     "factorize",
     "format_perm",
-    "from_instance",
     "generate_instances",
     "instance_key",
     "is_automorphism",

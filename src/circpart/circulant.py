@@ -19,9 +19,10 @@ DIRECTED = "directed"
 UNDIRECTED = "undirected"
 
 PARTITION_KINDS = ("B", "C")
-# Largest n*|S| that ``build`` accepts. Under tracemalloc at this limit, ``build`` itself allocates
-# no arc, both ``arc_partition`` calls peak at 19-29 bytes per arc (the labels and slot tables), and
-# a first read of ``arcs``/``arc_set`` raises the peak to 205-215 bytes per arc, so at most 22 MB.
+# Largest n*|S| that a ``ConnectionSet`` accepts. Under tracemalloc at this limit, ``build`` itself
+# allocates no arc (under 15 kB), both ``arc_partition`` calls peak at 16-50 bytes per arc (the labels),
+# a first read of the shared ``slot`` table adds at most 17 bytes per vertex, and a first read of
+# ``arcs``/``arc_set`` raises the peak to 190-215 bytes per arc, so at most 22 MB.
 MAX_ARCS = 100_000
 
 
@@ -35,7 +36,15 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConnectionSet:
-    """The pair (n, S) defining Circ(n; S), in directed or undirected mode."""
+    """Circ(n; S): the pair (n, S), in directed or undirected mode, is the graph.
+
+    Its arcs (g, g+s), built on first read as a sorted tuple and as a set,
+    hold an undirected edge as its two opposite arcs. The partitions need
+    only S, so a graph whose arcs no check reads never builds them.
+    ``slot[d]``, built on first read and shared by both partitions, is k
+    for d = s_k, the k-th element of S, and -1 for d not in S. A set of
+    more than ``MAX_ARCS`` arcs is refused before any arc is built.
+    """
 
     n: int
     elements: tuple[int, ...]
@@ -60,22 +69,13 @@ class ConnectionSet:
                 raise InvalidInstanceError(
                     f"undirected connection set must contain n-s for every s; missing inverses of {missing}"
                 )
+        arc_count = self.n * len(self.elements)
+        if arc_count > MAX_ARCS:
+            raise ResourceLimitError(f"Circ({self.n}; S) would have {arc_count} arcs, more than the limit {MAX_ARCS}")
 
     @property
     def directed(self) -> bool:
         return self.mode == DIRECTED
-
-
-@dataclass(frozen=True)
-class CirculantGraph:
-    """Circ(n; S), whose arcs are built on first read, as a sorted tuple and as a set.
-
-    Both modes hold every arc (g, g+s), so an undirected edge is its two
-    opposite arcs. The partitions need only S, so a graph whose arcs no
-    check reads never builds them.
-    """
-
-    cs: ConnectionSet
 
     @cached_property
     def arcs(self) -> tuple[tuple[int, int], ...]:
@@ -86,36 +86,18 @@ class CirculantGraph:
     def arc_set(self) -> frozenset:
         return frozenset(self.arcs)
 
-    @property
-    def n(self) -> int:
-        return self.cs.n
-
-    @property
-    def elements(self) -> tuple[int, ...]:
-        return self.cs.elements
-
-    @property
-    def mode(self) -> str:
-        return self.cs.mode
-
-    @property
-    def directed(self) -> bool:
-        return self.cs.directed
+    @cached_property
+    def slot(self) -> tuple[int, ...]:
+        index = {s: k for k, s in enumerate(self.elements)}
+        return tuple(map(index.get, range(self.n), [-1] * self.n))
 
 
-def build(n: int, elements, mode: str) -> CirculantGraph:
-    """Construct and validate Circ(n; S) for the given mode.
-
-    Refuses, before any arc is built, a graph of more than ``MAX_ARCS`` arcs.
-    """
-    cs = ConnectionSet(n, tuple(sorted(set(elements))), mode)
-    arc_count = n * len(cs.elements)
-    if arc_count > MAX_ARCS:
-        raise ResourceLimitError(f"Circ({n}; S) would have {arc_count} arcs, more than the limit {MAX_ARCS}")
-    return CirculantGraph(cs)
+def build(n: int, elements, mode: str) -> ConnectionSet:
+    """Circ(n; S) from S in any order, with duplicates dropped."""
+    return ConnectionSet(n, tuple(sorted(set(elements))), mode)
 
 
-def is_connected(graph: CirculantGraph) -> bool:
+def is_connected(graph: ConnectionSet) -> bool:
     """True iff the connection set generates all of Z_n, i.e. gcd(n, S) = 1."""
     return math.gcd(graph.n, *graph.elements) == 1
 
@@ -150,11 +132,6 @@ def parse_instance(text: str) -> ConnectionSet:
     return ConnectionSet(n, elements, mode)
 
 
-def from_instance(text: str) -> CirculantGraph:
-    cs = parse_instance(text)
-    return build(cs.n, cs.elements, cs.mode)
-
-
 def instance_key(cs: ConnectionSet) -> str:
     """Canonical one-line form, e.g. ``8:1,2:d``."""
     return f"{cs.n}:{','.join(str(s) for s in cs.elements)}:{'d' if cs.directed else 'u'}"
@@ -166,22 +143,19 @@ class ArcPartition:
 
     ``labels[u*|S| + k]`` is the part of arc (u, u+s_k), for s_k the k-th
     element of the ascending S; ``count`` parts are labelled 0 to count-1.
-    ``slot[d]`` is k for d = s_k and -1 for d not in S. ``sizes`` counts each
-    part's arcs on first read, which only the search does in a sweep. The
-    storage is internal: ``parts()`` gives each part as arcs and metadata.
+    ``sizes`` counts each part's arcs on first read, which only the search
+    does in a sweep. The storage is internal: ``parts()`` gives each part as
+    arcs and metadata.
     """
 
     kind: str
     cs: ConnectionSet
     labels: tuple[int, ...]
-    slot: tuple[int, ...] = field(init=False, repr=False, compare=False)
     count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in PARTITION_KINDS:
             raise ValueError(f"kind must be one of {PARTITION_KINDS}, got {self.kind!r}")
-        index = {s: k for k, s in enumerate(self.cs.elements)}
-        object.__setattr__(self, "slot", tuple(map(index.get, range(self.cs.n), [-1] * self.cs.n)))
         object.__setattr__(self, "count", max(self.labels) + 1)
 
     @cached_property
@@ -204,7 +178,7 @@ class ArcPartition:
         )
 
 
-def arc_partition(graph: CirculantGraph, kind: str) -> ArcPartition:
+def arc_partition(graph: ConnectionSet, kind: str) -> ArcPartition:
     """Build the kind "B" or kind "C" partition of the graph's arcs.
 
     The generators fall into classes, {s} in directed mode and {s, n-s} in
@@ -216,28 +190,28 @@ def arc_partition(graph: CirculantGraph, kind: str) -> ArcPartition:
     generator in undirected mode) and a kind "B" part is the union of its
     class's kind "C" parts. Parts are ordered by least generator, then coset.
     """
-    cs, n = graph.cs, graph.n
+    n = graph.n
     first: dict[int, int] = {}  # least member of a class -> its first label
     offsets, steps = [], []
     count = 0
-    for s in cs.elements:  # ascending, so a class is met first at its least member
+    for s in graph.elements:  # ascending, so a class is met first at its least member
         step = 1 if kind == "B" else math.gcd(n, s)  # the same for s and n-s
-        least = s if cs.directed else min(s, n - s)
+        least = s if graph.directed else min(s, n - s)
         if least not in first:
             first[least], count = count, count + step
         offsets.append(first[least])
         steps.append(step)
     period = math.lcm(*steps)  # divides n; the labels of vertex u depend on u mod period only
     labels = [offset + u % step for u in range(period) for offset, step in zip(offsets, steps)]
-    return ArcPartition(kind, cs, tuple(labels) * (n // period))
+    return ArcPartition(kind, graph, tuple(labels) * (n // period))
 
 
-def partition_by_generator(graph: CirculantGraph) -> ArcPartition:
+def partition_by_generator(graph: ConnectionSet) -> ArcPartition:
     """Kind "B": arcs grouped by the generator that produced them."""
     return arc_partition(graph, "B")
 
 
-def partition_by_cycle(graph: CirculantGraph) -> ArcPartition:
+def partition_by_cycle(graph: ConnectionSet) -> ArcPartition:
     """Kind "C": one part per monochromatic cycle; refines kind "B"."""
     return arc_partition(graph, "C")
 

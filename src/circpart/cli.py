@@ -17,9 +17,9 @@ from .circulant import (
     InvalidInstanceError,
     ResourceLimitError,
     arc_partition,
-    from_instance,
     instance_key,
     is_connected,
+    parse_instance,
 )
 from .harness import SweepSpec, export_report, verify_theorem
 from .perm import format_perm, parse_perm
@@ -37,21 +37,20 @@ EXIT_RESOURCE = 3
 
 
 def _cmd_build(args) -> int:
-    graph = from_instance(args.instance)
-    cs = graph.cs
-    print(f"instance: {instance_key(cs)}")
-    print(f"mode: {cs.mode}")
-    print(f"vertices: {cs.n}")
-    print(f"arcs: {len(graph.arcs)}" if cs.directed else f"edges: {len(graph.arcs) // 2}")
-    print(f"generators: {', '.join(str(s) for s in cs.elements)}")
+    graph = parse_instance(args.instance)
+    print(f"instance: {instance_key(graph)}")
+    print(f"mode: {graph.mode}")
+    print(f"vertices: {graph.n}")
+    print(f"arcs: {len(graph.arcs)}" if graph.directed else f"edges: {len(graph.arcs) // 2}")
+    print(f"generators: {', '.join(str(s) for s in graph.elements)}")
     print(f"connected: {str(is_connected(graph)).lower()}")
     return EXIT_OK
 
 
 def _cmd_partition(args) -> int:
-    graph = from_instance(args.instance)
+    graph = parse_instance(args.instance)
     partition = arc_partition(graph, args.kind)
-    print(f"instance: {instance_key(graph.cs)}")
+    print(f"instance: {instance_key(graph)}")
     print(f"kind: {partition.kind}")
     parts = partition.parts()
     print(f"parts: {len(parts)}")
@@ -64,7 +63,7 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_autos(args) -> int:
-    graph = from_instance(args.instance)
+    graph = parse_instance(args.instance)
     partition = arc_partition(graph, args.kind)
     if args.oracle:
         [sols] = brute_oracle(graph, [partition], fix_zero=args.fix_zero)
@@ -77,7 +76,7 @@ def _cmd_autos(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    graph = from_instance(args.instance)
+    graph = parse_instance(args.instance)
     p = parse_perm(args.perm)
     witness = normalize_to_multiplier(graph, p)
     if witness is None:
@@ -91,7 +90,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_propagate(args) -> int:
-    graph = from_instance(args.instance)
+    graph = parse_instance(args.instance)
     order = None
     if args.order is not None:
         try:
@@ -99,7 +98,7 @@ def _cmd_propagate(args) -> int:
         except ValueError as exc:
             raise InvalidInstanceError(f"malformed --order {args.order!r}: {exc}") from None
     trace = propagation_certifier(graph, order)
-    print(f"instance: {instance_key(graph.cs)}")
+    print(f"instance: {instance_key(graph)}")
     print(f"generator order: {', '.join(str(s) for s in trace.generator_order)}")
     for stage in trace.stages:
         print(

@@ -13,6 +13,7 @@ exports, which are byte-stable.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import io
@@ -32,7 +33,6 @@ from .circulant import (
     DIRECTED,
     UNDIRECTED,
     ConnectionSet,
-    build,
     instance_key,
     is_connected,
     partition_by_cycle,
@@ -241,7 +241,7 @@ def _evaluate(spec: SweepSpec, orbit) -> list:
         except Exception as exc:
             failures.append(SweepFailure(instance_key(cs), f"{type(exc).__name__}: {exc}"))
             row = InstanceResult(
-                cs.n, cs.elements, cs.mode, connected=math.gcd(cs.n, *cs.elements) == 1,
+                cs.n, cs.elements, cs.mode, connected=is_connected(cs),
                 parts_b=None, parts_c=None, aut_b=None, aut_c=None, multiplier_count=None,
                 verdict="error", prop_covered=None, prop_rounds=None, ms=(time.perf_counter() - started) * 1e3,
             )
@@ -294,20 +294,19 @@ def _check_instance(
     compare it with the oracle scan.
     """
     n, elements = cs.n, cs.elements
-    graph = build(n, elements, cs.mode)
-    key = instance_key(graph.cs)
-    connected = is_connected(graph)
-    partitions = {"B": partition_by_generator(graph), "C": partition_by_cycle(graph)}
+    key = instance_key(cs)
+    connected = is_connected(cs)
+    partitions = {"B": partition_by_generator(cs), "C": partition_by_cycle(cs)}
     units = multipliers(n, elements)
     if source is None:
-        groups = {kind: respecting_group(graph, partitions[kind]) for kind in spec.kinds}
+        groups = {kind: respecting_group(cs, partitions[kind]) for kind in spec.kinds}
     else:
         groups = _transported(source, n, j, partitions, units)
     moved_by = [multiplier_perm(n, u) for u in units if u != 1]  # the identity respects every partition
 
     aut_counts = {kind: group.order for kind, group in groups.items()}
     if spec.enumerator == "both":
-        oracle = dict(zip(spec.kinds, brute_oracle(graph, [partitions[kind] for kind in spec.kinds], fix_zero=True)))
+        oracle = dict(zip(spec.kinds, brute_oracle(cs, [partitions[kind] for kind in spec.kinds], fix_zero=True)))
     outcomes = []
     for kind in spec.kinds:
         part = partitions[kind]
@@ -322,7 +321,7 @@ def _check_instance(
             gens = group.strong_generators()
             if connected:
                 for p in gens:
-                    witness = normalize_to_multiplier(graph, p)
+                    witness = normalize_to_multiplier(cs, p)
                     if witness is None or multiplier_perm(n, witness.combined) != p:
                         failures.append(SweepFailure(key, f"multiplier normalization failed for {p}"))
             subsets = [(s,) for s in elements]
@@ -330,7 +329,7 @@ def _check_instance(
                 subsets.append(elements)
             for p in gens:
                 for sub in subsets:
-                    if not coset_image_check(graph, p, sub):
+                    if not coset_image_check(cs, p, sub):
                         failures.append(SweepFailure(key, f"coset image check failed for {p} on {sub}"))
 
     if all(equal for equal, _ in outcomes):
@@ -340,7 +339,7 @@ def _check_instance(
     else:
         verdict = "mismatch"
 
-    trace = propagation_certifier(graph)
+    trace = propagation_certifier(cs)
     return InstanceResult(
         n=n,
         elements=elements,
@@ -395,7 +394,7 @@ def verify_theorem(spec: SweepSpec) -> VerificationReport:
     Circ(n; S) onto Circ(n; jS) and each kind's parts onto its parts, so
     the respecting groups of an orbit are conjugate. The search runs once
     per kind, on the orbit's lexicographically least set. Every other set
-    builds its own graph and partitions, certifies per kind that v -> j*v
+    builds its own partitions, certifies per kind that v -> j*v
     maps the representative's parts onto its own, and takes the conjugated
     group; its multipliers (compared with the representative's),
     generator checks, propagation trace and, under ``enumerator="both"``,
@@ -410,14 +409,15 @@ def verify_theorem(spec: SweepSpec) -> VerificationReport:
     reports "expected-mismatch". At most
     min(jobs, orbits, processor cores) worker processes are started.
     """
-    orbits = _unit_orbits(generate_instances(spec))
+    orbits = collections.deque(_unit_orbits(generate_instances(spec)))
     evaluate = functools.partial(_evaluate, spec)
     workers = min(spec.jobs, len(orbits), os.cpu_count() or 1)
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             outcomes = pool.map(evaluate, orbits)
     else:
-        outcomes = [evaluate(orbit) for orbit in orbits]
+        # Taken off the queue, an orbit's sets, with the arcs they cache, are freed once it is done.
+        outcomes = [evaluate(orbits.popleft()) for _ in range(len(orbits))]
 
     paired = sorted((pair for pairs in outcomes for pair in pairs), key=lambda pair: _row_key(pair[0]))
     rows = tuple(row for row, _ in paired)

@@ -10,7 +10,7 @@ import math
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .circulant import ArcPartition, CirculantGraph
+    from .circulant import ArcPartition, ConnectionSet
 
 Perm = tuple[int, ...]
 _NOT_AN_AUTOMORPHISM = "permutation is not an automorphism of the partitioned graph"
@@ -27,7 +27,7 @@ def multiplier_perm(n: int, j: int) -> Perm:
     return tuple((j * v) % n for v in range(n))
 
 
-def is_automorphism(graph: "CirculantGraph", p: Perm) -> bool:
+def is_automorphism(graph: "ConnectionSet", p: Perm) -> bool:
     """True iff p is a permutation of the vertices that maps the arc set onto itself."""
     if len(p) != graph.n:
         raise ValueError(f"degree mismatch: permutation of {len(p)} on graph of order {graph.n}")
@@ -48,7 +48,7 @@ def part_map(p: Perm, source: "ArcPartition", target: "ArcPartition") -> list[in
         raise ValueError(f"degree mismatch: permutation of {len(p)} on partition of order {n}")
     if len(source.labels) != len(target.labels) or not is_permutation(p):
         raise ValueError(_NOT_AN_AUTOMORPHISM)
-    slot, labels, image_labels, width = target.slot, source.labels, target.labels, len(target.cs.elements)
+    slot, labels, image_labels, width = target.cs.slot, source.labels, target.labels, len(target.cs.elements)
     image = [-1] * source.count
     clash = False
     wrapped = p + p  # wrapped[u+s] is p[(u+s) mod n], and slot[d-n] is slot[d]

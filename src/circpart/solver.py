@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .circulant import ArcPartition, CirculantGraph, ResourceLimitError, is_connected
+from .circulant import ArcPartition, ConnectionSet, ResourceLimitError, is_connected
 from .perm import Perm, is_automorphism, multiplier_perm, respects
 from .zmod import MultiplierWitness, crt_combine, factorize
 
@@ -36,7 +36,7 @@ DEFAULT_SEARCH_CAP = 64
 DEFAULT_MAX_SOLUTIONS = 100_000
 
 
-def _search_order(graph: CirculantGraph):
+def _search_order(graph: ConnectionSet):
     """Cycle-first vertex order from 0 (then any later components from their
     smallest vertex). Visiting ``u`` walks ``u+s, u+2s, ...`` for each
     generator ``s`` in ascending order until the walk meets a vertex already
@@ -139,7 +139,7 @@ def _transversal(point: int, gens, identity: Perm) -> dict:
     return trans
 
 
-def respecting_group(graph: CirculantGraph, partition: ArcPartition, *, fix_zero: bool = True) -> RespectingGroup:
+def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero: bool = True) -> RespectingGroup:
     """The group of automorphisms of ``graph`` respecting ``partition``, by generators.
 
     Depth-first assignment of vertex images in the cycle-first order of
@@ -165,10 +165,10 @@ def respecting_group(graph: CirculantGraph, partition: ArcPartition, *, fix_zero
     n = graph.n
     if n > DEFAULT_SEARCH_CAP:
         raise ResourceLimitError(f"n={n} exceeds the search cap {DEFAULT_SEARCH_CAP}")
-    if partition.cs != graph.cs:
+    if partition.cs != graph:
         raise ValueError("partition does not partition this graph's arcs")
 
-    labels, slot, part_sizes, width = partition.labels, partition.slot, partition.sizes, len(graph.elements)
+    labels, slot, part_sizes, width = partition.labels, graph.slot, partition.sizes, len(graph.elements)
     succ: list[dict] = [{} for _ in range(n)]  # vertex -> out-neighbour, ascending -> part of the arc
     incident: list[list] = [[] for _ in range(n)]  # vertex -> (other end, part, arc points out)
     directed = graph.directed
@@ -296,7 +296,7 @@ def respecting_group(graph: CirculantGraph, partition: ArcPartition, *, fix_zero
     return group
 
 
-def enumerate_respecting(graph: CirculantGraph, partition: ArcPartition, *, fix_zero: bool = True) -> list[Perm]:
+def enumerate_respecting(graph: ConnectionSet, partition: ArcPartition, *, fix_zero: bool = True) -> list[Perm]:
     """All automorphisms of ``graph`` respecting ``partition``, ascending by image tuple.
 
     Computes the group with ``respecting_group`` and expands it. A group of
@@ -311,7 +311,7 @@ def enumerate_respecting(graph: CirculantGraph, partition: ArcPartition, *, fix_
 
 
 def brute_oracle(
-    graph: CirculantGraph, partitions: list[ArcPartition], fix_zero: bool = True
+    graph: ConnectionSet, partitions: list[ArcPartition], fix_zero: bool = True
 ) -> list[list[Perm]]:
     """Filter every permutation (fixing 0 when asked) straight by the definitions.
 
@@ -330,7 +330,7 @@ def brute_oracle(
     n = graph.n
     if n > DEFAULT_ORACLE_LIMIT:
         raise ResourceLimitError(f"n={n} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}")
-    if any(partition.cs != graph.cs for partition in partitions):
+    if any(partition.cs != graph for partition in partitions):
         raise ValueError("partition does not partition this graph's arcs")
     universe = graph.arc_set
     part_arcs = [[arcs for arcs, _, _ in partition.parts()] for partition in partitions]
@@ -355,7 +355,7 @@ def brute_oracle(
     return found
 
 
-def normalize_to_multiplier(graph: CirculantGraph, p: Perm) -> MultiplierWitness | None:
+def normalize_to_multiplier(graph: ConnectionSet, p: Perm) -> MultiplierWitness | None:
     """Recover the multiplier behind an automorphism of a connected circulant.
 
     For each prime power q dividing n, picks the smallest generator s not
@@ -445,7 +445,7 @@ def _stage_start(n: int, step: int, next_step: int, d: int) -> tuple[tuple[int, 
     return tuple(sorted(fixed)), _is_coset_union(fixed, n, d)
 
 
-def propagation_certifier(graph: CirculantGraph, order: tuple[int, ...] | None = None) -> PropagationTrace:
+def propagation_certifier(graph: ConnectionSet, order: tuple[int, ...] | None = None) -> PropagationTrace:
     """Replay the fixed-set closure over the generators, one stage per new generator.
 
     Stage k starts from the union of the subgroup spanned by the first k
@@ -502,7 +502,7 @@ def propagation_certifier(graph: CirculantGraph, order: tuple[int, ...] | None =
     return PropagationTrace(n, gens, tuple(stages), final_fixed, covered)
 
 
-def coset_image_check(graph: CirculantGraph, p: Perm, subset) -> bool:
+def coset_image_check(graph: ConnectionSet, p: Perm, subset) -> bool:
     """For G the subgroup generated by ``subset``, is every p(x + G) a coset of G?
 
     Holds for every automorphism that respects the cycle partition. The

@@ -90,7 +90,7 @@ def oracle_sweep():
 def test_01_directed_cycle_partition_gives_exactly_the_multipliers(directed_sweep):
     rows, elapsed = directed_sweep
     assert len(rows) == 981  # inclusion-exclusion over common divisors, n = 3..10
-    mismatches = [cp.instance_key(r.graph.cs) for r in rows if r.resp_cycle != r.mult_perms]
+    mismatches = [cp.instance_key(r.graph) for r in rows if r.resp_cycle != r.mult_perms]
     assert mismatches == []
     assert elapsed < 300.0
     print(
@@ -102,7 +102,7 @@ def test_01_directed_cycle_partition_gives_exactly_the_multipliers(directed_swee
 def test_02_undirected_cycle_partition_gives_exactly_the_multipliers(undirected_sweep):
     rows, elapsed = undirected_sweep
     assert len(rows) == 156
-    mismatches = [cp.instance_key(r.graph.cs) for r in rows if r.resp_cycle != r.mult_perms]
+    mismatches = [cp.instance_key(r.graph) for r in rows if r.resp_cycle != r.mult_perms]
     assert mismatches == []
     assert elapsed < 300.0
     print(
@@ -132,7 +132,7 @@ def test_03_generator_partition_and_refinement_corollary(directed_sweep):
 def test_04_backtracking_agrees_with_brute_force(oracle_sweep):
     assert len(oracle_sweep) == 284  # 247 directed + 37 undirected instances, n = 2..8
     discrepancies = [
-        (cp.instance_key(graph.cs), kind)
+        (cp.instance_key(graph), kind)
         for graph, per_kind in oracle_sweep
         for kind, (bt, brute) in per_kind.items()
         if bt != brute
@@ -210,7 +210,7 @@ def test_07_propagation_certifier():
                 assert len(flags) == 1
                 order_checked += 1
 
-    trace = cp.propagation_certifier(cp.from_instance("12:4,3:d"))
+    trace = cp.propagation_certifier(cp.parse_instance("12:4,3:d"))
     stage = trace.stages[0]
     assert stage.start == (0, 3, 4, 6, 8, 9)
     assert stage.rounds == ((7,), (10, 11), (1, 2), (5,))

@@ -68,6 +68,11 @@ def test_build_is_refused_above_the_arc_limit_before_any_arc_is_built(monkeypatc
     finally:
         tracemalloc.stop()
     assert peak < 100_000  # the 20,000 arcs would take megabytes
+    # the type itself enforces the bound, so every path that makes a set is refused the same way
+    for make in (lambda: cp.ConnectionSet(13, (1,), cp.DIRECTED), lambda: cp.parse_instance("13:1:d")):
+        with pytest.raises(cp.ResourceLimitError) as refused:
+            make()
+        assert str(refused.value) == "Circ(13; S) would have 13 arcs, more than the limit 12"
 
 
 def test_build_and_both_partitions_leave_the_arcs_to_their_first_read():
@@ -102,7 +107,7 @@ def test_a_large_inverse_closed_set_is_refused_quickly():
     with pytest.raises(cp.ResourceLimitError, match="more than the limit"):
         cp.build(200_000, elements, cp.UNDIRECTED)
     with pytest.raises(cp.ResourceLimitError, match="more than the limit"):
-        cp.from_instance(text)  # no suffix: parse_instance tests inverse closure to infer the mode
+        cp.parse_instance(text)  # no suffix: parse_instance tests inverse closure to infer the mode
     assert time.perf_counter() - started < 2
 
 
@@ -136,7 +141,7 @@ def test_instance_key_round_trip():
     [("8:1,2:d", True), ("6:2,4:u", False), ("12:4,3:d", True)],
 )
 def test_is_connected_small(text, expected):
-    graph = cp.from_instance(text)
+    graph = cp.parse_instance(text)
     assert cp.is_connected(graph) is expected
     assert (len(bfs_reachable(graph)) == graph.n) is expected
 
@@ -152,7 +157,7 @@ def test_is_connected_agrees_with_bfs_on_random_instances():
 
 
 def test_generator_partition_directed():
-    g = cp.from_instance("8:1,2:d")
+    g = cp.parse_instance("8:1,2:d")
     b = cp.partition_by_generator(g)
     assert b.kind == "B"
     assert [len(arcs) for arcs, _, _ in b.parts()] == [8, 8]
@@ -172,7 +177,7 @@ def test_generator_partition_merges_inverse_pairs():
 
 
 def test_cycle_partition_directed():
-    g = cp.from_instance("8:1,2:d")
+    g = cp.parse_instance("8:1,2:d")
     parts = [arcs for arcs, _, _ in cp.partition_by_cycle(g).parts()]
     assert sorted(len(arcs) for arcs in parts) == [4, 4, 8]
     # each part is one cycle: following its arcs from any vertex walks the whole part
@@ -222,7 +227,7 @@ def test_partitions_match_the_definitions_exhaustively_to_n10():
 
 
 def test_refines_examples():
-    g = cp.from_instance("8:1,2:d")
+    g = cp.parse_instance("8:1,2:d")
     b = cp.partition_by_generator(g).parts()
     c = cp.partition_by_cycle(g).parts()
     assert refines(c, b) is True
@@ -231,8 +236,8 @@ def test_refines_examples():
 
 
 def test_refines_rejects_mismatched_universes():
-    b1 = cp.partition_by_generator(cp.from_instance("8:1,2:d")).parts()
-    b2 = cp.partition_by_generator(cp.from_instance("8:1,3:d")).parts()
+    b1 = cp.partition_by_generator(cp.parse_instance("8:1,2:d")).parts()
+    b2 = cp.partition_by_generator(cp.parse_instance("8:1,3:d")).parts()
     with pytest.raises(ValueError):
         refines(b1, b2)
 

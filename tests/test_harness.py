@@ -1,7 +1,9 @@
 import collections
+import gc
 import hashlib
 import json
 import math
+import weakref
 
 import pytest
 
@@ -61,6 +63,37 @@ def recording(monkeypatch, *names):
     return calls
 
 
+def test_a_sweep_makes_each_set_once_and_frees_it_after_its_orbit(monkeypatch):
+    import circpart.harness as harness
+
+    spec = cp.SweepSpec(n_min=2, n_max=8, modes=(cp.DIRECTED,), jobs=1)
+    sets = [(cs.n, cs.elements, cs.mode) for cs in cp.generate_instances(spec)]
+    counts = collections.Counter()
+    done = []  # a weak reference to each set of every orbit evaluated so far
+
+    def counted(name, fn):
+        def wrapper(cs):
+            counts[name, (cs.n, cs.elements, cs.mode)] += 1
+            return fn(cs)
+
+        return wrapper
+
+    def evaluate(spec, orbit, original=harness._evaluate):
+        gc.collect()
+        assert all(ref() is None for ref in done)  # no earlier set, nor the arcs it cached, is still held
+        done.extend(weakref.ref(cs) for cs, _ in orbit)
+        return original(spec, orbit)
+
+    slot = cp.ConnectionSet.__dict__["slot"]
+    monkeypatch.setattr(cp.ConnectionSet, "__post_init__", counted("validate", cp.ConnectionSet.__post_init__))
+    monkeypatch.setattr(slot, "func", counted("slot", slot.func))
+    monkeypatch.setattr(harness, "_evaluate", evaluate)
+    report = cp.verify_theorem(spec)
+    assert len(report.instances) == len(sets) == len(done) == 247 and report.failures == ()
+    # the generated set is the graph: no second set is made, and kinds B and C share one slot table
+    assert counts == {(name, key): 1 for key in sets for name in ("validate", "slot")}
+
+
 def unit_orbit_minima(n, subsets):
     """The least set of each orbit of S -> j*S under the units j of Z_n, by size then lexicographically."""
     units = [j for j in range(1, n) if math.gcd(j, n) == 1]
@@ -78,7 +111,7 @@ def test_sweeps_search_once_per_unit_orbit_and_check_every_set(monkeypatch):
     assert len(minima) == 282 and len(report.instances) == 1013
     # two searches per orbit, kinds B and C, on its least set
     assert [(g.n, g.elements) for g in calls["respecting_group"]] == [pair for pair in minima for _ in "BC"]
-    traced = sorted(cp.instance_key(g.cs) for g in calls["propagation_certifier"])
+    traced = sorted(cp.instance_key(g) for g in calls["propagation_certifier"])
     assert traced == sorted(cp.instance_key(cs) for cs in cp.generate_instances(spec))
     # one normalization per generator of each connected set's own cycle-respecting group
     generators = 0

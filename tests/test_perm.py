@@ -56,7 +56,7 @@ def test_multiplier_perm_rejects_non_units():
 
 
 def test_is_automorphism_examples():
-    g = cp.from_instance("8:1,2:d")
+    g = cp.parse_instance("8:1,2:d")
     rotation = tuple((v + 1) % 8 for v in range(8))
     assert cp.is_automorphism(g, rotation)
     negate = tuple((7 * v) % 8 for v in range(8))
@@ -70,7 +70,7 @@ def test_is_automorphism_examples():
 
 
 def test_respects_examples():
-    g = cp.from_instance("8:1,2:d")
+    g = cp.parse_instance("8:1,2:d")
     c = cp.partition_by_cycle(g)
     assert cp.respects(identity(8), c)
     assert cp.respects(identity(8), cp.partition_by_generator(g))
@@ -86,7 +86,7 @@ def test_respects_examples():
 
 
 def test_respects_rejects_non_automorphisms():
-    g = cp.from_instance("8:1,2:d")
+    g = cp.parse_instance("8:1,2:d")
     c = cp.partition_by_cycle(g)
     negate = tuple((7 * v) % 8 for v in range(8))
     with pytest.raises(ValueError):
@@ -103,7 +103,7 @@ def test_respects_depends_only_on_part_arc_sets():
     rng = random.Random(7)
     outcomes = set()
     for text in ("6:2,4:u", "4:1,2,3:u", "8:1,2:d"):
-        g = cp.from_instance(text)
+        g = cp.parse_instance(text)
         for kind in ("B", "C"):
             partition = cp.arc_partition(g, kind)
             renumber = list(range(len(partition.sizes)))
@@ -120,7 +120,7 @@ def test_respects_depends_only_on_part_arc_sets():
 def test_part_map_is_the_induced_label_map_or_none():
     # a well-defined label map is onto, since p is a bijection on arcs; so only a source with
     # more parts than the target can fail injectivity alone
-    g = cp.from_instance("8:1,2:d")
+    g = cp.parse_instance("8:1,2:d")
     b, c = cp.partition_by_generator(g), cp.partition_by_cycle(g)
     ident = identity(8)
     assert part_map(ident, b, b) == [0, 1]
@@ -128,7 +128,7 @@ def test_part_map_is_the_induced_label_map_or_none():
     assert part_map(ident, c, b) is None  # well defined, every part of C lies in one of B, not injective
     assert part_map(ident, b, c) is None  # not well defined: the part of 2 splits into two cycles
     negate = cp.multiplier_perm(8, 7)  # maps Circ(8; {1, 2}) onto Circ(8; {6, 7})
-    onto = cp.partition_by_cycle(cp.from_instance("8:6,7:d"))
+    onto = cp.partition_by_cycle(cp.parse_instance("8:6,7:d"))
     # the 1-cycle goes to the 7-cycle, and each 2-cycle to the 6-cycle on the same coset
     assert part_map(negate, c, onto) == [2, 0, 1]
     with pytest.raises(ValueError, match="not an automorphism"):
@@ -198,7 +198,7 @@ def test_multipliers_respect_both_partitions(graph):
 
 @pytest.mark.parametrize("text, kind", [("6:2,4:u", "C"), ("8:1,2:d", "B"), ("4:1,2,3:u", "C")])
 def test_respecting_automorphisms_form_a_group(text, kind):
-    graph = cp.from_instance(text)
+    graph = cp.parse_instance(text)
     partition = cp.arc_partition(graph, kind)
     sols = cp.enumerate_respecting(graph, partition)
     members = set(sols)

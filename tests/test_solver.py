@@ -46,7 +46,7 @@ def closure_oracle(n, gens):
 
 
 def test_enumerate_connected_directed_gives_identity_only():
-    g = cp.from_instance("8:1,2:d")
+    g = cp.parse_instance("8:1,2:d")
     c = cp.partition_by_cycle(g)
     assert cp.enumerate_respecting(g, c) == [identity(8)]
     assert cp.multipliers(8, (1, 2)) == (1,)
@@ -118,7 +118,7 @@ def test_one_oracle_scan_serves_every_partition(monkeypatch):
 
 def test_identity_always_enumerated():
     for text in ("8:1,2:d", "6:2,4:u", "4:2:u", "7:1,2,3:d"):
-        g = cp.from_instance(text)
+        g = cp.parse_instance(text)
         for kind in ("B", "C"):
             sols = cp.enumerate_respecting(g, cp.arc_partition(g, kind))
             assert identity(g.n) in sols
@@ -174,7 +174,7 @@ def test_group_orders_of_disjoint_unions_without_listing(text, order, monkeypatc
     # 7 edges, 5 triangles and 32 edges: the orbit of each component's root is every
     # vertex not yet fixed, so the order is a product of orbit lengths
     monkeypatch.setattr(cp.RespectingGroup, "elements", None)
-    g = cp.from_instance(text)
+    g = cp.parse_instance(text)
     for kind in ("B", "C"):
         group = cp.respecting_group(g, cp.arc_partition(g, kind))
         assert group.order == order
@@ -183,14 +183,14 @@ def test_group_orders_of_disjoint_unions_without_listing(text, order, monkeypatc
 
 
 def test_group_over_the_solution_cap_is_refused_before_listing():
-    g = cp.from_instance("64:32:u")
+    g = cp.parse_instance("64:32:u")
     with pytest.raises(cp.ResourceLimitError, match="more than max_solutions=100000"):
         cp.enumerate_respecting(g, cp.partition_by_cycle(g))
     assert cp.DEFAULT_MAX_SOLUTIONS == 100_000
 
 
 def test_elements_are_the_distinct_transversal_products():
-    g = cp.from_instance("8:2,4,6:u")
+    g = cp.parse_instance("8:2,4,6:u")
     group = cp.respecting_group(g, cp.partition_by_cycle(g))
     sols = group.elements()
     assert len(sols) == len(set(sols)) == group.order == 16
@@ -270,7 +270,7 @@ def test_connected_random_instances_match_multipliers():
 @pytest.mark.parametrize("text", ["8:1,2:d", "6:2,4:u", "12:4,3:d", "8:2,4,6:u"])
 def test_free_group_size_is_n_times_stabilizer(text):
     # rotations respect both partitions, so the orbit of 0 is everything
-    g = cp.from_instance(text)
+    g = cp.parse_instance(text)
     for kind in ("B", "C"):
         partition = cp.arc_partition(g, kind)
         free = cp.enumerate_respecting(g, partition, fix_zero=False)
@@ -317,8 +317,8 @@ def test_max_solutions_raises_instead_of_truncating():
 
 
 def test_enumerate_rejects_foreign_partition():
-    g = cp.from_instance("8:1,2:d")
-    other = cp.partition_by_cycle(cp.from_instance("8:1,3:d"))
+    g = cp.parse_instance("8:1,2:d")
+    other = cp.partition_by_cycle(cp.parse_instance("8:1,3:d"))
     with pytest.raises(ValueError):
         cp.enumerate_respecting(g, other)
     with pytest.raises(ValueError):
@@ -350,7 +350,7 @@ def test_normalize_splits_residues_by_prime_power():
 
 def test_normalize_round_trips_every_respecting_automorphism():
     for text in ("8:1,2:d", "5:1,4:u", "12:1,5,7,11:u", "9:1,2,7,8:u"):
-        g = cp.from_instance(text)
+        g = cp.parse_instance(text)
         c = cp.partition_by_cycle(g)
         for p in cp.enumerate_respecting(g, c):
             w = cp.normalize_to_multiplier(g, p)
@@ -388,7 +388,7 @@ def test_normalize_fails_on_non_respecting_automorphisms():
 
 
 def test_propagation_full_cycle_closes_immediately():
-    trace = cp.propagation_certifier(cp.from_instance("8:1,2:d"))
+    trace = cp.propagation_certifier(cp.parse_instance("8:1,2:d"))
     assert trace.covered
     assert len(trace.stages) == 1
     stage = trace.stages[0]
@@ -398,7 +398,7 @@ def test_propagation_full_cycle_closes_immediately():
 
 
 def test_propagation_trace_on_two_coprime_generators():
-    g = cp.from_instance("12:4,3:d")
+    g = cp.parse_instance("12:4,3:d")
     expected = closure_oracle(12, (3, 4))
     assert expected == [(((7,), (10, 11), (1, 2), (5,)), frozenset(range(12)), True)]
     trace = cp.propagation_certifier(g)
@@ -495,13 +495,13 @@ def test_propagation_coverage_invariant_under_generator_order():
 
 
 def test_propagation_rejects_foreign_order():
-    g = cp.from_instance("12:4,3:d")
+    g = cp.parse_instance("12:4,3:d")
     with pytest.raises(ValueError):
         cp.propagation_certifier(g, (4, 5))
 
 
 def test_coset_image_check_examples():
-    g = cp.from_instance("8:1,2:d")
+    g = cp.parse_instance("8:1,2:d")
     assert cp.coset_image_check(g, identity(8), (2,))
     assert cp.coset_image_check(g, identity(8), (1, 2))
     g6 = cp.build(6, (2, 4), cp.UNDIRECTED)
@@ -516,7 +516,7 @@ def test_coset_image_check_examples():
 
 def test_coset_image_check_holds_for_respecting_automorphisms():
     for text in ("8:1,2:d", "6:2,4:u", "9:3,6:d", "8:2,4,6:u"):
-        g = cp.from_instance(text)
+        g = cp.parse_instance(text)
         c = cp.partition_by_cycle(g)
         for p in cp.enumerate_respecting(g, c):
             for size in range(len(g.elements) + 1):
