@@ -331,6 +331,9 @@ def _check_instance(
                 for sub in subsets:
                     if not coset_image_check(cs, p, sub):
                         failures.append(SweepFailure(key, f"coset image check failed for {p} on {sub}"))
+    # C refines B and its parts are the components of the B parts, so G_B <= G_C on every circulant.
+    if spec.enumerator == "both" and "B" in oracle and "C" in oracle and not set(oracle["B"]) <= set(oracle["C"]):
+        failures.append(SweepFailure(key, "kind B group is not inside the kind C group"))
 
     if all(equal for equal, _ in outcomes):
         verdict = "match"

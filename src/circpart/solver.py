@@ -321,10 +321,23 @@ def brute_oracle(
     each automorphism once per partition for respect. Every partition must
     be of the graph's connection set, checked before any permutation is drawn.
 
+    Two shortcuts keep the scan short, both exact:
+
+    * The arc test checks the smaller of the arcs and the non-arcs (ordered
+      pairs of distinct vertices that are not arcs), each pair against its
+      own set. A permutation p of Z_n permutes the ordered pairs of distinct
+      vertices, so p maps the arcs into, hence onto, the arcs exactly when
+      it maps the non-arcs onto the non-arcs. A complete graph has no
+      non-arcs and passes every permutation with no check.
+    * The image family is built one part at a time and dropped at the first
+      image part that is not a part: the image family then holds a set the
+      family lacks, so the two cannot be equal. A family that survives is
+      still compared with the family by set equality.
+
     Graphs with more than the fixed ``DEFAULT_ORACLE_LIMIT`` vertices are
     refused, since the scan covers (n-1)! or n! permutations. Deliberately
-    shares no machinery with the backtracking path: the arc-set image is
-    compared wholesale and the respect condition is literal set equality
+    shares no machinery with the backtracking path: the arc test reads the
+    pair set wholesale and the respect condition is literal set equality
     between the family of parts (their arcs, from ``parts()``) and its image.
     """
     n = graph.n
@@ -332,7 +345,10 @@ def brute_oracle(
         raise ResourceLimitError(f"n={n} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}")
     if any(partition.cs != graph for partition in partitions):
         raise ValueError("partition does not partition this graph's arcs")
-    universe = graph.arc_set
+    pairs, pair_set = graph.arcs, graph.arc_set
+    if 2 * len(pairs) > n * (n - 1):  # more arcs than non-arcs: test the non-arcs, ascending
+        pairs = tuple((u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in pair_set)
+        pair_set = frozenset(pairs)
     part_arcs = [[arcs for arcs, _, _ in partition.parts()] for partition in partitions]
     families = [(parts, {frozenset(arcs) for arcs in parts}) for parts in part_arcs]
 
@@ -343,13 +359,20 @@ def brute_oracle(
 
     found: list[list[Perm]] = [[] for _ in families]
     for p in candidates:
-        for u, v in universe:
-            if (p[u], p[v]) not in universe:
+        for u, v in pairs:
+            if (p[u], p[v]) not in pair_set:
                 break
         else:
             for (parts, part_keys), sols in zip(families, found):
-                if {frozenset((p[u], p[v]) for u, v in arcs) for arcs in parts} == part_keys:
-                    sols.append(p)
+                image = set()
+                for arcs in parts:
+                    part = frozenset((p[u], p[v]) for u, v in arcs)
+                    if part not in part_keys:
+                        break
+                    image.add(part)
+                else:
+                    if image == part_keys:
+                        sols.append(p)
     for sols in found:
         sols.sort()
     return found

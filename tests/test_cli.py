@@ -127,6 +127,11 @@ def test_verify_checks_out_before_sweeping(tmp_path, monkeypatch, capsys):
     assert "is a directory" in err
 
 
+def test_autos_oracle_runs_at_the_oracle_limit(capsys):
+    assert main(["autos", "--instance", "9:1,8:u", "--kind", "C", "--fix-zero", "--oracle"]) == 0
+    assert "count: 2" in capsys.readouterr().out
+
+
 def test_resource_cap_exit_code(capsys):
     assert main(["autos", "--instance", "100:1:d", "--kind", "C"]) == 3
     assert main(["autos", "--instance", "10:1,9:u", "--kind", "C", "--oracle"]) == 3

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import gc
 import hashlib
 import json
@@ -8,6 +9,7 @@ import weakref
 import pytest
 
 import circpart as cp
+from circpart import harness
 from conftest import directed_subsets, failing_at_n5, inverse_closed_subsets
 
 
@@ -322,6 +324,19 @@ def test_oracle_cross_check_in_sweep():
     report = cp.verify_theorem(spec)
     assert report.aggregates["failures"] == 0
     assert report.aggregates["mismatch"] == 0
+
+
+def test_oracle_checked_sweep_fails_when_the_generator_group_is_not_inside_the_cycle_group(monkeypatch):
+    # G_B <= G_C on every circulant; swapping the two partitions swaps the groups, so the
+    # one directed set to n=6 with G_B < G_C (6:2,4:d, orders 6 and 12) breaks the inclusion
+    # while each listing still agrees with the oracle scan
+    spec = cp.SweepSpec(n_min=2, n_max=6, modes=(cp.DIRECTED,), enumerator="both")
+    assert cp.verify_theorem(spec).failures == ()
+    monkeypatch.setattr(harness, "partition_by_generator", cp.partition_by_cycle)
+    monkeypatch.setattr(harness, "partition_by_cycle", cp.partition_by_generator)
+    report = cp.verify_theorem(spec)
+    assert report.failures == (cp.SweepFailure("6:2,4:d", "kind B group is not inside the kind C group"),)
+    assert cp.verify_theorem(dataclasses.replace(spec, enumerator="backtracking")).failures == ()
 
 
 def test_empty_range_gives_empty_report():

@@ -7,7 +7,16 @@ from hypothesis import given, settings
 
 import circpart as cp
 from circpart import solver
-from conftest import compose, connection_sets, directed_subsets, identity, inverse_closed_subsets, search_cap, solution_cap
+from conftest import (
+    compose,
+    connection_sets,
+    directed_subsets,
+    identity,
+    inverse_closed_subsets,
+    naive_respects,
+    search_cap,
+    solution_cap,
+)
 
 
 def closure_oracle(n, gens):
@@ -114,6 +123,53 @@ def test_one_oracle_scan_serves_every_partition(monkeypatch):
                         with pytest.raises(ValueError, match="does not partition this graph's arcs"):
                             cp.brute_oracle(g, partitions, fix_zero=fix_zero)
                     assert len(draws) == before
+
+
+def literal_oracle(g, partitions, fix_zero):
+    """Every permutation whose arc image is the arc set and that respects each partition by ``naive_respects``."""
+    found = [[] for _ in partitions]
+    for p in itertools.permutations(range(g.n)):
+        if fix_zero and p[0] != 0:
+            continue
+        if {(p[u], p[v]) for u, v in g.arcs} == g.arc_set:
+            for partition, sols in zip(partitions, found):
+                if naive_respects(partition, p):
+                    sols.append(p)
+    return found
+
+
+def test_oracle_matches_the_literal_definition():
+    graphs = [
+        cp.build(n, elements, mode)
+        for n in range(2, 7)
+        for mode, subsets in ((cp.DIRECTED, directed_subsets(n)), (cp.UNDIRECTED, inverse_closed_subsets(n)))
+        for elements in subsets
+    ]
+    assert len(graphs) == 72
+    # K_n has no non-arcs; the near-complete sets have more arcs than non-arcs, so their non-arcs are scanned
+    graphs += [cp.build(n, range(1, n), mode) for n in range(2, 8) for mode in (cp.DIRECTED, cp.UNDIRECTED)]
+    near = [cp.parse_instance(text) for text in ("7:1,2,3,4,5:d", "7:1,2,5,6:u", "8:1,2,3,5,6,7:u")]
+    for g in near:
+        assert g.n * (g.n - 1) > len(g.arcs) > g.n * (g.n - 1) // 2
+    graphs += near
+    for g in graphs:
+        partitions = [cp.arc_partition(g, kind) for kind in ("B", "C")]
+        for fix_zero in (True, False) if g.n < 8 else (True,):  # 8! literal maps per set would dominate the suite
+            assert cp.brute_oracle(g, partitions, fix_zero=fix_zero) == literal_oracle(g, partitions, fix_zero), (
+                cp.instance_key(g),
+                fix_zero,
+            )
+
+
+@pytest.mark.parametrize("text, order", [("9:1,8:u", 2), ("9:3,6:u", 144), ("9:1,2,4,5,7,8:u", 6)])
+def test_oracle_agrees_with_the_search_at_its_limit(text, order):
+    g = cp.parse_instance(text)
+    assert g.n == solver.DEFAULT_ORACLE_LIMIT == 9
+    partitions = [cp.arc_partition(g, kind) for kind in ("B", "C")]
+    listed = cp.brute_oracle(g, partitions, fix_zero=True)
+    assert [len(sols) for sols in listed] == [order, order]
+    for partition, expected in zip(partitions, listed):
+        assert cp.enumerate_respecting(g, partition, fix_zero=True) == expected
 
 
 def test_identity_always_enumerated():
