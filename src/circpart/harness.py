@@ -1,10 +1,10 @@
 """Sweep harness: instance generation, theorem verification, reports.
 
-A sweep enumerates connection sets for a range of n, computes the group
-of respecting automorphisms from its generators once per orbit of sets
-under the unit multipliers, carries it to the orbit's other sets by
-conjugation, compares it per set with the multiplier group, and assembles
-a deterministic report.
+A sweep enumerates connection sets for a range of n, groups them into
+orbits under the unit multipliers, checks each orbit's first set in full
+(the group of respecting automorphisms from its generators, compared with
+the multiplier group), derives the orbit's other rows from that one, and
+assembles a deterministic report.
 Per-instance rows are keyed and ordered by (n, mode, set size, set), never
 by completion time, so the report content is independent of the worker
 count. Wall-clock timings are kept for the CSV view but excluded from JSON
@@ -24,7 +24,7 @@ import multiprocessing
 import operator
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii as _json_str  # what json.dumps writes a str as
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -38,7 +38,7 @@ from .circulant import (
     partition_by_cycle,
     partition_by_generator,
 )
-from .perm import multiplier_perm, part_map, respects
+from .perm import multiplier_perm, respects
 from .solver import (
     DEFAULT_ORACLE_LIMIT,
     DEFAULT_SEARCH_CAP,
@@ -60,10 +60,10 @@ class SweepSpec:
     The search runs under the fixed ``DEFAULT_SEARCH_CAP``, once per kind
     and unit orbit of connection sets (see ``verify_theorem``). A sweep
     counts every group from its transversals, so it has no solution cap.
-    ``enumerator="both"`` also lists each group and checks it against
-    ``brute_oracle``, whose one scan per instance serves every kind, so
-    n_max is at most ``DEFAULT_ORACLE_LIMIT``. ``jobs`` bounds the worker
-    processes, which take one orbit at a time.
+    ``enumerator="both"`` searches every set on its own, lists each group
+    and checks it against ``brute_oracle``, whose one scan per instance
+    serves every kind, so n_max is at most ``DEFAULT_ORACLE_LIMIT``.
+    ``jobs`` bounds the worker processes, which take one orbit at a time.
     """
 
     n_min: int
@@ -225,19 +225,24 @@ def _unit_orbits(instances) -> list[list[tuple[ConnectionSet, int]]]:
 def _evaluate(spec: SweepSpec, orbit) -> list:
     """Worker body: one unit orbit in, one (row, failures) pair per set out. Pure and picklable.
 
-    The orbit's other sets take their groups from its first set's. An
-    exception from the checks does not end the sweep: it becomes that set's
-    ``error`` row and a failure naming it, after those already recorded; if
-    the first set raised, every other set is searched on its own.
+    The orbit's first set R is checked in full. If that raised nothing and
+    recorded no failure, every other set's row is derived from R's (see
+    ``_derived``); otherwise every other set is checked in full on its own.
+    An exception does not end the sweep: it becomes that set's ``error`` row
+    and a failure naming it, after those already recorded.
     """
     out = []
-    source = None
+    source = None  # the representative, its clean row and its multipliers
     for index, (cs, j) in enumerate(orbit):
         started = time.perf_counter()
         failures: list[SweepFailure] = []
-        checked = None
         try:
-            row, checked = _check_instance(spec, cs, failures, source, j, started)
+            if source is None:
+                row, units = _check_instance(spec, cs, failures, started)
+                if index == 0 and not failures:
+                    source = cs, row, units
+            else:
+                row = _derived(*source, cs, j, started)
         except Exception as exc:
             failures.append(SweepFailure(instance_key(cs), f"{type(exc).__name__}: {exc}"))
             row = InstanceResult(
@@ -245,63 +250,54 @@ def _evaluate(spec: SweepSpec, orbit) -> list:
                 parts_b=None, parts_c=None, aut_b=None, aut_c=None, multiplier_count=None,
                 verdict="error", prop_covered=None, prop_rounds=None, ms=(time.perf_counter() - started) * 1e3,
             )
-        if index == 0:
-            source = checked
         out.append((row, tuple(failures)))
     return out
 
 
-class _Source(NamedTuple):
-    """A checked set's groups, with what certifies them for the rest of its orbit."""
+def _derived(
+    rep: ConnectionSet, source: InstanceResult, units: tuple[int, ...], cs: ConnectionSet, j: int, started: float
+) -> InstanceResult:
+    """The row of ``cs`` = j*R for R = ``rep``, from R's checked row ``source`` and multipliers ``units``.
 
-    key: str
-    units: tuple[int, ...]  # its multipliers
-    partitions: dict
-    groups: dict  # kind -> its respecting group
-
-
-def _transported(source: _Source, n: int, j: int, partitions: dict, units: tuple[int, ...]) -> dict:
-    """The groups of ``source``'s set R carried onto the set j*R by m: v -> j*v.
-
-    Certifies first, per kind, that j*R is this set, so that m maps R's arcs
-    onto this graph's, and that ``part_map`` from R's partition to this one
-    gives a label map, so that m maps R's parts onto ``partitions``' parts.
-    Then conjugation by m, which maps only the base and the generators, is
-    a bijection between the two respecting groups, both fixing 0. Raises
-    ValueError when a certificate fails or the two sets' multipliers differ.
+    m: v -> j*v maps Circ(n; R) onto Circ(n; jR) and each kind's parts onto
+    parts, and commutes with every multiplier map, so every column but the
+    set and the propagation trace is R's. Checked here: the multipliers of
+    ``cs``, which must be R's, and that j*R is ``cs``; either raises
+    ValueError when it fails. The propagation trace is this set's own.
     """
-    if units != source.units:
-        raise ValueError(f"multipliers {list(units)} differ from {list(source.units)} of {source.key}")
-    m = multiplier_perm(n, j)
-    groups = {}
-    for kind, group in source.groups.items():
-        theirs, mine = source.partitions[kind], partitions[kind]
-        if {j * s % n for s in theirs.cs.elements} != set(mine.cs.elements) or part_map(m, theirs, mine) is None:
-            raise ValueError(f"kind {kind}: v -> {j}*v does not map the parts of {source.key} onto these parts")
-        groups[kind] = group.conjugate(m)
-    return groups
+    n = cs.n
+    mine = multipliers(n, cs.elements)
+    if mine != units:
+        raise ValueError(f"multipliers {list(mine)} differ from {list(units)} of {instance_key(rep)}")
+    image = sorted(j * r % n for r in rep.elements)
+    if tuple(image) != cs.elements:
+        raise ValueError(f"{j} times the set of {instance_key(rep)} is {image}, not this set")
+    trace = propagation_certifier(cs)
+    return replace(
+        source,
+        elements=cs.elements,
+        prop_covered=trace.covered,
+        prop_rounds=trace.total_rounds,
+        ms=(time.perf_counter() - started) * 1e3,
+    )
 
 
 def _check_instance(
-    spec: SweepSpec, cs: ConnectionSet, failures: list, source: _Source | None, j: int, started: float
-) -> tuple[InstanceResult, _Source]:
-    """Compute one row, timed from ``started``, appending what fails to ``failures``; return it with this set's groups.
+    spec: SweepSpec, cs: ConnectionSet, failures: list, started: float
+) -> tuple[InstanceResult, tuple[int, ...]]:
+    """Compute one row, timed from ``started``, appending what fails to ``failures``; return it with the multipliers.
 
-    The groups are searched, or, given the ``source`` of a set R with
-    ``cs`` = j*R, transported from R's. Every check runs on this set's own
-    graph, partitions and multipliers; M <= G is tested on every multiplier
-    but 1, which respects every partition. A group is listed only to
-    compare it with the oracle scan.
+    Searches the groups and checks them on this set's own graph, partitions
+    and multipliers; M <= G is tested on every multiplier but 1, which
+    respects every partition. A group is listed only to compare it with the
+    oracle scan.
     """
     n, elements = cs.n, cs.elements
     key = instance_key(cs)
     connected = is_connected(cs)
     partitions = {"B": partition_by_generator(cs), "C": partition_by_cycle(cs)}
     units = multipliers(n, elements)
-    if source is None:
-        groups = {kind: respecting_group(cs, partitions[kind]) for kind in spec.kinds}
-    else:
-        groups = _transported(source, n, j, partitions, units)
+    groups = {kind: respecting_group(cs, partitions[kind]) for kind in spec.kinds}
     moved_by = [multiplier_perm(n, u) for u in units if u != 1]  # the identity respects every partition
 
     aut_counts = {kind: group.order for kind, group in groups.items()}
@@ -331,9 +327,13 @@ def _check_instance(
                 for sub in subsets:
                     if not coset_image_check(cs, p, sub):
                         failures.append(SweepFailure(key, f"coset image check failed for {p} on {sub}"))
-    # C refines B and its parts are the components of the B parts, so G_B <= G_C on every circulant.
-    if spec.enumerator == "both" and "B" in oracle and "C" in oracle and not set(oracle["B"]) <= set(oracle["C"]):
+    # The inclusions, generator by generator. C refines B and its parts are the components of the
+    # B parts, so G_B <= G_C on every circulant; the paper shows G_C <= G_B on connected ones.
+    if "B" in groups and not all(respects(p, partitions["C"]) for p in groups["B"].strong_generators()):
         failures.append(SweepFailure(key, "kind B group is not inside the kind C group"))
+    if connected and len(groups) == 2:
+        if not all(respects(p, partitions["B"]) for p in groups["C"].strong_generators()):
+            failures.append(SweepFailure(key, "kind C group is not inside the kind B group"))
 
     if all(equal for equal, _ in outcomes):
         verdict = "match"
@@ -357,7 +357,7 @@ def _check_instance(
         prop_covered=trace.covered,
         prop_rounds=trace.total_rounds,
         ms=(time.perf_counter() - started) * 1e3,
-    ), _Source(key, units, partitions, groups)
+    ), units
 
 
 def _row_key(row: InstanceResult):
@@ -393,17 +393,19 @@ def verify_theorem(spec: SweepSpec) -> VerificationReport:
     """Run the sweep and assemble the report.
 
     The sets are grouped into orbits of S -> j*S under the units j of Z_n,
-    and each orbit is one unit of work. For a unit j, v -> j*v maps
-    Circ(n; S) onto Circ(n; jS) and each kind's parts onto its parts, so
-    the respecting groups of an orbit are conjugate. The search runs once
-    per kind, on the orbit's lexicographically least set. Every other set
-    builds its own partitions, certifies per kind that v -> j*v
-    maps the representative's parts onto its own, and takes the conjugated
-    group; its multipliers (compared with the representative's),
-    generator checks, propagation trace and, under ``enumerator="both"``,
-    oracle scan are its own. A row's ``ms`` times that row's own work, so
-    it leaves out the representative's search. The report is the same as
-    that of a search per set.
+    and each orbit is one unit of work. The orbit's lexicographically least
+    set R is checked in full. For a unit j, m: v -> j*v maps Circ(n; R)
+    onto Circ(n; jR) and each kind's parts onto parts; it carries the
+    respecting groups onto each other and every multiplier map to itself.
+    So every other set jR takes R's row, except for its set and its own
+    propagation trace, after checking its own multipliers against R's and
+    that j*R is this set. A derived row thus rests on that argument, not on
+    a search of its own. A row is derived only from a representative that
+    raised nothing and recorded no failure; otherwise the orbit's every
+    set is checked in full, so the report is the same as that of a check
+    per set. Under ``enumerator="both"`` every set is its own orbit, searched
+    and compared with its own oracle scan. A row's ``ms`` times that row's
+    own work.
 
     A per-instance exception, a resource limit or any other, is recorded
     in the failures list without aborting the rest of the sweep. Every
@@ -412,7 +414,9 @@ def verify_theorem(spec: SweepSpec) -> VerificationReport:
     reports "expected-mismatch". At most
     min(jobs, orbits, processor cores) worker processes are started.
     """
-    orbits = collections.deque(_unit_orbits(generate_instances(spec)))
+    instances = generate_instances(spec)
+    singles = ([(cs, 1)] for cs in instances)  # the oracle-checked reference: every set on its own
+    orbits = collections.deque(_unit_orbits(instances) if spec.enumerator == "backtracking" else singles)
     evaluate = functools.partial(_evaluate, spec)
     workers = min(spec.jobs, len(orbits), os.cpu_count() or 1)
     if workers > 1:

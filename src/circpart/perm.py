@@ -35,30 +35,30 @@ def is_automorphism(graph: "ConnectionSet", p: Perm) -> bool:
     return is_permutation(p) and all((p[u], p[v]) in arcs for u, v in graph.arcs)
 
 
-def part_map(p: Perm, source: "ArcPartition", target: "ArcPartition") -> list[int] | None:
-    """The map of part labels, as a list indexed by source label, that the vertex
-    map p induces from ``source``'s graph to ``target``'s; None when it is not
-    well defined or not injective. Raises ValueError unless p is a permutation
-    of Z_n that maps every source arc to a target arc, and so onto the target
-    arcs; then each source part maps onto a target part exactly when the
-    label map is well defined and injective.
+def part_map(p: Perm, partition: "ArcPartition") -> list[int] | None:
+    """The map of part labels, as a list indexed by label, that the vertex map p
+    induces on ``partition``; None when it is not well defined or not injective.
+    Raises ValueError unless p is an automorphism of the partitioned graph; then
+    each part maps onto a part exactly when the label map is well defined and
+    injective.
     """
-    n = source.cs.n
-    if len(p) != n or target.cs.n != n:
+    graph = partition.cs
+    n = graph.n
+    if len(p) != n:
         raise ValueError(f"degree mismatch: permutation of {len(p)} on partition of order {n}")
-    if len(source.labels) != len(target.labels) or not is_permutation(p):
+    if not is_permutation(p):
         raise ValueError(_NOT_AN_AUTOMORPHISM)
-    slot, labels, image_labels, width = target.cs.slot, source.labels, target.labels, len(target.cs.elements)
-    image = [-1] * source.count
+    slot, labels, width = graph.slot, partition.labels, len(graph.elements)
+    image = [-1] * partition.count
     clash = False
     wrapped = p + p  # wrapped[u+s] is p[(u+s) mod n], and slot[d-n] is slot[d]
     a = 0  # the index u*|S|+k of the arc (u, u+s_k)
     for u, pu in enumerate(p):
-        for s in source.cs.elements:
+        for s in graph.elements:
             k = slot[wrapped[u + s] - pu]
             if k < 0:
                 raise ValueError(_NOT_AN_AUTOMORPHISM)
-            mapped = image_labels[pu * width + k]
+            mapped = labels[pu * width + k]
             if image[labels[a]] != mapped:
                 clash = clash or image[labels[a]] >= 0
                 image[labels[a]] = mapped
@@ -73,7 +73,7 @@ def respects(p: Perm, partition: "ArcPartition") -> bool:
     raises ValueError. Parts may permute among themselves, and the answer
     depends only on the parts' arc sets, not on how they are numbered.
     """
-    return part_map(p, partition, partition) is not None
+    return part_map(p, partition) is not None
 
 
 def format_perm(p: Perm) -> str:

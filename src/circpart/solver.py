@@ -2,8 +2,7 @@
 
 * ``respecting_group``: the group of automorphisms (optionally fixing
   vertex 0) that respect an arc partition, computed by backtracking as a
-  base, generators and a transversal per level and the order; a conjugate
-  carries the rest but builds its transversals only for listing.
+  base, generators and a transversal per level and the order.
 * ``enumerate_respecting``: that group's elements, listed.
 * ``brute_oracle``: the same sets computed by filtering every permutation,
   straight from the definitions, as an independent cross-check; one scan
@@ -24,7 +23,6 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .circulant import ArcPartition, ConnectionSet, ResourceLimitError, is_connected
@@ -73,27 +71,15 @@ class RespectingGroup:
 
     Write G_i for the elements that fix ``base[:i]`` pointwise.
     ``generators[i]`` holds the elements the search found at level i; those
-    of levels i and up generate G_i. ``order`` is |G|, the product of the
-    orbit lengths along the base, fixed when the group is made. For each
-    image x of ``base[i]`` under G_i, ``transversals[i][x]`` is one element
-    of G_i that sends ``base[i]`` to x. The search hands over its own; a
-    conjugated group builds them from the generators on first read, which
-    only listing ``elements()`` does.
+    of levels i and up generate G_i. For each image x of ``base[i]`` under
+    G_i, ``transversals[i][x]`` is one element of G_i that sends ``base[i]``
+    to x. ``order`` is |G|, the product of the orbit lengths along the base.
     """
 
     base: tuple[int, ...]
     generators: tuple[tuple[Perm, ...], ...]
+    transversals: tuple[dict, ...]
     order: int
-
-    @cached_property
-    def transversals(self) -> tuple[dict, ...]:
-        identity = tuple(range(len(self.base)))
-        gens: list[Perm] = []  # the generators of the levels from the deepest up to this one
-        out = []
-        for point, level in zip(reversed(self.base), reversed(self.generators)):
-            gens.extend(level)
-            out.append(_transversal(point, gens, identity))
-        return tuple(reversed(out))
 
     def strong_generators(self) -> list[Perm]:
         """Every generator, level by level; together they generate G."""
@@ -107,22 +93,6 @@ class RespectingGroup:
                 elems = [tuple(map(t.__getitem__, h)) for t in trans.values() for h in elems]
         elems.sort()
         return elems
-
-    def conjugate(self, m: Perm) -> "RespectingGroup":
-        """m G m^-1 along the base m[base]: every element g becomes v -> m(g(m^-1(v))).
-
-        When m maps one graph onto another and the parts of a partition of the
-        first onto the parts of one of the second, it carries the first
-        respecting group onto the second. Only the base and the generators
-        are mapped; the order is carried over.
-        """
-        inverse = sorted(range(len(m)), key=m.__getitem__)
-        image = m.__getitem__
-        return RespectingGroup(
-            tuple(map(image, self.base)),
-            tuple([tuple([tuple(map(image, map(p.__getitem__, inverse))) for p in level]) for level in self.generators]),
-            self.order,
-        )
 
 
 def _transversal(point: int, gens, identity: Perm) -> dict:
@@ -291,9 +261,9 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
                 undo(depth)
                 depth -= 1
 
-    group = RespectingGroup(tuple(order), tuple(map(tuple, generators)), math.prod(map(len, transversals)))
-    vars(group)["transversals"] = tuple(transversals)  # fills the cache: only a conjugate builds its own
-    return group
+    return RespectingGroup(
+        tuple(order), tuple(map(tuple, generators)), tuple(transversals), math.prod(map(len, transversals))
+    )
 
 
 def enumerate_respecting(graph: ConnectionSet, partition: ArcPartition, *, fix_zero: bool = True) -> list[Perm]:

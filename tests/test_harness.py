@@ -86,14 +86,19 @@ def test_a_sweep_makes_each_set_once_and_frees_it_after_its_orbit(monkeypatch):
         done.extend(weakref.ref(cs) for cs, _ in orbit)
         return original(spec, orbit)
 
-    slot = cp.ConnectionSet.__dict__["slot"]
     monkeypatch.setattr(cp.ConnectionSet, "__post_init__", counted("validate", cp.ConnectionSet.__post_init__))
-    monkeypatch.setattr(slot, "func", counted("slot", slot.func))
+    for name in ("slot", "arcs"):
+        cached = cp.ConnectionSet.__dict__[name]
+        monkeypatch.setattr(cached, "func", counted(name, cached.func))
     monkeypatch.setattr(harness, "_evaluate", evaluate)
     report = cp.verify_theorem(spec)
     assert len(report.instances) == len(sets) == len(done) == 247 and report.failures == ()
-    # the generated set is the graph: no second set is made, and kinds B and C share one slot table
-    assert counts == {(name, key): 1 for key in sets for name in ("validate", "slot")}
+    # the generated set is the graph: no second set is made; kinds B and C share one slot table, and
+    # only the representative of each unit orbit, whose row the others take, builds it and its arcs
+    reps = {(n, rep, cp.DIRECTED) for n in range(2, 9) for rep in unit_orbit_minima(n, directed_subsets(n))}
+    assert len(reps) == 92
+    built = {(name, key): 1 for key in reps for name in ("slot", "arcs")}
+    assert counts == {("validate", key): 1 for key in sets} | built
 
 
 def unit_orbit_minima(n, subsets):
@@ -115,30 +120,28 @@ def test_sweeps_search_once_per_unit_orbit_and_check_every_set(monkeypatch):
     assert [(g.n, g.elements) for g in calls["respecting_group"]] == [pair for pair in minima for _ in "BC"]
     traced = sorted(cp.instance_key(g) for g in calls["propagation_certifier"])
     assert traced == sorted(cp.instance_key(cs) for cs in cp.generate_instances(spec))
-    # one normalization per generator of each connected set's own cycle-respecting group
+    # one normalization per generator of each connected representative's cycle-respecting group
     generators = 0
-    for row in report.instances:
-        if row.connected:
-            g = cp.build(row.n, row.elements, row.mode)
+    for n, rep in minima:
+        g = cp.build(n, rep, cp.DIRECTED)
+        if cp.is_connected(g):
             generators += len(cp.respecting_group(g, cp.partition_by_cycle(g)).strong_generators())
     assert len(calls["normalize_to_multiplier"]) == generators > 0
     assert report.failures == () and report.aggregates["mismatch"] == 0
 
     calls.clear()
     report = cp.verify_theorem(cp.SweepSpec(n_min=2, n_max=6, enumerator="both"))
-    orbits = sum(
-        len(unit_orbit_minima(n, subsets(n))) for n in range(2, 7) for subsets in (directed_subsets, inverse_closed_subsets)
-    )
-    assert len(calls["respecting_group"]) == 2 * orbits < 2 * len(report.instances)
-    assert len(calls["brute_oracle"]) == len(report.instances) == 72  # each set's own scan
+    # the oracle-checked reference searches and scans every set on its own
+    assert len(calls["respecting_group"]) == 2 * len(report.instances)
+    assert len(calls["brute_oracle"]) == len(report.instances) == 72
     assert report.failures == ()
 
 
 @pytest.mark.parametrize(
     "rep, member, j, message",
     [
-        ("7:1,2:d", "7:3,6:d", 5, "kind B: v -> 5*v does not map the parts of 7:1,2:d onto these parts"),
-        ("8:1,5:d", "8:2:d", 1, "kind B: v -> 1*v does not map the parts of 8:1,5:d onto these parts"),
+        ("7:1,2:d", "7:3,6:d", 5, "5 times the set of 7:1,2:d is [3, 5], not this set"),
+        ("8:1,5:d", "8:2:d", 1, "1 times the set of 8:1,5:d is [1, 5], not this set"),
         ("8:1:d", "8:2:d", 3, "multipliers [1, 5] differ from [1] of 8:1:d"),
     ],
 )
@@ -155,6 +158,51 @@ def test_a_set_its_unit_does_not_reach_gets_an_error_row(rep, member, j, message
     assert (rep_row.verdict, rep_failures) == ("match", ())
     assert (row.verdict, row.aut_b, row.aut_c) == ("error", None, None)
     assert failures == (cp.SweepFailure(member, f"ValueError: {message}"),)
+
+
+def one_set_orbits(monkeypatch):
+    """Make every sweep check each set in full, as its own unit orbit."""
+    monkeypatch.setattr(harness, "_unit_orbits", lambda instances: [[(cs, 1)] for cs in instances])
+
+
+def test_a_representative_that_records_a_failure_leaves_its_orbit_to_a_check_per_set(monkeypatch):
+    # {1, 6} ~ {2, 5} ~ {3, 4} mod 7, with multipliers {1, 6}; a coset check that fails on the
+    # representative alone fails no other set, and the others are searched on their own
+    spec = cp.SweepSpec(n_min=7, n_max=7, modes=(cp.DIRECTED,))
+    check = harness.coset_image_check
+    monkeypatch.setattr(
+        harness, "coset_image_check", lambda g, p, sub: g.elements != (1, 6) and check(g, p, sub)
+    )
+    calls = recording(monkeypatch, "respecting_group")
+    report = cp.verify_theorem(spec)
+    searched = [g.elements for g in calls["respecting_group"]]
+    assert all(searched.count(elements) == 2 for elements in ((1, 6), (2, 5), (3, 4)))
+    assert {f.instance for f in report.failures} == {"7:1,6:d"}
+    assert {f.message for f in report.failures} == {
+        "coset image check failed for (0, 6, 5, 4, 3, 2, 1) on (1,)",
+        "coset image check failed for (0, 6, 5, 4, 3, 2, 1) on (6,)",
+        "coset image check failed for (0, 6, 5, 4, 3, 2, 1) on (1, 6)",
+    }
+    one_set_orbits(monkeypatch)
+    per_set = cp.verify_theorem(spec)
+    assert (report.instances, report.failures) == (per_set.instances, per_set.failures)
+
+
+def test_derived_rows_equal_a_check_per_set(monkeypatch):
+    # every row but each orbit's first is derived from the first; checked on its own, every set
+    # gives the same row (timings aside) and the same failures
+    specs = [
+        cp.SweepSpec(n_min=2, n_max=12, modes=(cp.DIRECTED,)),
+        cp.SweepSpec(n_min=2, n_max=16, modes=(cp.UNDIRECTED,)),
+    ]
+    derived = [cp.verify_theorem(spec) for spec in specs]
+    orbits = [len(harness._unit_orbits(cp.generate_instances(spec))) for spec in specs]
+    assert [len(report.instances) for report in derived] == [4083, 749] and orbits == [1012, 298]
+    one_set_orbits(monkeypatch)
+    for spec, report in zip(specs, derived):
+        per_set = cp.verify_theorem(spec)
+        assert report.instances == per_set.instances
+        assert report.failures == per_set.failures == ()
 
 
 def test_the_orbit_of_a_failing_representative_is_searched_set_by_set(monkeypatch):
@@ -187,21 +235,6 @@ def test_sweeps_count_and_certify_without_listing(monkeypatch):
     assert max(row.aut_c for row in report.instances) == 3840  # 12:6:u, six edges
 
 
-def test_sweeps_never_build_transversals_unless_they_list(monkeypatch):
-    # conjugation maps only the base and the generators, and only listing for the oracle reads
-    # transversals, so a sweep that does not list never reads nor builds any
-    def refuse(group):
-        raise AssertionError("transversals built")
-
-    monkeypatch.setattr(cp.RespectingGroup, "transversals", property(refuse))
-    spec = cp.SweepSpec(n_min=2, n_max=9)
-    report = cp.verify_theorem(spec)
-    assert report.failures == ()
-    assert report.aggregates["instances"] == len(list(cp.generate_instances(spec))) == 554
-    listed = cp.verify_theorem(cp.SweepSpec(n_min=2, n_max=4, enumerator="both"))
-    assert {row.verdict for row in listed.instances} == {"error"}
-
-
 def test_sweeps_never_pass_the_identity_to_respects(monkeypatch):
     import circpart.harness as harness
 
@@ -217,9 +250,16 @@ def test_sweeps_never_pass_the_identity_to_respects(monkeypatch):
     report = cp.verify_theorem(spec)
     assert report.failures == ()
     assert all(p != tuple(range(len(p))) for p in seen)
-    # every other multiplier of every set is checked, once per kind
-    assert len(seen) == sum(2 * (len(cp.multipliers(cs.n, cs.elements)) - 1) for cs in cp.generate_instances(spec))
-    assert len(seen) > 0
+    # on each representative: every other multiplier, once per kind, and every generator of G_B,
+    # and of G_C when connected, against the other kind's partition
+    expected = 0
+    for orbit in harness._unit_orbits(cp.generate_instances(spec)):
+        g, _ = orbit[0]
+        expected += 2 * (len(cp.multipliers(g.n, g.elements)) - 1)
+        expected += len(cp.respecting_group(g, cp.partition_by_generator(g)).strong_generators())
+        if cp.is_connected(g):
+            expected += len(cp.respecting_group(g, cp.partition_by_cycle(g)).strong_generators())
+    assert len(seen) == expected > 0
 
 
 def test_sweeps_check_each_multiplier_and_each_generator(monkeypatch):
@@ -329,14 +369,30 @@ def test_oracle_cross_check_in_sweep():
 def test_oracle_checked_sweep_fails_when_the_generator_group_is_not_inside_the_cycle_group(monkeypatch):
     # G_B <= G_C on every circulant; swapping the two partitions swaps the groups, so the
     # one directed set to n=6 with G_B < G_C (6:2,4:d, orders 6 and 12) breaks the inclusion
-    # while each listing still agrees with the oracle scan
+    # while each listing still agrees with the oracle scan. Each generator of G_B is checked
+    # against the C partition, so a sweep without the oracle fails there too
     spec = cp.SweepSpec(n_min=2, n_max=6, modes=(cp.DIRECTED,), enumerator="both")
     assert cp.verify_theorem(spec).failures == ()
     monkeypatch.setattr(harness, "partition_by_generator", cp.partition_by_cycle)
     monkeypatch.setattr(harness, "partition_by_cycle", cp.partition_by_generator)
-    report = cp.verify_theorem(spec)
-    assert report.failures == (cp.SweepFailure("6:2,4:d", "kind B group is not inside the kind C group"),)
-    assert cp.verify_theorem(dataclasses.replace(spec, enumerator="backtracking")).failures == ()
+    expected = (cp.SweepFailure("6:2,4:d", "kind B group is not inside the kind C group"),)
+    assert cp.verify_theorem(spec).failures == expected
+    assert cp.verify_theorem(dataclasses.replace(spec, enumerator="backtracking")).failures == expected
+
+
+def test_a_connected_sweep_fails_when_the_cycle_group_is_not_inside_the_generator_group(monkeypatch):
+    # The paper's direction, G_C <= G_B, is checked on connected sets, where it always holds.
+    # Taken for connected, 6:2,4:d (G_C of order 12 against G_B of order 6) is the one directed
+    # set to n=6 to break it; normalization, meant for connected sets, is stubbed out
+    spec = cp.SweepSpec(n_min=2, n_max=6, modes=(cp.DIRECTED,))
+    monkeypatch.setattr(harness, "is_connected", lambda graph: True)
+    monkeypatch.setattr(harness, "normalize_to_multiplier", lambda graph, p: None)
+
+    def inclusions(spec):
+        return [f for f in cp.verify_theorem(spec).failures if "inside" in f.message]
+
+    assert inclusions(spec) == [cp.SweepFailure("6:2,4:d", "kind C group is not inside the kind B group")]
+    assert inclusions(dataclasses.replace(spec, kinds=("C",))) == []  # no G_B to compare with
 
 
 def test_empty_range_gives_empty_report():

@@ -118,21 +118,20 @@ def test_respects_depends_only_on_part_arc_sets():
 
 
 def test_part_map_is_the_induced_label_map_or_none():
-    # a well-defined label map is onto, since p is a bijection on arcs; so only a source with
-    # more parts than the target can fail injectivity alone
     g = cp.parse_instance("8:1,2:d")
-    b, c = cp.partition_by_generator(g), cp.partition_by_cycle(g)
     ident = identity(8)
-    assert part_map(ident, b, b) == [0, 1]
-    assert part_map(ident, c, c) == [0, 1, 2]
-    assert part_map(ident, c, b) is None  # well defined, every part of C lies in one of B, not injective
-    assert part_map(ident, b, c) is None  # not well defined: the part of 2 splits into two cycles
-    negate = cp.multiplier_perm(8, 7)  # maps Circ(8; {1, 2}) onto Circ(8; {6, 7})
-    onto = cp.partition_by_cycle(cp.parse_instance("8:6,7:d"))
-    # the 1-cycle goes to the 7-cycle, and each 2-cycle to the 6-cycle on the same coset
-    assert part_map(negate, c, onto) == [2, 0, 1]
+    assert part_map(ident, cp.partition_by_generator(g)) == [0, 1]
+    assert part_map(ident, cp.partition_by_cycle(g)) == [0, 1, 2]
+    # a rotation of two disjoint triangles swaps them
+    triangles = cp.partition_by_cycle(cp.parse_instance("6:2,4:u"))
+    assert part_map((1, 2, 3, 4, 5, 0), triangles) == [1, 0]
+    # in K4, swapping 1 and 2 sends arcs of the 4-cycle {1, 3} to both classes: not well defined
+    k4 = cp.partition_by_generator(cp.parse_instance("4:1,2,3:u"))
+    assert part_map((0, 2, 1, 3), k4) is None
+    assert part_map(cp.multiplier_perm(4, 3), k4) == [0, 1]
+    # v -> 7v maps Circ(8; {1, 2}) onto Circ(8; {6, 7}), another graph
     with pytest.raises(ValueError, match="not an automorphism"):
-        part_map(negate, c, c)
+        part_map(cp.multiplier_perm(8, 7), cp.partition_by_cycle(g))
 
 
 def test_respects_matches_the_definition_exhaustively_to_n6():
