@@ -4,9 +4,10 @@
   vertex 0) that respect an arc partition, computed by backtracking as a
   base, generators and a transversal per level and the order.
 * ``enumerate_respecting``: that group's elements, listed.
-* ``brute_oracle``: the same sets computed by filtering every permutation,
-  straight from the definitions, as an independent cross-check; one scan
-  answers for every partition passed.
+* ``brute_oracle``: the same sets computed by filtering permutations
+  straight from the definitions, as an independent cross-check; it draws
+  only those that map S onto p(0) + S, and one scan answers for every
+  partition passed.
 * ``normalize_to_multiplier``: recovers the unit j with p(s) = j*s for all
   generators s, one residue per prime power, combined by CRT.
 * ``propagation_certifier``: the fixed-set closure that certifies, with no
@@ -21,12 +22,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .circulant import ArcPartition, ConnectionSet, ResourceLimitError, is_connected
-from .perm import Perm, is_automorphism, multiplier_perm, respects
+from .perm import Perm, is_automorphism
+from .perm import part_map as leaf_part_map  # respecting_group has a local list named part_map
 from .zmod import MultiplierWitness, crt_combine, factorize
 
 DEFAULT_ORACLE_LIMIT = 9
@@ -124,8 +127,9 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
     Along the identity path each vertex tries its own image first, so the
     deeper levels are complete before a level branches, and a candidate
     already in the level's orbit is skipped. Below a non-identity choice at
-    depth i the search stops at the first leaf that passes the full
-    automorphism-plus-respect re-check: that leaf joins the generators of
+    depth i the search stops at the first leaf that passes a full re-check,
+    one ``part_map`` pass (every arc's image is an arc, and the label map is
+    well defined and injective): that leaf joins the generators of
     level i, the level's orbit is recomputed and the stack is cut back to
     depth i. ``fix_zero`` keeps vertex 0 in place. Graphs of more than
     ``DEFAULT_SEARCH_CAP`` vertices, and partitions of another connection
@@ -253,7 +257,11 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
         if split == n:
             continue  # the identity
         p = tuple(images)
-        if is_automorphism(graph, p) and respects(p, partition):
+        try:  # one pass: the label map is well defined and injective, and every arc maps to an arc
+            ok = leaf_part_map(p, partition) is not None
+        except ValueError:  # an arc image that is not an arc
+            ok = False
+        if ok:
             generators[split].append(p)
             found.append(p)
             transversals[split] = _transversal(order[split], found, identity)
@@ -280,10 +288,30 @@ def enumerate_respecting(graph: ConnectionSet, partition: ArcPartition, *, fix_z
     return group.elements()
 
 
+def _oracle_candidates(graph: ConnectionSet, fix_zero: bool):
+    """Every permutation p of Z_n with p(S) = p(0) + S, each once (only p(0) = 0 when ``fix_zero``).
+
+    For each image w of 0, an arrangement of S onto w + S times an
+    arrangement of the other vertices onto the rest, laid out in vertex
+    order by one ``itemgetter``.
+    """
+    n, elements = graph.n, graph.elements
+    others = sorted(set(range(1, n)).difference(elements))
+    sources = [0, *elements, *others]  # the vertex at each position of (w, *onto S, *onto the rest)
+    layout = operator.itemgetter(*map(sources.index, range(n)))
+    for w in (0,) if fix_zero else range(n):
+        ring = [(w + s) % n for s in elements]
+        rest = sorted(set(range(n)).difference(ring, (w,)))
+        for onto_s in itertools.permutations(ring):
+            head = (w, *onto_s)
+            for onto_rest in itertools.permutations(rest):
+                yield layout(head + onto_rest)
+
+
 def brute_oracle(
     graph: ConnectionSet, partitions: list[ArcPartition], fix_zero: bool = True
 ) -> list[list[Perm]]:
-    """Filter every permutation (fixing 0 when asked) straight by the definitions.
+    """Filter the permutations (fixing 0 when asked) straight by the definitions.
 
     Returns one ascending list per partition in ``partitions``, in the order
     given. One scan answers for all of them: the arc-set test does not depend
@@ -291,24 +319,36 @@ def brute_oracle(
     each automorphism once per partition for respect. Every partition must
     be of the graph's connection set, checked before any permutation is drawn.
 
-    Two shortcuts keep the scan short, both exact:
+    Four shortcuts keep the scan short, all exact:
 
+    * Only the permutations p with p(S) = p(0) + S are drawn: they are
+      exactly those that pass every pair (0, x) of the arc test below. The
+      arc (0, s) maps to an arc exactly when p(s) is in p(0) + S, so the
+      arcs of 0 pass when p(S) = p(0) + S; the non-arcs (0, x) pass when p
+      sends every non-neighbour x of 0 outside p(0) + S, the same condition.
+      Every drawn permutation still gets the full test.
     * The arc test checks the smaller of the arcs and the non-arcs (ordered
       pairs of distinct vertices that are not arcs), each pair against its
       own set. A permutation p of Z_n permutes the ordered pairs of distinct
       vertices, so p maps the arcs into, hence onto, the arcs exactly when
       it maps the non-arcs onto the non-arcs. A complete graph has no
       non-arcs and passes every permutation with no check.
+    * Each part's image is tested against one part only: the part that holds
+      the image of its first arc. It passes when that part has the same size
+      and holds every image arc; p is injective on arcs, so an image inside a
+      part of its size is that part, and no other part can equal it.
     * The image family is built one part at a time and dropped at the first
       image part that is not a part: the image family then holds a set the
       family lacks, so the two cannot be equal. A family that survives is
       still compared with the family by set equality.
 
     Graphs with more than the fixed ``DEFAULT_ORACLE_LIMIT`` vertices are
-    refused, since the scan covers (n-1)! or n! permutations. Deliberately
-    shares no machinery with the backtracking path: the arc test reads the
-    pair set wholesale and the respect condition is literal set equality
-    between the family of parts (their arcs, from ``parts()``) and its image.
+    refused: the scan draws |S|! (n-1-|S|)! permutations per image of 0, up
+    to (n-1)! for a complete graph. Deliberately shares no machinery with
+    the backtracking path: the candidates come from S alone, the arc test
+    reads the pair set wholesale and the respect condition is literal set
+    equality between the family of parts (their arcs, from ``parts()``) and
+    its image.
     """
     n = graph.n
     if n > DEFAULT_ORACLE_LIMIT:
@@ -319,27 +359,33 @@ def brute_oracle(
     if 2 * len(pairs) > n * (n - 1):  # more arcs than non-arcs: test the non-arcs, ascending
         pairs = tuple((u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in pair_set)
         pair_set = frozenset(pairs)
-    part_arcs = [[arcs for arcs, _, _ in partition.parts()] for partition in partitions]
-    families = [(parts, {frozenset(arcs) for arcs in parts}) for parts in part_arcs]
-
-    if fix_zero:
-        candidates = ((0,) + rest for rest in itertools.permutations(range(1, n)))
-    else:
-        candidates = itertools.permutations(range(n))
+    families = []
+    for partition in partitions:
+        parts = [arcs for arcs, _, _ in partition.parts()]
+        keys = [frozenset(arcs) for arcs in parts]
+        owner = {arc: key for key in keys for arc in key}
+        families.append((parts, owner, set(keys)))
 
     found: list[list[Perm]] = [[] for _ in families]
-    for p in candidates:
+    for p in _oracle_candidates(graph, fix_zero):
         for u, v in pairs:
             if (p[u], p[v]) not in pair_set:
                 break
         else:
-            for (parts, part_keys), sols in zip(families, found):
+            for (parts, owner, part_keys), sols in zip(families, found):
                 image = set()
                 for arcs in parts:
-                    part = frozenset((p[u], p[v]) for u, v in arcs)
-                    if part not in part_keys:
+                    u, v = arcs[0]
+                    target = owner[p[u], p[v]]
+                    if len(target) != len(arcs):
                         break
-                    image.add(part)
+                    for u, v in arcs:
+                        if (p[u], p[v]) not in target:
+                            break
+                    else:
+                        image.add(target)
+                        continue
+                    break  # the target lacks an image arc
                 else:
                     if image == part_keys:
                         sols.append(p)

@@ -94,12 +94,12 @@ def test_brute_oracle_small_cycles():
 
 
 def test_one_oracle_scan_serves_every_partition(monkeypatch):
-    draws = []
-    permutations = itertools.permutations
+    draws = []  # one entry per scan: a call of the oracle's candidate generator
+    candidates = solver._oracle_candidates
 
     def counted(*args):
         draws.append(args)
-        return permutations(*args)
+        return candidates(*args)
 
     def scan(g, partitions, fix_zero):
         before = len(draws)
@@ -107,7 +107,7 @@ def test_one_oracle_scan_serves_every_partition(monkeypatch):
         assert len(draws) == before + 1
         return lists
 
-    monkeypatch.setattr(itertools, "permutations", counted)
+    monkeypatch.setattr(solver, "_oracle_candidates", counted)
     for n in range(2, 7):
         foreign = cp.arc_partition(cp.build(n + 1, (1,), cp.DIRECTED), "C")
         for mode, subsets in ((cp.DIRECTED, directed_subsets(n)), (cp.UNDIRECTED, inverse_closed_subsets(n))):
@@ -170,6 +170,102 @@ def test_oracle_agrees_with_the_search_at_its_limit(text, order):
     assert [len(sols) for sols in listed] == [order, order]
     for partition, expected in zip(partitions, listed):
         assert cp.enumerate_respecting(g, partition, fix_zero=True) == expected
+
+
+def small_graphs(n_max):
+    return [
+        cp.build(n, elements, mode)
+        for n in range(2, n_max + 1)
+        for mode, subsets in ((cp.DIRECTED, directed_subsets(n)), (cp.UNDIRECTED, inverse_closed_subsets(n)))
+        for elements in subsets
+    ]
+
+
+def test_oracle_draws_exactly_the_permutations_that_map_s_onto_p0_plus_s():
+    complete = [cp.build(n, range(1, n), mode) for n in range(2, 8) for mode in (cp.DIRECTED, cp.UNDIRECTED)]
+    for g in small_graphs(6) + complete:
+        n, elements = g.n, g.elements
+        for fix_zero in (True, False):
+            expected = [
+                p
+                for p in itertools.permutations(range(n))
+                if (p[0] == 0 or not fix_zero) and {p[s] for s in elements} == {(p[0] + s) % n for s in elements}
+            ]
+            drawn = sorted(solver._oracle_candidates(g, fix_zero))  # ascending, so a repeat would show
+            assert drawn == expected, (cp.instance_key(g), fix_zero)
+
+
+def random_partitions(g, rng):
+    """Arc partitions of ``g`` beyond B and C, every label used: free labels,
+    equal-size parts (shuffled, and by vertex residue) and unions of C parts."""
+
+    def onto(m, count):  # m labels in random order, each of 0..count-1 used
+        labels = list(range(count)) + [rng.randrange(count) for _ in range(m - count)]
+        rng.shuffle(labels)
+        return labels
+
+    width = len(g.elements)
+    m = g.n * width
+    size = rng.choice([d for d in range(1, m + 1) if m % d == 0])
+    equal = [i // size for i in range(m)]
+    rng.shuffle(equal)
+    modulus = rng.randint(1, g.n)  # arc (u, u+s_k) gets (u + k) mod modulus, every residue met at k = 0
+    by_residue = [(a // width + a % width) % modulus for a in range(m)]
+    c = cp.arc_partition(g, "C")
+    merge = onto(c.count, rng.randint(1, c.count))
+    unions = [merge[label] for label in c.labels]
+    free = onto(m, rng.randint(1, m))
+    return [cp.ArcPartition(rng.choice("BC"), g, tuple(labels)) for labels in (free, equal, by_residue, unions)]
+
+
+def test_oracle_family_test_on_partitions_beyond_b_and_c():
+    rng = random.Random(17)
+    equal_sizes = nontrivial = 0
+    for g in small_graphs(6):
+        partitions = random_partitions(g, rng) + random_partitions(g, rng)
+        families = []
+        for partition in partitions:
+            arcs = [[] for _ in range(partition.count)]
+            for a, label in enumerate(partition.labels):  # arc a is (u, u + s_k) with a = u*|S| + k
+                u, k = divmod(a, len(g.elements))
+                arcs[label].append((u, (u + g.elements[k]) % g.n))
+            assert all(arcs)
+            families.append({frozenset(part) for part in arcs})
+            equal_sizes += len(set(map(len, arcs))) < len(arcs)
+        automorphisms = [
+            p for p in itertools.permutations(range(g.n)) if {(p[u], p[v]) for u, v in g.arcs} == g.arc_set
+        ]
+        for fix_zero in (True, False):
+            kept = [p for p in automorphisms if p[0] == 0 or not fix_zero]
+            expected = [
+                [p for p in kept if {frozenset((p[u], p[v]) for u, v in part) for part in family} == family]
+                for family in families
+            ]
+            assert cp.brute_oracle(g, partitions, fix_zero=fix_zero) == expected, (cp.instance_key(g), fix_zero)
+            nontrivial += sum(len(sols) > 1 for sols in expected)
+    assert equal_sizes > 300 and nontrivial > 400, (equal_sizes, nontrivial)
+
+
+@pytest.mark.parametrize("rejection", ["none", "raise"])
+def test_a_leaf_that_fails_its_recheck_is_not_a_generator(rejection, monkeypatch):
+    checked = []
+
+    def reject(p, partition):
+        checked.append(p)
+        if rejection == "raise":
+            raise ValueError("an arc image that is not an arc")
+        return None
+
+    g = cp.parse_instance("6:2,4:u")
+    partitions = [cp.arc_partition(g, kind) for kind in ("B", "C")]
+    assert [cp.respecting_group(g, partition).order for partition in partitions] == [12, 12]
+    monkeypatch.setattr(solver, "leaf_part_map", reject)
+    for partition in partitions:
+        for fix_zero in (True, False):
+            group = cp.respecting_group(g, partition, fix_zero=fix_zero)
+            assert group.order == 1
+            assert group.strong_generators() == []
+    assert checked
 
 
 def test_identity_always_enumerated():
