@@ -1,10 +1,10 @@
 """Sweep harness: instance generation, theorem verification, reports.
 
-A sweep enumerates connection sets for a range of n, groups them into
-orbits under the unit multipliers, checks each orbit's first set in full
-(the group of respecting automorphisms from its generators, compared with
-the multiplier group), derives the orbit's other rows from that one, and
-assembles a deterministic report.
+A sweep generates the connection sets of one (n, mode, size) block at a
+time, groups them into orbits under the unit multipliers, checks each
+orbit's first set in full (the group of respecting automorphisms from its
+generators, compared with the multiplier group), derives the orbit's other
+rows from that one, and assembles a deterministic report.
 Per-instance rows are keyed and ordered by (n, mode, set size, set), never
 by completion time, so the report content is independent of the worker
 count. Wall-clock timings are kept for the CSV view but excluded from JSON
@@ -63,7 +63,7 @@ class SweepSpec:
     ``enumerator="both"`` searches every set on its own, lists each group
     and checks it against ``brute_oracle``, whose one scan per instance
     serves every kind, so n_max is at most ``DEFAULT_ORACLE_LIMIT``.
-    ``jobs`` bounds the worker processes, which take one orbit at a time.
+    ``jobs`` bounds the worker processes, which take one block at a time.
     """
 
     n_min: int
@@ -167,32 +167,31 @@ class VerificationReport:
     failures: tuple[SweepFailure, ...]
 
 
-def _connection_sets(n: int, mode: str):
-    if mode == DIRECTED:
-        for size in range(1, n):
-            yield from itertools.combinations(range(1, n), size)
-    else:  # each set of representatives s <= n/2, closed under s -> n-s
-        for size in range(1, n // 2 + 1):
-            for combo in itertools.combinations(range(1, n // 2 + 1), size):
-                yield tuple(sorted({t for s in combo for t in (s, n - s)}))
+def _blocks(spec: SweepSpec) -> list[tuple[int, str, int]]:
+    """The (n, mode, size) blocks in generation order; size is |S|, or the number of classes {s, n-s} if undirected."""
+    modes = [(n, mode) for n in range(spec.n_min, spec.n_max + 1) for mode in spec.modes]
+    return [(n, mode, size) for n, mode in modes for size in range(1, n if mode == DIRECTED else n // 2 + 1)]
+
+
+def _block_sets(spec: SweepSpec, block: tuple[int, str, int]):
+    """The connection sets of one block, lexicographically, filtered by the connectivity flag."""
+    n, mode, size = block
+    for combo in itertools.combinations(range(1, n if mode == DIRECTED else n // 2 + 1), size):
+        # undirected: each set of representatives s <= n/2, closed under s -> n-s
+        elements = combo if mode == DIRECTED else tuple(sorted({t for s in combo for t in (s, n - s)}))
+        if spec.connectivity == "all" or (math.gcd(n, *elements) == 1) == (spec.connectivity == "connected"):
+            yield ConnectionSet(n, elements, mode)
 
 
 def generate_instances(spec: SweepSpec):
-    """Deterministic stream of connection sets covered by the sweep.
+    """Deterministic stream of connection sets covered by the sweep, block by block.
 
     Directed mode yields every nonempty subset of 1..n-1; undirected mode
     every nonempty inverse-closed subset, both ordered by size then
     lexicographically, filtered by the connectivity flag.
     """
-    for n in range(spec.n_min, spec.n_max + 1):
-        for mode in spec.modes:
-            for elements in _connection_sets(n, mode):
-                g = math.gcd(n, *elements)
-                if spec.connectivity == "connected" and g != 1:
-                    continue
-                if spec.connectivity == "disconnected" and g == 1:
-                    continue
-                yield ConnectionSet(n, elements, mode)
+    for block in _blocks(spec):
+        yield from _block_sets(spec, block)
 
 
 def _unit_orbits(instances) -> list[list[tuple[ConnectionSet, int]]]:
@@ -202,7 +201,7 @@ def _unit_orbits(instances) -> list[list[tuple[ConnectionSet, int]]]:
     representative R with j = 1, then every other set with the least unit j
     for which it is j*R. Over ``generate_instances`` the representative is
     the orbit's lexicographically least set. The units preserve n, the mode,
-    the set size and gcd(n, S), so an orbit never straddles a filter.
+    the set size and gcd(n, S), so an orbit never straddles a block or a filter.
     """
     orbits: list[list] = []
     pending: dict = {}  # a set not met yet -> (its orbit, its j)
@@ -222,8 +221,18 @@ def _unit_orbits(instances) -> list[list[tuple[ConnectionSet, int]]]:
     return orbits
 
 
+def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> list:
+    """Worker body: one block in, one (row, failures) pair per set out; every set is its own orbit under "both"."""
+    sets = _block_sets(spec, block)
+    orbits = collections.deque(_unit_orbits(sets) if spec.enumerator == "backtracking" else ([(cs, 1)] for cs in sets))
+    out = []  # taken off the queue, an orbit's sets, with the arcs they cache, are freed once it is done
+    while orbits:
+        out.extend(_evaluate(spec, orbits.popleft()))
+    return out
+
+
 def _evaluate(spec: SweepSpec, orbit) -> list:
-    """Worker body: one unit orbit in, one (row, failures) pair per set out. Pure and picklable.
+    """One unit orbit in, one (row, failures) pair per set out.
 
     The orbit's first set R is checked in full. If that raised nothing and
     recorded no failure, every other set's row is derived from R's (see
@@ -392,39 +401,38 @@ def _spec_echo(spec: SweepSpec) -> dict:
 def verify_theorem(spec: SweepSpec) -> VerificationReport:
     """Run the sweep and assemble the report.
 
-    The sets are grouped into orbits of S -> j*S under the units j of Z_n,
-    and each orbit is one unit of work. The orbit's lexicographically least
-    set R is checked in full. For a unit j, m: v -> j*v maps Circ(n; R)
-    onto Circ(n; jR) and each kind's parts onto parts; it carries the
-    respecting groups onto each other and every multiplier map to itself.
-    So every other set jR takes R's row, except for its set and its own
-    propagation trace, after checking its own multipliers against R's and
-    that j*R is this set. A derived row thus rests on that argument, not on
-    a search of its own. A row is derived only from a representative that
-    raised nothing and recorded no failure; otherwise the orbit's every
-    set is checked in full, so the report is the same as that of a check
-    per set. Under ``enumerator="both"`` every set is its own orbit, searched
-    and compared with its own oracle scan. A row's ``ms`` times that row's
-    own work.
+    Each (n, mode, size) block is one unit of work: its worker generates its
+    sets and groups them into orbits of S -> j*S under the units j of Z_n,
+    which keep the block, so no set crosses a process boundary. The orbit's
+    lexicographically least set R is checked in full. For a unit j, m: v ->
+    j*v maps Circ(n; R) onto Circ(n; jR) and each kind's parts onto parts;
+    it carries the respecting groups onto each other and every multiplier
+    map to itself. So every other set jR takes R's row, except for its set
+    and its own propagation trace, after checking its own multipliers
+    against R's and that j*R is this set. A derived row thus rests on that
+    argument, not on a search of its own. A row is derived only from a
+    representative that raised nothing and recorded no failure; otherwise
+    the orbit's every set is checked in full, so the report is the same as
+    that of a check per set. Under ``enumerator="both"`` every set is its
+    own orbit, searched and compared with its own oracle scan. A row's
+    ``ms`` times that row's own work.
 
     A per-instance exception, a resource limit or any other, is recorded
     in the failures list without aborting the rest of the sweep. Every
     connected instance must come back with verdict "match"; a disconnected
     instance whose respecting group strictly contains the multipliers
-    reports "expected-mismatch". At most
-    min(jobs, orbits, processor cores) worker processes are started.
+    reports "expected-mismatch". At most min(jobs, blocks, processor cores)
+    worker processes are started, which take the largest n first; with one,
+    the blocks run in order in this process.
     """
-    instances = generate_instances(spec)
-    singles = ([(cs, 1)] for cs in instances)  # the oracle-checked reference: every set on its own
-    orbits = collections.deque(_unit_orbits(instances) if spec.enumerator == "backtracking" else singles)
-    evaluate = functools.partial(_evaluate, spec)
-    workers = min(spec.jobs, len(orbits), os.cpu_count() or 1)
+    blocks = _blocks(spec)
+    sweep = functools.partial(_sweep_block, spec)
+    workers = min(spec.jobs, len(blocks), os.cpu_count() or 1)
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            outcomes = pool.map(evaluate, orbits)
+            outcomes = list(pool.imap_unordered(sweep, reversed(blocks)))
     else:
-        # Taken off the queue, an orbit's sets, with the arcs they cache, are freed once it is done.
-        outcomes = [evaluate(orbits.popleft()) for _ in range(len(orbits))]
+        outcomes = map(sweep, blocks)
 
     paired = sorted((pair for pairs in outcomes for pair in pairs), key=lambda pair: _row_key(pair[0]))
     rows = tuple(row for row, _ in paired)

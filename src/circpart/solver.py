@@ -326,7 +326,7 @@ def brute_oracle(
       arc (0, s) maps to an arc exactly when p(s) is in p(0) + S, so the
       arcs of 0 pass when p(S) = p(0) + S; the non-arcs (0, x) pass when p
       sends every non-neighbour x of 0 outside p(0) + S, the same condition.
-      Every drawn permutation still gets the full test.
+      Every drawn permutation still gets the full test, the pairs of 0 last.
     * The arc test checks the smaller of the arcs and the non-arcs (ordered
       pairs of distinct vertices that are not arcs), each pair against its
       own set. A permutation p of Z_n permutes the ordered pairs of distinct
@@ -359,6 +359,7 @@ def brute_oracle(
     if 2 * len(pairs) > n * (n - 1):  # more arcs than non-arcs: test the non-arcs, ascending
         pairs = tuple((u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in pair_set)
         pair_set = frozenset(pairs)
+    pairs = sorted(pairs, key=lambda pair: 0 in pair)  # the pairs touching 0 last: every draw passes (0, x)
     families = []
     for partition in partitions:
         parts = [arcs for arcs, _, _ in partition.parts()]

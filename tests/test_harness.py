@@ -35,6 +35,24 @@ def test_generate_instances_connected_filter():
     assert got == {(2, 4), (3,)}
 
 
+def test_blocks_concatenate_to_the_sweep_and_each_holds_the_unit_images_of_its_sets():
+    # a unit j keeps n, the mode, |S|, the number of classes {s, n-s} and gcd(n, S), so j*S
+    # never leaves the (n, mode, size) block of S, and a worker can group its block on its own
+    for connectivity in harness.CONNECTIVITY_CHOICES:
+        spec = cp.SweepSpec(n_min=2, n_max=14, connectivity=connectivity)
+        blocks = harness._blocks(spec)
+        assert len(blocks) == sum((n - 1) + n // 2 for n in range(2, 15))
+        block_sets = [list(harness._block_sets(spec, block)) for block in blocks]
+        assert [cs for sets in block_sets for cs in sets] == list(cp.generate_instances(spec))
+        for (n, mode, size), sets in zip(blocks, block_sets):
+            members = {cs.elements for cs in sets}
+            units = [j for j in range(2, n) if math.gcd(j, n) == 1]
+            for cs in sets:
+                classes = {min(s, n - s) for s in cs.elements} if mode == cp.UNDIRECTED else cs.elements
+                assert (cs.n, cs.mode, len(classes)) == (n, mode, size)
+                assert all(tuple(sorted(j * s % n for s in cs.elements)) in members for j in units)
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         cp.SweepSpec(n_min=1, n_max=4)
@@ -320,15 +338,31 @@ def test_pool_size_is_capped_by_instances_and_cores(monkeypatch):
         def map(self, fn, items):
             return [fn(item) for item in items]
 
+        def imap_unordered(self, fn, items):
+            return map(fn, items)
+
     monkeypatch.setattr(harness.multiprocessing, "Pool", SerialPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     serial = cp.report_to_json(cp.verify_theorem(cp.SweepSpec(n_min=3, n_max=5)))
     assert cp.report_to_json(cp.verify_theorem(cp.SweepSpec(n_min=3, n_max=5, jobs=10**6))) == serial
-    # 3 sets in 2 unit orbits, {1} ~ {2} and {1, 2}; the pool takes one orbit at a time
+    # 2 (n, mode, size) blocks, {1}, {2} and {1, 2}; the pool takes one block at a time
     cp.verify_theorem(cp.SweepSpec(n_min=3, n_max=3, modes=(cp.DIRECTED,), jobs=10**6))
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
     cp.verify_theorem(cp.SweepSpec(n_min=3, n_max=5, jobs=10**6))
     assert sizes == [4, 2]
+
+
+def test_only_the_spec_and_blocks_cross_the_pool(monkeypatch):
+    # each worker generates the sets of its own blocks, so no connection set is pickled
+    spec = cp.SweepSpec(n_min=2, n_max=8, modes=(cp.DIRECTED,))
+    serial = cp.report_to_json(cp.verify_theorem(spec))
+
+    def refuse(cs, protocol):
+        raise AssertionError(f"{cp.instance_key(cs)} was pickled")
+
+    monkeypatch.setattr(cp.ConnectionSet, "__reduce_ex__", refuse)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert cp.report_to_json(cp.verify_theorem(dataclasses.replace(spec, jobs=2))) == serial
 
 
 def test_connected_sweep_all_match():
@@ -602,12 +636,14 @@ def test_json_rendering_is_frozen():
 
 
 def test_parallel_sweep_is_byte_identical():
-    for jobs in (1, 2):
-        spec = cp.SweepSpec(n_min=3, n_max=6, jobs=jobs)
-        if jobs == 1:
-            baseline = cp.report_to_json(cp.verify_theorem(spec))
-        else:
-            assert cp.report_to_json(cp.verify_theorem(spec)) == baseline
+    specs = [
+        cp.SweepSpec(n_min=3, n_max=6),
+        cp.SweepSpec(n_min=2, n_max=6, enumerator="both"),
+        cp.SweepSpec(n_min=2, n_max=12, modes=(cp.UNDIRECTED,), connectivity="disconnected"),
+    ]
+    for spec in specs:
+        baseline = cp.report_to_json(cp.verify_theorem(spec))
+        assert cp.report_to_json(cp.verify_theorem(dataclasses.replace(spec, jobs=2))) == baseline
 
 
 def test_disconnected_sweep_json_digest():
