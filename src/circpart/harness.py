@@ -1,10 +1,11 @@
 """Sweep harness: instance generation, theorem verification, reports.
 
-A sweep generates the connection sets of one (n, mode, size) block at a
-time, groups them into orbits under the unit multipliers, checks each
-orbit's first set in full (the group of respecting automorphisms from its
-generators, compared with the multiplier group), derives the orbit's other
-rows from that one, and assembles a deterministic report.
+A sweep walks the connection sets of one (n, mode, size) block at a
+time, in generation order. The first set of each orbit under the unit
+multipliers is checked in full (the group of respecting automorphisms
+from its generators, compared with the multiplier group); each later set
+of the orbit takes that row as it arrives. The rows form a deterministic
+report.
 Per-instance rows are keyed and ordered by (n, mode, set size, set), never
 by completion time, so the report content is independent of the worker
 count. Wall-clock timings are kept for the CSV view but excluded from JSON
@@ -13,7 +14,6 @@ exports, which are byte-stable.
 
 from __future__ import annotations
 
-import collections
 import csv
 import functools
 import io
@@ -48,7 +48,7 @@ from .solver import (
     propagation_certifier,
     respecting_group,
 )
-from .zmod import multipliers
+from .zmod import _units, multipliers
 
 CONNECTIVITY_CHOICES = ("connected", "disconnected", "all")
 ENUMERATOR_CHOICES = ("backtracking", "both")
@@ -77,12 +77,12 @@ class SweepSpec:
     def __post_init__(self):
         if self.n_min < 2:
             raise ValueError(f"n_min must be at least 2, got {self.n_min}")
-        if not self.modes or any(m not in (DIRECTED, UNDIRECTED) for m in self.modes):
-            raise ValueError(f"modes must be drawn from ({DIRECTED!r}, {UNDIRECTED!r})")
+        if not self.modes or len(set(self.modes)) < len(self.modes) or not set(self.modes) <= {DIRECTED, UNDIRECTED}:
+            raise ValueError(f"modes must be distinct and drawn from ({DIRECTED!r}, {UNDIRECTED!r})")
         if self.connectivity not in CONNECTIVITY_CHOICES:
             raise ValueError(f"connectivity must be one of {CONNECTIVITY_CHOICES}")
-        if not self.kinds or any(k not in ("B", "C") for k in self.kinds):
-            raise ValueError("kinds must be drawn from ('B', 'C')")
+        if not self.kinds or len(set(self.kinds)) < len(self.kinds) or not set(self.kinds) <= {"B", "C"}:
+            raise ValueError("kinds must be distinct and drawn from ('B', 'C')")
         if self.enumerator not in ENUMERATOR_CHOICES:
             raise ValueError(f"enumerator must be one of {ENUMERATOR_CHOICES}")
         if self.jobs < 1:
@@ -194,64 +194,33 @@ def generate_instances(spec: SweepSpec):
         yield from _block_sets(spec, block)
 
 
-def _unit_orbits(instances) -> list[list[tuple[ConnectionSet, int]]]:
-    """Group connection sets into orbits of S -> j*S under the units j of Z_n.
-
-    Each orbit lists (set, j) pairs in the order of ``instances``: first its
-    representative R with j = 1, then every other set with the least unit j
-    for which it is j*R. Over ``generate_instances`` the representative is
-    the orbit's lexicographically least set. The units preserve n, the mode,
-    the set size and gcd(n, S), so an orbit never straddles a block or a filter.
-    """
-    orbits: list[list] = []
-    pending: dict = {}  # a set not met yet -> (its orbit, its j)
-    for cs in instances:
-        found = pending.pop((cs.n, cs.mode, cs.elements), None)
-        if found is not None:
-            orbit, j = found
-            orbit.append((cs, j))
-            continue
-        orbit = [(cs, 1)]
-        orbits.append(orbit)
-        for j in range(2, cs.n):
-            if math.gcd(j, cs.n) == 1:
-                image = tuple(sorted(j * s % cs.n for s in cs.elements))
-                if image != cs.elements:
-                    pending.setdefault((cs.n, cs.mode, image), (orbit, j))
-    return orbits
-
-
 def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> list:
-    """Worker body: one block in, one (row, failures) pair per set out; every set is its own orbit under "both"."""
-    sets = _block_sets(spec, block)
-    orbits = collections.deque(_unit_orbits(sets) if spec.enumerator == "backtracking" else ([(cs, 1)] for cs in sets))
-    out = []  # taken off the queue, an orbit's sets, with the arcs they cache, are freed once it is done
-    while orbits:
-        out.extend(_evaluate(spec, orbits.popleft()))
-    return out
+    """Worker body: one block in, one (row, failures) pair per set out, in one pass in generation order.
 
-
-def _evaluate(spec: SweepSpec, orbit) -> list:
-    """One unit orbit in, one (row, failures) pair per set out.
-
-    The orbit's first set R is checked in full. If that raised nothing and
-    recorded no failure, every other set's row is derived from R's (see
-    ``_derived``); otherwise every other set is checked in full on its own.
-    An exception does not end the sweep: it becomes that set's ``error`` row
-    and a failure naming it, after those already recorded.
+    A set that is no earlier set's image j*R is checked in full and, under
+    ``enumerator="backtracking"``, registers its images with the least unit
+    j and a source: its key, row and multipliers if it raised nothing and
+    recorded no failure, else None. An image with a source takes its row
+    from it (see ``_derived``); one without is checked in full. No source
+    holds a set, so each set, with the arcs it caches, is freed once its
+    row is made. An exception becomes that set's ``error`` row and a failure.
     """
+    n = block[0]
+    units = _units(n) if spec.enumerator == "backtracking" else ()
+    pending: dict = {}  # a later set's elements -> (its representative's source or None, its j)
     out = []
-    source = None  # the representative, its clean row and its multipliers
-    for index, (cs, j) in enumerate(orbit):
+    for cs in _block_sets(spec, block):
+        entry = pending.pop(cs.elements, None)
         started = time.perf_counter()
         failures: list[SweepFailure] = []
+        source = None
         try:
-            if source is None:
-                row, units = _check_instance(spec, cs, failures, started)
-                if index == 0 and not failures:
-                    source = cs, row, units
+            if entry is None or entry[0] is None:
+                row, mine = _check_instance(spec, cs, failures, started)
+                if entry is None and not failures:
+                    source = instance_key(cs), row, mine
             else:
-                row = _derived(*source, cs, j, started)
+                row = _derived(*entry[0], cs, entry[1], started)
         except Exception as exc:
             failures.append(SweepFailure(instance_key(cs), f"{type(exc).__name__}: {exc}"))
             row = InstanceResult(
@@ -259,14 +228,19 @@ def _evaluate(spec: SweepSpec, orbit) -> list:
                 parts_b=None, parts_c=None, aut_b=None, aut_c=None, multiplier_count=None,
                 verdict="error", prop_covered=None, prop_rounds=None, ms=(time.perf_counter() - started) * 1e3,
             )
+        if entry is None:
+            for j in units:
+                image = tuple(sorted(j * s % n for s in cs.elements))
+                if image != cs.elements:
+                    pending.setdefault(image, (source, j))
         out.append((row, tuple(failures)))
     return out
 
 
 def _derived(
-    rep: ConnectionSet, source: InstanceResult, units: tuple[int, ...], cs: ConnectionSet, j: int, started: float
+    rep: str, source: InstanceResult, units: tuple[int, ...], cs: ConnectionSet, j: int, started: float
 ) -> InstanceResult:
-    """The row of ``cs`` = j*R for R = ``rep``, from R's checked row ``source`` and multipliers ``units``.
+    """The row of ``cs`` = j*R, from the checked row ``source`` and multipliers ``units`` of R, keyed ``rep``.
 
     m: v -> j*v maps Circ(n; R) onto Circ(n; jR) and each kind's parts onto
     parts, and commutes with every multiplier map, so every column but the
@@ -277,10 +251,10 @@ def _derived(
     n = cs.n
     mine = multipliers(n, cs.elements)
     if mine != units:
-        raise ValueError(f"multipliers {list(mine)} differ from {list(units)} of {instance_key(rep)}")
-    image = sorted(j * r % n for r in rep.elements)
+        raise ValueError(f"multipliers {list(mine)} differ from {list(units)} of {rep}")
+    image = sorted(j * r % n for r in source.elements)
     if tuple(image) != cs.elements:
-        raise ValueError(f"{j} times the set of {instance_key(rep)} is {image}, not this set")
+        raise ValueError(f"{j} times the set of {rep} is {image}, not this set")
     trace = propagation_certifier(cs)
     return replace(
         source,
@@ -401,21 +375,14 @@ def _spec_echo(spec: SweepSpec) -> dict:
 def verify_theorem(spec: SweepSpec) -> VerificationReport:
     """Run the sweep and assemble the report.
 
-    Each (n, mode, size) block is one unit of work: its worker generates its
-    sets and groups them into orbits of S -> j*S under the units j of Z_n,
-    which keep the block, so no set crosses a process boundary. The orbit's
-    lexicographically least set R is checked in full. For a unit j, m: v ->
-    j*v maps Circ(n; R) onto Circ(n; jR) and each kind's parts onto parts;
-    it carries the respecting groups onto each other and every multiplier
-    map to itself. So every other set jR takes R's row, except for its set
-    and its own propagation trace, after checking its own multipliers
-    against R's and that j*R is this set. A derived row thus rests on that
-    argument, not on a search of its own. A row is derived only from a
-    representative that raised nothing and recorded no failure; otherwise
-    the orbit's every set is checked in full, so the report is the same as
-    that of a check per set. Under ``enumerator="both"`` every set is its
-    own orbit, searched and compared with its own oracle scan. A row's
-    ``ms`` times that row's own work.
+    Each (n, mode, size) block is one unit of work: its worker generates
+    its sets, which the units of Z_n keep in the block, so no set crosses a
+    process boundary, and sweeps them in one pass (see ``_sweep_block``).
+    An orbit's first set R is checked in full; a later set jR takes R's row
+    (see ``_derived``) if R raised nothing and recorded no failure, and is
+    checked in full otherwise, so the report is that of a check per set.
+    Under ``enumerator="both"`` every set is checked in full and compared
+    with its own oracle scan. A row's ``ms`` times that row's own work.
 
     A per-instance exception, a resource limit or any other, is recorded
     in the failures list without aborting the rest of the sweep. Every

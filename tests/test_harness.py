@@ -67,6 +67,11 @@ def test_sweep_spec_validation():
         cp.SweepSpec(n_min=3, n_max=4, jobs=0)
     with pytest.raises(ValueError):
         cp.SweepSpec(n_min=3, n_max=4, connectivity="sometimes")
+    # a repeat would list every block twice, or echo the kind twice
+    with pytest.raises(ValueError, match="modes must be distinct"):
+        cp.SweepSpec(n_min=3, n_max=4, modes=(cp.DIRECTED, cp.DIRECTED))
+    with pytest.raises(ValueError, match="kinds must be distinct"):
+        cp.SweepSpec(n_min=3, n_max=4, kinds=("B", "B"))
 
 
 def recording(monkeypatch, *names):
@@ -83,13 +88,14 @@ def recording(monkeypatch, *names):
     return calls
 
 
-def test_a_sweep_makes_each_set_once_and_frees_it_after_its_orbit(monkeypatch):
+def test_a_sweep_makes_each_set_once_and_frees_it_after_its_row(monkeypatch):
     import circpart.harness as harness
 
     spec = cp.SweepSpec(n_min=2, n_max=8, modes=(cp.DIRECTED,), jobs=1)
     sets = [(cs.n, cs.elements, cs.mode) for cs in cp.generate_instances(spec)]
     counts = collections.Counter()
-    done = []  # a weak reference to each set of every orbit evaluated so far
+    done = []  # the key of, and a weak reference to, each set whose row is out
+    held = []  # the keys of those still alive at a later check; the sweep turns an exception into a row
 
     def counted(name, fn):
         def wrapper(cs):
@@ -98,18 +104,25 @@ def test_a_sweep_makes_each_set_once_and_frees_it_after_its_orbit(monkeypatch):
 
         return wrapper
 
-    def evaluate(spec, orbit, original=harness._evaluate):
-        gc.collect()
-        assert all(ref() is None for ref in done)  # no earlier set, nor the arcs it cached, is still held
-        done.extend(weakref.ref(cs) for cs, _ in orbit)
-        return original(spec, orbit)
+    def freeing(original, at):  # the set to check is argument ``at``
+        def wrapper(*args):
+            gc.collect()
+            # no earlier set, nor the arcs it cached, is still held: not even a representative
+            # whose orbit is still being derived
+            held.extend(key for key, ref in done if ref() is not None)
+            done.append((cp.instance_key(args[at]), weakref.ref(args[at])))
+            return original(*args)
+
+        return wrapper
 
     monkeypatch.setattr(cp.ConnectionSet, "__post_init__", counted("validate", cp.ConnectionSet.__post_init__))
     for name in ("slot", "arcs"):
         cached = cp.ConnectionSet.__dict__[name]
         monkeypatch.setattr(cached, "func", counted(name, cached.func))
-    monkeypatch.setattr(harness, "_evaluate", evaluate)
+    for name, at in (("_check_instance", 1), ("_derived", 3)):
+        monkeypatch.setattr(harness, name, freeing(getattr(harness, name), at))
     report = cp.verify_theorem(spec)
+    assert held == []
     assert len(report.instances) == len(sets) == len(done) == 247 and report.failures == ()
     # the generated set is the graph: no second set is made; kinds B and C share one slot table, and
     # only the representative of each unit orbit, whose row the others take, builds it and its arcs
@@ -166,21 +179,44 @@ def test_sweeps_search_once_per_unit_orbit_and_check_every_set(monkeypatch):
 def test_a_set_its_unit_does_not_reach_gets_an_error_row(rep, member, j, message):
     # 3 * {1, 2} = {3, 6} mod 7, so 5 = 3^-1 is the wrong unit. {2} lies in another orbit than
     # {1, 5}, with the same multipliers but 4 cycle-respecting automorphisms to its 2, and in
-    # another orbit than {1}, with other multipliers. Each gives an error row, never the
+    # another orbit than {1}, with other multipliers. Each raises, never giving the
     # representative's counts
     import circpart.harness as harness
 
     spec = cp.SweepSpec(n_min=7, n_max=8, modes=(cp.DIRECTED,))
-    orbit = [(cp.parse_instance(rep), 1), (cp.parse_instance(member), j)]
-    (rep_row, rep_failures), (row, failures) = harness._evaluate(spec, orbit)
-    assert (rep_row.verdict, rep_failures) == ("match", ())
-    assert (row.verdict, row.aut_b, row.aut_c) == ("error", None, None)
-    assert failures == (cp.SweepFailure(member, f"ValueError: {message}"),)
+    failures = []
+    row, units = harness._check_instance(spec, cp.parse_instance(rep), failures, 0.0)
+    assert (row.verdict, failures) == ("match", [])
+    with pytest.raises(ValueError) as raised:
+        harness._derived(rep, row, units, cp.parse_instance(member), j, 0.0)
+    assert str(raised.value) == message
+
+
+def test_a_derived_set_whose_check_fails_gets_an_error_row_and_the_rest_of_its_orbit_is_derived(monkeypatch):
+    # {3, 6} = 3 * {1, 2} mod 7 is not its orbit's representative; made to report other multipliers
+    # than {1, 2}, it gets an error row, while the orbit's other four sets still take {1, 2}'s row
+    spec = cp.SweepSpec(n_min=7, n_max=7, modes=(cp.DIRECTED,))
+    clean = cp.verify_theorem(spec)
+    real = harness.multipliers
+    monkeypatch.setattr(harness, "multipliers", lambda n, elements: (1, 6) if elements == (3, 6) else real(n, elements))
+    calls = recording(monkeypatch, "respecting_group")
+    report = cp.verify_theorem(spec)
+    assert report.failures == (cp.SweepFailure("7:3,6:d", "ValueError: multipliers [1, 6] differ from [1] of 7:1,2:d"),)
+    (row,) = [row for row in report.instances if row.elements == (3, 6)]
+    assert (row.verdict, row.connected) == ("error", True)
+    assert (row.parts_b, row.parts_c, row.aut_b, row.aut_c, row.multiplier_count) == (None,) * 5
+    assert (row.prop_covered, row.prop_rounds) == (None, None)
+    assert [row for row in report.instances if row.elements != (3, 6)] == [
+        row for row in clean.instances if row.elements != (3, 6)
+    ]
+    orbit = {tuple(sorted(j * s % 7 for s in (1, 2))) for j in range(1, 7)}
+    searched = [g.elements for g in calls["respecting_group"]]
+    assert len(orbit) == 6 and [elements for elements in searched if elements in orbit] == [(1, 2), (1, 2)]
 
 
 def one_set_orbits(monkeypatch):
-    """Make every sweep check each set in full, as its own unit orbit."""
-    monkeypatch.setattr(harness, "_unit_orbits", lambda instances: [[(cs, 1)] for cs in instances])
+    """Make every sweep check each set in full, as its own unit orbit: with 1 the only unit, no set is an image."""
+    monkeypatch.setattr(harness, "_units", lambda n: (1,))
 
 
 def test_a_representative_that_records_a_failure_leaves_its_orbit_to_a_check_per_set(monkeypatch):
@@ -214,7 +250,10 @@ def test_derived_rows_equal_a_check_per_set(monkeypatch):
         cp.SweepSpec(n_min=2, n_max=16, modes=(cp.UNDIRECTED,)),
     ]
     derived = [cp.verify_theorem(spec) for spec in specs]
-    orbits = [len(harness._unit_orbits(cp.generate_instances(spec))) for spec in specs]
+    orbits = [
+        sum(len(unit_orbit_minima(n, subsets(n))) for n in range(2, n_max + 1))
+        for subsets, n_max in ((directed_subsets, 12), (inverse_closed_subsets, 16))
+    ]
     assert [len(report.instances) for report in derived] == [4083, 749] and orbits == [1012, 298]
     one_set_orbits(monkeypatch)
     for spec, report in zip(specs, derived):
@@ -271,12 +310,12 @@ def test_sweeps_never_pass_the_identity_to_respects(monkeypatch):
     # on each representative: every other multiplier, once per kind, and every generator of G_B,
     # and of G_C when connected, against the other kind's partition
     expected = 0
-    for orbit in harness._unit_orbits(cp.generate_instances(spec)):
-        g, _ = orbit[0]
-        expected += 2 * (len(cp.multipliers(g.n, g.elements)) - 1)
-        expected += len(cp.respecting_group(g, cp.partition_by_generator(g)).strong_generators())
-        if cp.is_connected(g):
-            expected += len(cp.respecting_group(g, cp.partition_by_cycle(g)).strong_generators())
+    for mode, subsets in ((cp.DIRECTED, directed_subsets), (cp.UNDIRECTED, inverse_closed_subsets)):
+        for g in (cp.build(n, rep, mode) for n in range(2, 10) for rep in unit_orbit_minima(n, subsets(n))):
+            expected += 2 * (len(cp.multipliers(g.n, g.elements)) - 1)
+            expected += len(cp.respecting_group(g, cp.partition_by_generator(g)).strong_generators())
+            if cp.is_connected(g):
+                expected += len(cp.respecting_group(g, cp.partition_by_cycle(g)).strong_generators())
     assert len(seen) == expected > 0
 
 
