@@ -10,8 +10,9 @@ stored as one part label per arc.
 
 from __future__ import annotations
 
+import bisect
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,7 +23,8 @@ PARTITION_KINDS = ("B", "C")
 # Largest n*|S| that a ``ConnectionSet`` accepts. Under tracemalloc at this limit, ``build`` itself
 # allocates no arc (under 15 kB), both ``arc_partition`` calls peak at 16-50 bytes per arc (the labels),
 # a first read of the shared ``slot`` table adds at most 17 bytes per vertex, and a first read of
-# ``arcs``/``arc_set`` raises the peak to 190-215 bytes per arc, so at most 22 MB.
+# ``arcs``/``arc_set``, which only the oracle makes, raises the peak to 190-215 bytes per arc, so at most
+# 22 MB. The search plan is built only under the search's vertex cap, at most 181 bytes per arc (0.73 MB).
 MAX_ARCS = 100_000
 
 
@@ -39,10 +41,10 @@ class ConnectionSet:
     """Circ(n; S): the pair (n, S), in directed or undirected mode, is the graph.
 
     Its arcs (g, g+s), built on first read as a sorted tuple and as a set,
-    hold an undirected edge as its two opposite arcs. The partitions need
-    only S, so a graph whose arcs no check reads never builds them.
-    ``slot[d]``, built on first read and shared by both partitions, is k
-    for d = s_k, the k-th element of S, and -1 for d not in S. A set of
+    hold an undirected edge as its two opposite arcs; only the oracle reads
+    them. ``slot[d]`` is k for d = s_k, the k-th element of S, and -1 for d
+    not in S. It and ``_search_plan``, the search's tables, are built on
+    first read from n and S alone and shared by both partitions. A set of
     more than ``MAX_ARCS`` arcs is refused before any arc is built.
     """
 
@@ -90,6 +92,65 @@ class ConnectionSet:
     def slot(self) -> tuple[int, ...]:
         index = {s: k for k, s in enumerate(self.elements)}
         return tuple(map(index.get, range(self.n), [-1] * self.n))
+
+    @cached_property
+    def _search_plan(self) -> tuple:
+        """The search's tables, never modified; the arc (u, u+s_k) is named by its index u*|S|+k.
+
+        * ``order``, the cycle-first order (the base), and ``parents``, from ``_search_order``;
+        * ``outs[u]``: u's out-neighbours, ascending, as (v, index);
+        * ``back[d]``: the arcs between ``order[d]`` and earlier vertices, as (other end, index,
+          whether the arc leaves ``order[d]``); each arc once when directed, each edge once, by its
+          arc leaving ``order[d]``, when undirected (both arcs of an edge share a part);
+        * ``parent_arcs[u]``: the index of the arc from u's parent to u (None for a root).
+        """
+        n, elements, width = self.n, self.elements, len(self.elements)
+        order, parents = _search_order(self)
+        depth = sorted(range(n), key=order.__getitem__)  # depth[u]: u's place in the order
+        pairs, directed = list(zip(elements, range(width))), self.directed
+        outs: list[list] = []
+        back: list[list] = [[] for _ in range(n)]
+        for u in range(n):  # out-neighbours ascending: the s with u + s >= n wrap round to the front
+            i, first, du = bisect.bisect_left(elements, n - u), u * width, depth[u]
+            outs.append([(u + s - n, first + k) for s, k in pairs[i:]] + [(u + s, first + k) for s, k in pairs[:i]])
+            for v, a in outs[u]:  # each arc goes to the level of its later end
+                if depth[v] < du:
+                    back[du].append((v, a, True))
+                elif directed:  # undirected, the edge goes there as the opposite arc, which leaves v
+                    back[depth[v]].append((u, a, False))
+        parent_arcs = [None if w is None else w * width + self.slot[u - w] for u, w in enumerate(parents)]
+        return order, parents, outs, back, parent_arcs
+
+
+def _search_order(graph: ConnectionSet):
+    """Cycle-first vertex order from 0 (then any later components from their
+    smallest vertex). Visiting ``u`` walks ``u+s, u+2s, ...`` for each
+    generator ``s`` in ascending order until the walk meets a vertex already
+    seen, so every generator's cycle is laid out before the search branches
+    off it. Returns the order plus, for each non-root vertex, its parent:
+    the previous vertex on its cycle, from which an arc points to it (the
+    forward walks alone reach every vertex of a component)."""
+    n = graph.n
+    parents: list = [None] * n
+    seen = [False] * n
+    order = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for s in graph.elements:
+                prev, w = u, (u + s) % n
+                while not seen[w]:
+                    seen[w] = True
+                    parents[w] = prev
+                    order.append(w)
+                    queue.append(w)
+                    prev, w = w, (w + s) % n
+    return order, parents
 
 
 def build(n: int, elements, mode: str) -> ConnectionSet:

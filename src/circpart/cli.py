@@ -41,7 +41,8 @@ def _cmd_build(args) -> int:
     print(f"instance: {instance_key(graph)}")
     print(f"mode: {graph.mode}")
     print(f"vertices: {graph.n}")
-    print(f"arcs: {len(graph.arcs)}" if graph.directed else f"edges: {len(graph.arcs) // 2}")
+    arcs = graph.n * len(graph.elements)  # counted, not built
+    print(f"arcs: {arcs}" if graph.directed else f"edges: {arcs // 2}")
     print(f"generators: {', '.join(str(s) for s in graph.elements)}")
     print(f"connected: {str(is_connected(graph)).lower()}")
     return EXIT_OK

@@ -28,11 +28,12 @@ def multiplier_perm(n: int, j: int) -> Perm:
 
 
 def is_automorphism(graph: "ConnectionSet", p: Perm) -> bool:
-    """True iff p is a permutation of the vertices that maps the arc set onto itself."""
+    """True iff p is a permutation of the vertices that maps the arc set onto itself: being
+    injective on arcs, exactly when every arc's image is an arc, read through ``slot``."""
     if len(p) != graph.n:
         raise ValueError(f"degree mismatch: permutation of {len(p)} on graph of order {graph.n}")
-    arcs = graph.arc_set
-    return is_permutation(p) and all((p[u], p[v]) in arcs for u, v in graph.arcs)
+    slot, wrapped = graph.slot, p + p  # wrapped[u+s] is p[(u+s) mod n], and slot[d-n] is slot[d]
+    return is_permutation(p) and all(slot[wrapped[u + s] - pu] >= 0 for u, pu in enumerate(p) for s in graph.elements)
 
 
 def part_map(p: Perm, partition: "ArcPartition") -> list[int] | None:

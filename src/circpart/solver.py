@@ -1,8 +1,9 @@
 """Search and certification engines.
 
 * ``respecting_group``: the group of automorphisms (optionally fixing
-  vertex 0) that respect an arc partition, computed by backtracking as a
-  base, generators and a transversal per level and the order.
+  vertex 0) that respect an arc partition, computed by backtracking along
+  the graph's search plan, which both kinds share, as a base, generators
+  and a transversal per level and the order.
 * ``enumerate_respecting``: that group's elements, listed.
 * ``brute_oracle``: the same sets computed by filtering permutations
   straight from the definitions, as an independent cross-check; it draws
@@ -23,7 +24,6 @@ import functools
 import itertools
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,37 +35,6 @@ from .zmod import MultiplierWitness, crt_combine, factorize
 DEFAULT_ORACLE_LIMIT = 9
 DEFAULT_SEARCH_CAP = 64
 DEFAULT_MAX_SOLUTIONS = 100_000
-
-
-def _search_order(graph: ConnectionSet):
-    """Cycle-first vertex order from 0 (then any later components from their
-    smallest vertex). Visiting ``u`` walks ``u+s, u+2s, ...`` for each
-    generator ``s`` in ascending order until the walk meets a vertex already
-    seen, so every generator's cycle is laid out before the search branches
-    off it. Returns the order plus, for each non-root vertex, its parent:
-    the previous vertex on its cycle, from which an arc points to it (the
-    forward walks alone reach every vertex of a component)."""
-    n = graph.n
-    parents: list = [None] * n
-    seen = [False] * n
-    order = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        order.append(root)
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for s in graph.elements:
-                prev, w = u, (u + s) % n
-                while not seen[w]:
-                    seen[w] = True
-                    parents[w] = prev
-                    order.append(w)
-                    queue.append(w)
-                    prev, w = w, (w + s) % n
-    return order, parents
 
 
 @dataclass(frozen=True)
@@ -115,18 +84,23 @@ def _transversal(point: int, gens, identity: Perm) -> dict:
 def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero: bool = True) -> RespectingGroup:
     """The group of automorphisms of ``graph`` respecting ``partition``, by generators.
 
-    Depth-first assignment of vertex images in the cycle-first order of
-    ``_search_order``, which is also the base, pruned by two incremental
-    invariants: every arc between assigned vertices must map to an arc, and
-    the induced map of part labels must stay injective in both directions
+    Depth-first assignment of vertex images along the graph's search plan
+    (``ConnectionSet._search_plan``, shared by every partition of the graph):
+    its cycle-first order is also the base. Two incremental invariants prune:
+    each back arc of a level, between its vertex and an earlier one, must map
+    to an arc, read through ``slot``, and the induced map of part labels, read
+    as ``partition.labels[index]``, must stay injective in both directions
     (with matching part sizes). A vertex's candidates are the endpoints of
     arcs leaving its parent's image; once the part of its parent arc is
     mapped, only arcs of the image part qualify, which forces the rest of a
     monochromatic cycle after its first arc.
 
-    Along the identity path each vertex tries its own image first, so the
-    deeper levels are complete before a level branches, and a candidate
-    already in the level's orbit is skipped. Below a non-identity choice at
+    The identity passes every check, so the identity path is laid down whole,
+    unchecked, and the search backs into it from the last level. A level's
+    other candidates are listed when the search first backs into it, when
+    every level above holds the identity's state, so the deeper levels are
+    complete before a level branches; a candidate already in the level's
+    orbit is skipped. Below a non-identity choice at
     depth i the search stops at the first leaf that passes a full re-check,
     one ``part_map`` pass (every arc's image is an arc, and the label map is
     well defined and injective): that leaf joins the generators of
@@ -142,86 +116,72 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
     if partition.cs != graph:
         raise ValueError("partition does not partition this graph's arcs")
 
+    order, parents, outs, back, parent_arcs = graph._search_plan
     labels, slot, part_sizes, width = partition.labels, graph.slot, partition.sizes, len(graph.elements)
-    succ: list[dict] = [{} for _ in range(n)]  # vertex -> out-neighbour, ascending -> part of the arc
-    incident: list[list] = [[] for _ in range(n)]  # vertex -> (other end, part, arc points out)
-    directed = graph.directed
-    for u, v in graph.arcs:  # ascending
-        succ[u][v] = idx = labels[u * width + slot[v - u]]  # slot[d - n] is slot[d]
-        incident[u].append((v, idx, True))
-        if directed:  # an undirected in-arc is an out-arc reversed, in the same part: it would prune nothing
-            incident[v].append((u, idx, False))
-
-    order, parents = _search_order(graph)
-    parent_part = [None if w is None else succ[w][u] for u, w in enumerate(parents)]
-
-    images = [-1] * n
-    used = [False] * n
+    # The identity path, laid down whole: each depth maps to themselves the parts of its back arcs
+    # that no earlier depth mapped, and records them for ``undo``.
+    images = list(range(n))
+    used = [True] * n
     part_map = [-1] * len(part_sizes)
-    part_map_inv = [-1] * len(part_sizes)
+    added_at: list = []
+    for arcs in back:
+        added_at.append(added := [])
+        for _, a, _ in arcs:
+            if part_map[sp := labels[a]] < 0:
+                part_map[sp] = sp
+                added.append((sp, sp))
+    part_map_inv = part_map.copy()
     identity = tuple(range(n))
     generators: list[list] = [[] for _ in range(n)]
     found: list[Perm] = []  # every generator so far; all fix the base above the current level
     transversals = [{u: identity} for u in order]
 
-    def candidates(u, on_path):
+    def candidates(u):
         parent = parents[u]
         if parent is None:
-            if u == 0 and fix_zero:
-                return (0,)
-            pool = [v for v in range(n) if not used[v]]
-        else:  # the parent image's out-neighbours, ascending, along the mapped part once there is one
-            mapped = part_map[parent_part[u]]
-            pool = [v for v, idx in succ[images[parent]].items() if not used[v] and (mapped < 0 or idx == mapped)]
-        if on_path:  # the identity extends the identity path, so u is always a candidate
-            pool.remove(u)
-            pool.insert(0, u)
-        return pool
+            return [0] if u == 0 and fix_zero else [v for v in range(n) if not used[v]]
+        # the parent image's out-neighbours, ascending, along the mapped part once there is one
+        mapped = part_map[labels[parent_arcs[u]]]
+        return [v for v, a in outs[images[parent]] if not used[v] and (mapped < 0 or labels[a] == mapped)]
 
-    def try_assign(u, v):
+    def try_assign(depth, v):
         added = []
-        for w, sp, points_out in incident[u]:
+        for w, a, leaves in back[depth]:
             pw = images[w]
-            if pw < 0:
-                continue
-            dp = succ[v].get(pw) if points_out else succ[pw].get(v)
-            ok = dp is not None
-            if ok:
-                mapped = part_map[sp]
-                if mapped >= 0:
-                    ok = mapped == dp
-                elif part_map_inv[dp] >= 0 or part_sizes[sp] != part_sizes[dp]:
-                    ok = False
-                else:
-                    part_map[sp] = dp
-                    part_map_inv[dp] = sp
-                    added.append((sp, dp))
-            if not ok:
-                for sp, dp in added:
-                    part_map[sp] = -1
-                    part_map_inv[dp] = -1
-                return None
-        return added
+            if leaves:
+                k, tail = slot[pw - v], v  # slot[d - n] is slot[d]
+            else:
+                k, tail = slot[v - pw], pw
+            if k < 0:
+                break
+            sp, dp = labels[a], labels[tail * width + k]
+            mapped = part_map[sp]
+            if mapped < 0 and part_map_inv[dp] < 0 and part_sizes[sp] == part_sizes[dp]:
+                part_map[sp] = dp
+                part_map_inv[dp] = sp
+                added.append((sp, dp))
+            elif mapped != dp:
+                break
+        else:
+            return added
+        for sp, dp in added:
+            part_map[sp] = -1
+            part_map_inv[dp] = -1
+        return None
 
     def undo(depth):
-        u = order[depth]
-        used[images[u]] = False
-        images[u] = -1
+        used[images[order[depth]]] = False
         for sp, dp in added_at[depth]:
             part_map[sp] = -1
             part_map_inv[dp] = -1
         added_at[depth] = None
 
-    # Explicit depth-first stack: per depth, the candidate list, the cursor
-    # into it and the part-map entries added by the current assignment.
-    # ``split`` is the depth of the path's first non-identity image, n on
-    # the identity path.
+    # Explicit depth-first stack, started at the last level of the identity path: per depth, the
+    # candidate list, the cursor into it and the part-map entries added by the current assignment.
+    # ``split`` is the depth of the path's first non-identity image, n on the identity path.
     pending: list = [None] * n
     cursor = [0] * n
-    added_at: list = [None] * n
-    split = n
-    pending[0] = candidates(order[0], True)
-    depth = 0
+    split, depth = n, n - 1
     while depth >= 0:
         u = order[depth]
         if added_at[depth] is not None:
@@ -229,15 +189,18 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
         if depth == split:
             split = n
         on_path = split == n
-        orbit = transversals[depth]
         pool = pending[depth]
+        if pool is None:  # a level of the identity path, backed into for the first time: the state
+            pool = pending[depth] = candidates(u)  # above is the identity's, so these are its candidates
+            pool.remove(u)  # after u, whose subtree is done
+        orbit = transversals[depth]
         i = cursor[depth]
         while i < len(pool):
             v = pool[i]
             i += 1
-            if on_path and v != u and v in orbit:
+            if on_path and v in orbit:
                 continue
-            added = try_assign(u, v)
+            added = try_assign(depth, v)
             if added is not None:
                 break
         else:
@@ -247,15 +210,13 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
         images[u] = v
         used[v] = True
         added_at[depth] = added
-        if on_path and v != u:
+        if on_path:
             split = depth
         if depth + 1 < n:
             depth += 1
-            pending[depth] = candidates(order[depth], split == n)
+            pending[depth] = candidates(order[depth])
             cursor[depth] = 0
             continue
-        if split == n:
-            continue  # the identity
         p = tuple(images)
         try:  # one pass: the label map is well defined and injective, and every arc maps to an arc
             ok = leaf_part_map(p, partition) is not None

@@ -17,6 +17,17 @@ def test_build_summary(capsys):
     assert "connected: true" in out
 
 
+def test_build_counts_arcs_without_building_them(monkeypatch, capsys):
+    def unbuilt(graph):
+        raise AssertionError("build read the arcs")
+
+    for name in ("arcs", "arc_set"):
+        monkeypatch.setattr(cp.ConnectionSet.__dict__[name], "func", unbuilt)
+    for text, count in (("8:1,2:d", "arcs: 16"), ("8:1,4,7:u", "edges: 12"), ("100000:1", "arcs: 100000")):
+        assert main(["build", "--instance", text]) == 0
+        assert count in capsys.readouterr().out.splitlines()
+
+
 def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["circpart", "build", "--instance", "8:1,2:d"])
     with pytest.raises(SystemExit) as exc:

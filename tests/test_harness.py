@@ -107,7 +107,7 @@ def test_a_sweep_makes_each_set_once_and_frees_it_after_its_row(monkeypatch):
     def freeing(original, at):  # the set to check is argument ``at``
         def wrapper(*args):
             gc.collect()
-            # no earlier set, nor the arcs it cached, is still held: not even a representative
+            # no earlier set, nor what it cached, is still held: not even a representative
             # whose orbit is still being derived
             held.extend(key for key, ref in done if ref() is not None)
             done.append((cp.instance_key(args[at]), weakref.ref(args[at])))
@@ -115,21 +115,31 @@ def test_a_sweep_makes_each_set_once_and_frees_it_after_its_row(monkeypatch):
 
         return wrapper
 
+    plans = collections.defaultdict(list)  # per set, the plan each of its searches reads; it holds no set
+    respecting_group = harness.respecting_group
+
+    def searched(graph, partition, **kwargs):
+        plans[graph.n, graph.elements, graph.mode].append(graph._search_plan)
+        return respecting_group(graph, partition, **kwargs)
+
     monkeypatch.setattr(cp.ConnectionSet, "__post_init__", counted("validate", cp.ConnectionSet.__post_init__))
-    for name in ("slot", "arcs"):
+    for name in ("slot", "_search_plan", "arcs"):
         cached = cp.ConnectionSet.__dict__[name]
         monkeypatch.setattr(cached, "func", counted(name, cached.func))
     for name, at in (("_check_instance", 1), ("_derived", 3)):
         monkeypatch.setattr(harness, name, freeing(getattr(harness, name), at))
+    monkeypatch.setattr(harness, "respecting_group", searched)
     report = cp.verify_theorem(spec)
     assert held == []
     assert len(report.instances) == len(sets) == len(done) == 247 and report.failures == ()
-    # the generated set is the graph: no second set is made; kinds B and C share one slot table, and
-    # only the representative of each unit orbit, whose row the others take, builds it and its arcs
+    # the generated set is the graph: no second set is made, and no arc tuple is ever built; only the
+    # representative of each unit orbit, whose row the others take, builds a slot table and a search
+    # plan, and its kinds B and C search with that one plan
     reps = {(n, rep, cp.DIRECTED) for n in range(2, 9) for rep in unit_orbit_minima(n, directed_subsets(n))}
     assert len(reps) == 92
-    built = {(name, key): 1 for key in reps for name in ("slot", "arcs")}
+    built = {(name, key): 1 for key in reps for name in ("slot", "_search_plan")}
     assert counts == {("validate", key): 1 for key in sets} | built
+    assert plans.keys() == reps and all(len(read) == 2 and read[0] is read[1] for read in plans.values())
 
 
 def unit_orbit_minima(n, subsets):

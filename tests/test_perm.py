@@ -136,15 +136,19 @@ def test_part_map_is_the_induced_label_map_or_none():
 
 def test_respects_matches_the_definition_exhaustively_to_n6():
     """Every connection set with n <= 6, both modes and kinds, every permutation of Z_n:
-    ``respects`` raises exactly on non-automorphisms and otherwise is the literal definition."""
-    cases = 0
+    ``is_automorphism`` is the literal arc-set image test, and ``respects`` raises exactly on
+    non-automorphisms and otherwise is the literal definition."""
+    cases = automorphisms = 0
     for n in range(2, 7):
         for mode, subsets in ((cp.DIRECTED, directed_subsets(n)), (cp.UNDIRECTED, inverse_closed_subsets(n))):
             for elements in subsets:
                 graph = cp.build(n, elements, mode)
+                arcs = {(u, (u + s) % n) for u in range(n) for s in elements}
                 partitions = [cp.arc_partition(graph, kind) for kind in ("B", "C")]
                 for p in itertools.permutations(range(n)):
-                    automorphism = cp.is_automorphism(graph, p)
+                    automorphism = {(p[u], p[v]) for u, v in arcs} == arcs
+                    assert cp.is_automorphism(graph, p) == automorphism, (elements, p)
+                    automorphisms += automorphism
                     for partition in partitions:
                         cases += 1
                         if automorphism:
@@ -152,7 +156,7 @@ def test_respects_matches_the_definition_exhaustively_to_n6():
                         else:
                             with pytest.raises(ValueError):
                                 cp.respects(p, partition)
-    assert cases == 59_576
+    assert cases == 59_576 and automorphisms == 2_690
 
 
 def test_non_permutations_are_never_automorphisms_to_n5():

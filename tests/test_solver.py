@@ -268,6 +268,48 @@ def test_a_leaf_that_fails_its_recheck_is_not_a_generator(rejection, monkeypatch
     assert checked
 
 
+def test_no_leaf_fails_its_recheck_and_the_back_arcs_cover_the_graph_once(monkeypatch):
+    """Every set to directed n = 10 and undirected n = 14, both kinds, ``fix_zero`` both ways: the
+    incremental checks leave the leaf re-check nothing to reject, so a part that the unchecked
+    identity path left unmapped would show as a failed leaf; and the plan's back arcs, over all
+    depths, name each arc once when directed and each edge once when undirected."""
+    results = []
+    part_map = solver.leaf_part_map
+
+    def recorded(p, partition):
+        try:
+            image = part_map(p, partition)
+        except ValueError:
+            results.append(False)
+            raise
+        results.append(image is not None)
+        return image
+
+    monkeypatch.setattr(solver, "leaf_part_map", recorded)
+    for mode, n_max, subsets in ((cp.DIRECTED, 10, directed_subsets), (cp.UNDIRECTED, 14, inverse_closed_subsets)):
+        for n in range(2, n_max + 1):
+            for elements in subsets(n):
+                g = cp.build(n, elements, mode)
+                order, _, _, back, _ = g._search_plan
+                covered = []
+                for depth, (u, arcs) in enumerate(zip(order, back)):
+                    for w, a, leaves in arcs:
+                        tail, k = divmod(a, len(elements))  # arc a is (u, u + s_k) with a = u*|S| + k
+                        covered.append((tail, (tail + elements[k]) % n))
+                        assert covered[-1] == ((u, w) if leaves else (w, u)) and order.index(w) < depth
+                arcs = sorted((u, (u + s) % n) for u in range(n) for s in elements)
+                if g.directed:
+                    assert sorted(covered) == arcs, elements
+                else:
+                    edges = sorted((min(arc), max(arc)) for arc in covered)
+                    assert edges == sorted({(min(arc), max(arc)) for arc in arcs}), elements
+                for kind in ("B", "C"):
+                    partition = cp.arc_partition(g, kind)
+                    for fix_zero in (True, False):
+                        cp.respecting_group(g, partition, fix_zero=fix_zero)
+    assert len(results) == 5_294 and all(results)
+
+
 def test_identity_always_enumerated():
     for text in ("8:1,2:d", "6:2,4:u", "4:2:u", "7:1,2,3:d"):
         g = cp.parse_instance(text)
