@@ -147,7 +147,7 @@ def _cmd_verify(args) -> int:
         f"errors: {agg['error']}  failures: {agg['failures']}"
     )
     print(f"report written to {out}")
-    if any(row.verdict == "mismatch" for row in report.instances):
+    if agg["mismatch"]:
         return EXIT_MISMATCH
     if agg["failures"]:
         return EXIT_RESOURCE

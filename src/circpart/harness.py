@@ -24,7 +24,7 @@ import multiprocessing
 import operator
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _json_str  # what json.dumps writes a str as
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -95,8 +95,11 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class InstanceResult:
-    """One report row. An ``error`` row from an exception has only the set,
-    ``connected`` and ``verdict`` filled in; the other counts are None."""
+    """One report row. Its orbit columns, ``connected`` to ``verdict``, are
+    the same on every set of a unit orbit; the others (the set, its
+    propagation trace and ``ms``) are the set's own. An ``error`` row from an
+    exception has only the set, ``connected``, ``verdict`` and ``ms`` filled
+    in; the other columns are None."""
 
     n: int
     elements: tuple[int, ...]
@@ -197,13 +200,17 @@ def generate_instances(spec: SweepSpec):
 def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> list:
     """Worker body: one block in, one (row, failures) pair per set out, in one pass in generation order.
 
-    A set that is no earlier set's image j*R is checked in full and, under
-    ``enumerator="backtracking"``, registers its images with the least unit
-    j and a source: its key, row and multipliers if it raised nothing and
-    recorded no failure, else None. An image with a source takes its row
-    from it (see ``_derived``); one without is checked in full. No source
-    holds a set, so each set, with the arcs it caches, is freed once its
-    row is made. An exception becomes that set's ``error`` row and a failure.
+    Every row is built here, from the set's own columns (its elements, its
+    propagation trace and ``ms``) and its orbit columns: a full check's
+    (``_check_instance``), or, for an image j*R of a representative R with a
+    source, R's (``_derived``). The trace runs once per set, and a coverage
+    that differs from connectivity is a failure. A set that is no earlier
+    set's image registers its images with the least unit j and a source:
+    its key, elements, orbit columns and multipliers if its whole row raised
+    nothing and recorded no failure, else None. An image without a source is
+    checked in full. No source holds a set, so each set, with what it
+    caches, is freed once its row is made. An exception becomes that set's
+    ``error`` row and a failure.
     """
     n = block[0]
     units = _units(n) if spec.enumerator == "backtracking" else ()
@@ -216,18 +223,22 @@ def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> list:
         source = None
         try:
             if entry is None or entry[0] is None:
-                row, mine = _check_instance(spec, cs, failures, started)
-                if entry is None and not failures:
-                    source = instance_key(cs), row, mine
+                orbit, mine = _check_instance(spec, cs, failures)
             else:
-                row = _derived(*entry[0], cs, entry[1], started)
+                orbit = _derived(*entry[0], cs, entry[1])
+            trace = propagation_certifier(cs)
         except Exception as exc:
             failures.append(SweepFailure(instance_key(cs), f"{type(exc).__name__}: {exc}"))
-            row = InstanceResult(
-                cs.n, cs.elements, cs.mode, connected=is_connected(cs),
-                parts_b=None, parts_c=None, aut_b=None, aut_c=None, multiplier_count=None,
-                verdict="error", prop_covered=None, prop_rounds=None, ms=(time.perf_counter() - started) * 1e3,
-            )
+            orbit, prop = (is_connected(cs), *(None,) * 5, "error"), (None, None)
+        else:
+            prop = trace.covered, trace.total_rounds
+            if trace.covered != orbit[0]:
+                failures.append(SweepFailure(
+                    instance_key(cs), f"propagation coverage {trace.covered} differs from connectivity {orbit[0]}"
+                ))
+            if entry is None and not failures:
+                source = instance_key(cs), cs.elements, orbit, mine
+        row = InstanceResult(cs.n, cs.elements, cs.mode, *orbit, *prop, (time.perf_counter() - started) * 1e3)
         if entry is None:
             for j in units:
                 image = tuple(sorted(j * s % n for s in cs.elements))
@@ -238,42 +249,32 @@ def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> list:
 
 
 def _derived(
-    rep: str, source: InstanceResult, units: tuple[int, ...], cs: ConnectionSet, j: int, started: float
-) -> InstanceResult:
-    """The row of ``cs`` = j*R, from the checked row ``source`` and multipliers ``units`` of R, keyed ``rep``.
+    rep: str, elements: tuple[int, ...], orbit: tuple, units: tuple[int, ...], cs: ConnectionSet, j: int
+) -> tuple:
+    """The orbit columns of ``cs`` = j*R: ``orbit``, those of R, which is keyed ``rep`` and has ``elements`` and ``units``.
 
     m: v -> j*v maps Circ(n; R) onto Circ(n; jR) and each kind's parts onto
-    parts, and commutes with every multiplier map, so every column but the
-    set and the propagation trace is R's. Checked here: the multipliers of
-    ``cs``, which must be R's, and that j*R is ``cs``; either raises
-    ValueError when it fails. The propagation trace is this set's own.
+    parts, and commutes with every multiplier map, so every orbit column is
+    R's. Two checks come first: that the multipliers of ``cs`` are R's, and
+    that j*R is ``cs``; either raises ValueError when it fails.
     """
     n = cs.n
     mine = multipliers(n, cs.elements)
     if mine != units:
         raise ValueError(f"multipliers {list(mine)} differ from {list(units)} of {rep}")
-    image = sorted(j * r % n for r in source.elements)
+    image = sorted(j * r % n for r in elements)
     if tuple(image) != cs.elements:
         raise ValueError(f"{j} times the set of {rep} is {image}, not this set")
-    trace = propagation_certifier(cs)
-    return replace(
-        source,
-        elements=cs.elements,
-        prop_covered=trace.covered,
-        prop_rounds=trace.total_rounds,
-        ms=(time.perf_counter() - started) * 1e3,
-    )
+    return orbit
 
 
-def _check_instance(
-    spec: SweepSpec, cs: ConnectionSet, failures: list, started: float
-) -> tuple[InstanceResult, tuple[int, ...]]:
-    """Compute one row, timed from ``started``, appending what fails to ``failures``; return it with the multipliers.
+def _check_instance(spec: SweepSpec, cs: ConnectionSet, failures: list) -> tuple[tuple, tuple[int, ...]]:
+    """The orbit columns of one set, ``connected`` to ``verdict`` in row order, and its multipliers.
 
-    Searches the groups and checks them on this set's own graph, partitions
-    and multipliers; M <= G is tested on every multiplier but 1, which
-    respects every partition. A group is listed only to compare it with the
-    oracle scan.
+    Appends what fails to ``failures``. Searches the groups and checks them
+    on this set's own graph, partitions and multipliers; M <= G is tested on
+    every multiplier but 1, which respects every partition. A group is
+    listed only to compare it with the oracle scan.
     """
     n, elements = cs.n, cs.elements
     key = instance_key(cs)
@@ -325,22 +326,8 @@ def _check_instance(
     else:
         verdict = "mismatch"
 
-    trace = propagation_certifier(cs)
-    return InstanceResult(
-        n=n,
-        elements=elements,
-        mode=cs.mode,
-        connected=connected,
-        parts_b=partitions["B"].count,
-        parts_c=partitions["C"].count,
-        aut_b=aut_counts.get("B"),
-        aut_c=aut_counts.get("C"),
-        multiplier_count=len(units),
-        verdict=verdict,
-        prop_covered=trace.covered,
-        prop_rounds=trace.total_rounds,
-        ms=(time.perf_counter() - started) * 1e3,
-    ), units
+    counts = partitions["B"].count, partitions["C"].count, aut_counts.get("B"), aut_counts.get("C"), len(units)
+    return (connected, *counts, verdict), units
 
 
 def _row_key(row: InstanceResult):
@@ -378,9 +365,10 @@ def verify_theorem(spec: SweepSpec) -> VerificationReport:
     Each (n, mode, size) block is one unit of work: its worker generates
     its sets, which the units of Z_n keep in the block, so no set crosses a
     process boundary, and sweeps them in one pass (see ``_sweep_block``).
-    An orbit's first set R is checked in full; a later set jR takes R's row
-    (see ``_derived``) if R raised nothing and recorded no failure, and is
-    checked in full otherwise, so the report is that of a check per set.
+    An orbit's first set R is checked in full; a later set jR takes R's
+    orbit columns (see ``_derived``) if R raised nothing and recorded no
+    failure, and is checked in full otherwise, so the report is that of a
+    check per set.
     Under ``enumerator="both"`` every set is checked in full and compared
     with its own oracle scan. A row's ``ms`` times that row's own work.
 

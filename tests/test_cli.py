@@ -180,6 +180,44 @@ def test_a_failing_instance_makes_verify_exit_3_with_a_report(tmp_path, monkeypa
     assert [f.message for f in report.failures] == ["ValueError: boom"] * 15
 
 
+def test_a_mismatch_makes_verify_exit_1_with_a_report(tmp_path, monkeypatch, capsys):
+    # {1, 2, 3, 4} is the only set of its unit orbit mod 5; told its only multiplier is 1, its
+    # 4 respecting automorphisms no longer match
+    import circpart.harness as harness
+
+    real = harness.multipliers
+    monkeypatch.setattr(
+        harness, "multipliers", lambda n, elements: (1,) if (n, elements) == (5, (1, 2, 3, 4)) else real(n, elements)
+    )
+    out = tmp_path / "r.json"
+    assert main(["verify", "--n-min", "3", "--n-max", "5", "--mode", "d", "--out", str(out)]) == 1
+    assert "mismatch: 1  errors: 0  failures: 0" in capsys.readouterr().out
+    report = cp.load_report(out.read_text())
+    assert [(row.n, row.elements) for row in report.instances if row.verdict == "mismatch"] == [(5, (1, 2, 3, 4))]
+    assert report.aggregates["mismatch"] == 1 and report.failures == ()
+
+
+def test_a_propagation_coverage_that_differs_from_connectivity_is_a_failure(tmp_path, monkeypatch, capsys):
+    # every set of directed n <= 14 and undirected n <= 18 is covered exactly when connected; a trace
+    # made to say otherwise on one connected set is that set's one failure, and its row keeps the trace
+    import circpart.harness as harness
+
+    certify = harness.propagation_certifier
+
+    def flipped(graph, order=None):
+        trace = certify(graph, order)
+        return trace._replace(covered=not trace.covered) if (graph.n, graph.elements) == (5, (1, 2)) else trace
+
+    monkeypatch.setattr(harness, "propagation_certifier", flipped)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--n-min", "3", "--n-max", "5", "--mode", "d", "--out", str(out)]) == 3
+    assert "mismatch: 0  errors: 0  failures: 1" in capsys.readouterr().out
+    report = cp.load_report(out.read_text())
+    assert report.failures == (cp.SweepFailure("5:1,2:d", "propagation coverage False differs from connectivity True"),)
+    (row,) = [row for row in report.instances if (row.n, row.elements) == (5, (1, 2))]
+    assert (row.verdict, row.connected, row.prop_covered) == ("match", True, False)
+
+
 def test_autos_has_a_default_solution_cap(monkeypatch, capsys):
     # a perfect matching: 31! * 2**31 respecting automorphisms fix 0, refused before any is listed
     monkeypatch.setattr(cp.RespectingGroup, "elements", None)

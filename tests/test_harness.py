@@ -104,13 +104,14 @@ def test_a_sweep_makes_each_set_once_and_frees_it_after_its_row(monkeypatch):
 
         return wrapper
 
-    def freeing(original, at):  # the set to check is argument ``at``
+    def freeing(original):  # the set to check is the one ConnectionSet argument
         def wrapper(*args):
             gc.collect()
             # no earlier set, nor what it cached, is still held: not even a representative
             # whose orbit is still being derived
             held.extend(key for key, ref in done if ref() is not None)
-            done.append((cp.instance_key(args[at]), weakref.ref(args[at])))
+            (cs,) = [arg for arg in args if isinstance(arg, cp.ConnectionSet)]
+            done.append((cp.instance_key(cs), weakref.ref(cs)))
             return original(*args)
 
         return wrapper
@@ -126,8 +127,8 @@ def test_a_sweep_makes_each_set_once_and_frees_it_after_its_row(monkeypatch):
     for name in ("slot", "_search_plan", "arcs"):
         cached = cp.ConnectionSet.__dict__[name]
         monkeypatch.setattr(cached, "func", counted(name, cached.func))
-    for name, at in (("_check_instance", 1), ("_derived", 3)):
-        monkeypatch.setattr(harness, name, freeing(getattr(harness, name), at))
+    for name in ("_check_instance", "_derived"):
+        monkeypatch.setattr(harness, name, freeing(getattr(harness, name)))
     monkeypatch.setattr(harness, "respecting_group", searched)
     report = cp.verify_theorem(spec)
     assert held == []
@@ -195,23 +196,42 @@ def test_a_set_its_unit_does_not_reach_gets_an_error_row(rep, member, j, message
 
     spec = cp.SweepSpec(n_min=7, n_max=8, modes=(cp.DIRECTED,))
     failures = []
-    row, units = harness._check_instance(spec, cp.parse_instance(rep), failures, 0.0)
-    assert (row.verdict, failures) == ("match", [])
+    source = cp.parse_instance(rep)
+    orbit, units = harness._check_instance(spec, source, failures)
+    assert (orbit[-1], failures) == ("match", [])
     with pytest.raises(ValueError) as raised:
-        harness._derived(rep, row, units, cp.parse_instance(member), j, 0.0)
+        harness._derived(rep, source.elements, orbit, units, cp.parse_instance(member), j)
     assert str(raised.value) == message
 
 
-def test_a_derived_set_whose_check_fails_gets_an_error_row_and_the_rest_of_its_orbit_is_derived(monkeypatch):
+@pytest.mark.parametrize(
+    "name, failing, message",
+    [
+        (
+            "multipliers",
+            lambda real: lambda n, elements: (1, 6) if elements == (3, 6) else real(n, elements),
+            "ValueError: multipliers [1, 6] differ from [1] of 7:1,2:d",
+        ),
+        (
+            "propagation_certifier",
+            lambda real: lambda g, order=None: 1 / 0 if g.elements == (3, 6) else real(g, order),
+            "ZeroDivisionError: division by zero",
+        ),
+    ],
+    ids=["multipliers", "trace"],
+)
+def test_a_derived_set_whose_check_fails_gets_an_error_row_and_the_rest_of_its_orbit_is_derived(
+    monkeypatch, name, failing, message
+):
     # {3, 6} = 3 * {1, 2} mod 7 is not its orbit's representative; made to report other multipliers
-    # than {1, 2}, it gets an error row, while the orbit's other four sets still take {1, 2}'s row
+    # than {1, 2}, or to raise in its own propagation trace, it gets an error row, while the orbit's
+    # other four sets still take {1, 2}'s row
     spec = cp.SweepSpec(n_min=7, n_max=7, modes=(cp.DIRECTED,))
     clean = cp.verify_theorem(spec)
-    real = harness.multipliers
-    monkeypatch.setattr(harness, "multipliers", lambda n, elements: (1, 6) if elements == (3, 6) else real(n, elements))
+    monkeypatch.setattr(harness, name, failing(getattr(harness, name)))
     calls = recording(monkeypatch, "respecting_group")
     report = cp.verify_theorem(spec)
-    assert report.failures == (cp.SweepFailure("7:3,6:d", "ValueError: multipliers [1, 6] differ from [1] of 7:1,2:d"),)
+    assert report.failures == (cp.SweepFailure("7:3,6:d", message),)
     (row,) = [row for row in report.instances if row.elements == (3, 6)]
     assert (row.verdict, row.connected) == ("error", True)
     assert (row.parts_b, row.parts_c, row.aut_b, row.aut_c, row.multiplier_count) == (None,) * 5
