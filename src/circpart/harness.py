@@ -33,6 +33,7 @@ from .circulant import (
     DIRECTED,
     UNDIRECTED,
     ConnectionSet,
+    ResourceLimitError,
     instance_key,
     is_connected,
     partition_by_cycle,
@@ -52,6 +53,7 @@ from .zmod import _units, multipliers
 
 CONNECTIVITY_CHOICES = ("connected", "disconnected", "all")
 ENUMERATOR_CHOICES = ("backtracking", "both")
+MAX_SWEEP_SETS = 1_100_000  # both modes to n = 20 (1,051,604 sets); directed to n = 21 is 2,097,130
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -168,6 +170,22 @@ class VerificationReport:
     instances: tuple[InstanceResult, ...]
     aggregates: dict
     failures: tuple[SweepFailure, ...]
+
+
+def _sweep_size(spec: SweepSpec) -> int:
+    """The number of connection sets the sweep generates before the connectivity filter, counted
+    without generating any: 2^(n-1) - 1 directed and 2^floor(n/2) - 1 undirected per n.
+
+    Exact up to ``MAX_SWEEP_SETS``; past it, a lower bound that is still past it. The count stops
+    at the first n that takes it past the budget, and caps each exponent at the budget's bit
+    length, so that a huge n_min or n_max costs no more than a few terms.
+    """
+    size, cap = 0, MAX_SWEEP_SETS.bit_length()
+    for n in range(spec.n_min, spec.n_max + 1):
+        size += sum(2 ** min(n - 1 if mode == DIRECTED else n // 2, cap) - 1 for mode in spec.modes)
+        if size > MAX_SWEEP_SETS:
+            break
+    return size
 
 
 def _blocks(spec: SweepSpec) -> list[tuple[int, str, int]]:
@@ -379,7 +397,14 @@ def verify_theorem(spec: SweepSpec) -> VerificationReport:
     reports "expected-mismatch". At most min(jobs, blocks, processor cores)
     worker processes are started, which take the largest n first; with one,
     the blocks run in order in this process.
+
+    A sweep of more than the fixed ``MAX_SWEEP_SETS`` connection sets,
+    counted before the connectivity filter (``_sweep_size``), raises
+    ResourceLimitError before any set or block is made.
     """
+    size = _sweep_size(spec)
+    if size > MAX_SWEEP_SETS:
+        raise ResourceLimitError(f"the sweep has at least {size} connection sets, more than the limit {MAX_SWEEP_SETS}")
     blocks = _blocks(spec)
     sweep = functools.partial(_sweep_block, spec)
     workers = min(spec.jobs, len(blocks), os.cpu_count() or 1)

@@ -3,7 +3,8 @@
 * ``respecting_group``: the group of automorphisms (optionally fixing
   vertex 0) that respect an arc partition, computed by backtracking along
   the graph's search plan, which both kinds share, as a base, generators
-  and a transversal per level and the order.
+  and a transversal per level and the order. The multiplier maps of S are
+  offered as shortcuts: each gets the leaf's check instead of a descent.
 * ``enumerate_respecting``: that group's elements, listed.
 * ``brute_oracle``: the same sets computed by filtering permutations
   straight from the definitions, as an independent cross-check; it draws
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .circulant import ArcPartition, ConnectionSet, ResourceLimitError, is_connected
-from .perm import Perm, is_automorphism
+from .perm import Perm, is_automorphism, multiplier_perm
 from .perm import part_map as leaf_part_map  # respecting_group has a local list named part_map
-from .zmod import MultiplierWitness, crt_combine, factorize
+from .zmod import MultiplierWitness, crt_combine, factorize, multipliers
 
 DEFAULT_ORACLE_LIMIT = 9
 DEFAULT_SEARCH_CAP = 64
@@ -105,9 +106,19 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
     one ``part_map`` pass (every arc's image is an arc, and the label map is
     well defined and injective): that leaf joins the generators of
     level i, the level's orbit is recomputed and the stack is cut back to
-    depth i. ``fix_zero`` keeps vertex 0 in place. Graphs of more than
-    ``DEFAULT_SEARCH_CAP`` vertices, and partitions of another connection
-    set, are refused. There is no solution cap: the group is held as at
+    depth i. ``fix_zero`` keeps vertex 0 in place.
+
+    Multiplier maps v -> j*v with j*S = S are shortcuts. For each depth d,
+    ``shortcuts[d]`` maps an image x of ``order[d]`` to a unit j != 1 of
+    ``multipliers(n, S)`` that fixes ``order[:d]`` and sends ``order[d]`` to
+    x; the table stops at the first depth where no such unit is left. A
+    candidate of an identity-path level that is outside the level's orbit
+    and has a shortcut gets the leaf's re-check as the map v -> j*v: if it
+    passes, it joins the level's generators with no descent; if not, the
+    search descends into the candidate as into any other.
+
+    Graphs of more than ``DEFAULT_SEARCH_CAP`` vertices, and partitions of
+    another connection set, are refused. There is no solution cap: the group is held as at
     most n transversals of at most n elements each, whatever its order.
     """
     n = graph.n
@@ -135,6 +146,16 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
     generators: list[list] = [[] for _ in range(n)]
     found: list[Perm] = []  # every generator so far; all fix the base above the current level
     transversals = [{u: identity} for u in order]
+    # shortcuts[d]: image x of order[d] -> a multiplier j != 1 that fixes order[:d] and sends order[d]
+    # to x. The table stops at the first depth where no such unit is left.
+    shortcuts: list[dict] = []
+    units = [j for j in multipliers(n, graph.elements) if j != 1]
+    while units:
+        u = order[len(shortcuts)]
+        shortcuts.append(table := {})
+        for j in units:
+            table.setdefault(j * u % n, j)
+        units = [j for j in units if j * u % n == u]
 
     def candidates(u):
         parent = parents[u]
@@ -169,6 +190,17 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
             part_map_inv[dp] = -1
         return None
 
+    def passes(p):  # the leaf re-check, one pass: every arc maps to an arc, and the label map is
+        try:  # well defined and injective
+            return leaf_part_map(p, partition) is not None
+        except ValueError:  # an arc image that is not an arc
+            return False
+
+    def admit(level, p):
+        generators[level].append(p)
+        found.append(p)
+        transversals[level] = _transversal(order[level], found, identity)
+
     def undo(depth):
         used[images[order[depth]]] = False
         for sp, dp in added_at[depth]:
@@ -200,6 +232,12 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
             i += 1
             if on_path and v in orbit:
                 continue
+            if on_path and depth < len(shortcuts) and v in shortcuts[depth]:
+                p = multiplier_perm(n, shortcuts[depth][v])
+                if passes(p):  # a generator of this level with no descent
+                    admit(depth, p)
+                    orbit = transversals[depth]
+                    continue
             added = try_assign(depth, v)
             if added is not None:
                 break
@@ -218,14 +256,8 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
             cursor[depth] = 0
             continue
         p = tuple(images)
-        try:  # one pass: the label map is well defined and injective, and every arc maps to an arc
-            ok = leaf_part_map(p, partition) is not None
-        except ValueError:  # an arc image that is not an arc
-            ok = False
-        if ok:
-            generators[split].append(p)
-            found.append(p)
-            transversals[split] = _transversal(order[split], found, identity)
+        if passes(p):
+            admit(split, p)
             while depth > split:
                 undo(depth)
                 depth -= 1

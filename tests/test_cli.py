@@ -149,6 +149,22 @@ def test_resource_cap_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_verify_is_refused_above_the_sweep_budget_before_any_set_is_swept(tmp_path, monkeypatch, capsys):
+    import circpart.harness as harness
+
+    def unswept(spec, block):
+        raise AssertionError("a block was swept")
+
+    monkeypatch.setattr(harness, "_sweep_block", unswept)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--n-min", "2", "--n-max", "40", "--out", str(out)]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource limit: the sweep has at least ")
+    assert captured.err.endswith(f" connection sets, more than the limit {harness.MAX_SWEEP_SETS}\n")
+
+
 def test_build_is_refused_above_the_arc_limit(monkeypatch, capsys):
     monkeypatch.setattr(cp.circulant, "MAX_ARCS", 12)
     assert main(["build", "--instance", "6:1,2:d"]) == 0

@@ -35,6 +35,40 @@ def test_generate_instances_connected_filter():
     assert got == {(2, 4), (3,)}
 
 
+def test_the_sweep_size_is_counted_without_generating_a_set():
+    for n_max in range(2, 13):
+        for modes in ((cp.DIRECTED,), (cp.UNDIRECTED,), (cp.DIRECTED, cp.UNDIRECTED)):
+            spec = cp.SweepSpec(n_min=2, n_max=n_max, modes=modes)
+            assert harness._sweep_size(spec) == len(list(cp.generate_instances(spec))), (n_max, modes)
+            # counted before the connectivity filter
+            connected = dataclasses.replace(spec, connectivity="connected")
+            assert harness._sweep_size(connected) == harness._sweep_size(spec)
+    assert harness._sweep_size(cp.SweepSpec(n_min=2, n_max=20)) == 1_051_604 <= harness.MAX_SWEEP_SETS
+    assert harness._sweep_size(cp.SweepSpec(n_min=2, n_max=21, modes=(cp.DIRECTED,))) == 2_097_130
+    assert harness._sweep_size(cp.SweepSpec(n_min=5, n_max=4)) == 0
+    # past the budget the count stops early and caps each exponent, so a huge range is not summed
+    for n_min, n_max in ((2, 10**9), (10**9, 10**9), (10**9, 2 * 10**9)):
+        size = harness._sweep_size(cp.SweepSpec(n_min=n_min, n_max=n_max))
+        assert harness.MAX_SWEEP_SETS < size < 8 * harness.MAX_SWEEP_SETS
+
+
+def test_a_sweep_over_the_budget_is_refused_before_any_set_is_made(monkeypatch):
+    spec = cp.SweepSpec(n_min=2, n_max=6, connectivity="connected")
+    size = harness._sweep_size(spec)
+    monkeypatch.setattr(harness, "MAX_SWEEP_SETS", size)
+    assert cp.verify_theorem(spec).aggregates["instances"] > 0  # at the budget, the sweep runs
+
+    def unmade(*args):
+        raise AssertionError("a set was made")
+
+    monkeypatch.setattr(harness, "MAX_SWEEP_SETS", size - 1)
+    monkeypatch.setattr(harness, "_sweep_block", unmade)
+    monkeypatch.setattr(harness, "_block_sets", unmade)
+    message = f"the sweep has at least {size} connection sets, more than the limit {size - 1}"
+    with pytest.raises(cp.ResourceLimitError, match=message):
+        cp.verify_theorem(spec)
+
+
 def test_blocks_concatenate_to_the_sweep_and_each_holds_the_unit_images_of_its_sets():
     # a unit j keeps n, the mode, |S|, the number of classes {s, n-s} and gcd(n, S), so j*S
     # never leaves the (n, mode, size) block of S, and a worker can group its block on its own

@@ -265,7 +265,7 @@ def test_a_leaf_that_fails_its_recheck_is_not_a_generator(rejection, monkeypatch
             group = cp.respecting_group(g, partition, fix_zero=fix_zero)
             assert group.order == 1
             assert group.strong_generators() == []
-    assert checked
+    assert cp.multiplier_perm(6, 5) in checked  # the shortcut of 6:2,4:u got the leaf's check
 
 
 def test_no_leaf_fails_its_recheck_and_the_back_arcs_cover_the_graph_once(monkeypatch):
@@ -358,6 +358,107 @@ def test_group_order_is_the_oracle_count_at_n8():
                 group = cp.respecting_group(g, partition)
                 assert group.order == len(expected)
                 assert_stabilizer_chain(group, n)
+
+
+def same_group(a, b, n):
+    """Do two stabilizer chains hold the same group? Equal orders, and every strong generator of
+    each sifts through the other's transversals down to the identity."""
+
+    def sifts(p, group):
+        for point, trans in zip(group.base, group.transversals):
+            t = trans.get(p[point])
+            if t is None:
+                return False
+            inverse = [0] * n
+            for x, y in enumerate(t):
+                inverse[y] = x
+            p = tuple(inverse[y] for y in p)  # t^-1 after p, which fixes the point
+        return p == identity(n)
+
+    return (
+        a.order == b.order
+        and all(sifts(p, b) for p in a.strong_generators())
+        and all(sifts(p, a) for p in b.strong_generators())
+    )
+
+
+def test_the_shortcuts_find_the_group_that_descent_finds(monkeypatch):
+    """Every set to directed n = 10 and undirected n = 14, both kinds, ``fix_zero`` both ways: with
+    no multipliers but 1 there are no shortcuts, and every generator is found by descent. The two
+    searches give the same order and the same group, compared element by element up to 2,000
+    elements and by sifting above that; both are stabilizer chains."""
+    real = solver.multipliers
+    compared = listed = 0
+    for mode, n_max, subsets in ((cp.DIRECTED, 10, directed_subsets), (cp.UNDIRECTED, 14, inverse_closed_subsets)):
+        for n in range(2, n_max + 1):
+            for elements in subsets(n):
+                g = cp.build(n, elements, mode)
+                for kind in ("B", "C"):
+                    partition = cp.arc_partition(g, kind)
+                    for fix_zero in (True, False):
+                        monkeypatch.setattr(solver, "multipliers", real)
+                        fast = cp.respecting_group(g, partition, fix_zero=fix_zero)
+                        monkeypatch.setattr(solver, "multipliers", lambda n, elements: (1,))
+                        slow = cp.respecting_group(g, partition, fix_zero=fix_zero)
+                        assert fast.order == slow.order, (cp.instance_key(g), kind, fix_zero)
+                        assert_stabilizer_chain(fast, n)
+                        assert_stabilizer_chain(slow, n)
+                        if fast.order <= 2_000:
+                            assert fast.elements() == slow.elements(), (cp.instance_key(g), kind, fix_zero)
+                            listed += 1
+                        assert same_group(fast, slow, n), (cp.instance_key(g), kind, fix_zero)
+                        compared += 1
+    assert compared == 4 * (1_013 + 367) and listed > 0.99 * compared
+    # only the generators show the shortcut: v -> 5v is taken as it is, where descent finds another
+    g = cp.parse_instance("6:2,4:u")
+    for kind in ("B", "C"):
+        partition = cp.arc_partition(g, kind)
+        monkeypatch.setattr(solver, "multipliers", real)
+        assert cp.respecting_group(g, partition).strong_generators()[0] == cp.multiplier_perm(6, 5)
+        monkeypatch.setattr(solver, "multipliers", lambda n, elements: (1,))
+        assert cp.respecting_group(g, partition).strong_generators()[0] == (0, 1, 4, 3, 2, 5)
+
+
+def test_a_shortcut_that_is_not_a_multiplier_is_refused(monkeypatch):
+    """Offered every unit of Z_n as a shortcut, most of which do not map S onto S, the search still
+    finds the same groups, for every set to n = 9, both modes and kinds, ``fix_zero`` both ways:
+    the leaf re-check refuses each unit that is no respecting automorphism."""
+    groups = {}
+    cases = [
+        (cp.build(n, elements, mode), kind, fix_zero)
+        for n in range(2, 10)
+        for mode, subsets in ((cp.DIRECTED, directed_subsets(n)), (cp.UNDIRECTED, inverse_closed_subsets(n)))
+        for elements in subsets
+        for kind in ("B", "C")
+        for fix_zero in (True, False)
+    ]
+    for g, kind, fix_zero in cases:
+        groups[g, kind, fix_zero] = cp.respecting_group(g, cp.arc_partition(g, kind), fix_zero=fix_zero)
+    rejected = []
+    part_map = solver.leaf_part_map
+
+    def recorded(p, partition):
+        try:
+            image = part_map(p, partition)
+        except ValueError:
+            rejected.append((p, partition.cs))
+            raise
+        if image is None:
+            rejected.append((p, partition.cs))
+        return image
+
+    monkeypatch.setattr(solver, "leaf_part_map", recorded)
+    monkeypatch.setattr(solver, "multipliers", lambda n, elements: tuple(j for j in range(1, n) if math.gcd(j, n) == 1))
+    for g, kind, fix_zero in cases:
+        group = cp.respecting_group(g, cp.arc_partition(g, kind), fix_zero=fix_zero)
+        assert same_group(group, groups[g, kind, fix_zero], g.n), (cp.instance_key(g), kind, fix_zero)
+        assert_stabilizer_chain(group, g.n)
+    wrong = [
+        (p, g)
+        for p, g in rejected
+        if p == tuple(p[1] * v % g.n for v in range(g.n)) and p[1] not in cp.multipliers(g.n, g.elements)
+    ]
+    assert wrong and len(wrong) == len(rejected)  # no leaf failed: every refusal was a wrong shortcut
 
 
 @pytest.mark.parametrize(
