@@ -16,6 +16,8 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .zmod import multipliers
+
 DIRECTED = "directed"
 UNDIRECTED = "undirected"
 
@@ -43,9 +45,10 @@ class ConnectionSet:
     Its arcs (g, g+s), built on first read as a sorted tuple and as a set,
     hold an undirected edge as its two opposite arcs; only the oracle reads
     them. ``slot[d]`` is k for d = s_k, the k-th element of S, and -1 for d
-    not in S. It and ``_search_plan``, the search's tables, are built on
-    first read from n and S alone and shared by both partitions. A set of
-    more than ``MAX_ARCS`` arcs is refused before any arc is built.
+    not in S; ``multipliers`` is M(S), the units j with j*S = S. They and
+    ``_search_plan``, the search's tables, are built on first read from n
+    and S alone and shared by both partitions. A set of more than
+    ``MAX_ARCS`` arcs is refused before any arc is built.
     """
 
     n: int
@@ -94,6 +97,10 @@ class ConnectionSet:
         return tuple(map(index.get, range(self.n), [-1] * self.n))
 
     @cached_property
+    def multipliers(self) -> tuple[int, ...]:
+        return multipliers(self.n, self.elements)
+
+    @cached_property
     def _search_plan(self) -> tuple:
         """The search's tables, never modified; the arc (u, u+s_k) is named by its index u*|S|+k.
 
@@ -102,7 +109,9 @@ class ConnectionSet:
         * ``back[d]``: the arcs between ``order[d]`` and earlier vertices, as (other end, index,
           whether the arc leaves ``order[d]``); each arc once when directed, each edge once, by its
           arc leaving ``order[d]``, when undirected (both arcs of an edge share a part);
-        * ``parent_arcs[u]``: the index of the arc from u's parent to u (None for a root).
+        * ``parent_arcs[u]``: the index of the arc from u's parent to u (None for a root);
+        * ``shortcuts[d]``: each image x of ``order[d]`` under a multiplier j != 1 that fixes
+          ``order[:d]``, mapped to one such j; the table stops at the first depth with no such j left.
         """
         n, elements, width = self.n, self.elements, len(self.elements)
         order, parents = _search_order(self)
@@ -119,7 +128,15 @@ class ConnectionSet:
                 elif directed:  # undirected, the edge goes there as the opposite arc, which leaves v
                     back[depth[v]].append((u, a, False))
         parent_arcs = [None if w is None else w * width + self.slot[u - w] for u, w in enumerate(parents)]
-        return order, parents, outs, back, parent_arcs
+        shortcuts: list[dict] = []
+        units = [j for j in self.multipliers if j != 1]
+        while units:
+            u = order[len(shortcuts)]
+            shortcuts.append(table := {})
+            for j in units:
+                table.setdefault(j * u % n, j)
+            units = [j for j in units if j * u % n == u]
+        return order, parents, outs, back, parent_arcs, shortcuts
 
 
 def _search_order(graph: ConnectionSet):

@@ -49,7 +49,7 @@ from .solver import (
     propagation_certifier,
     respecting_group,
 )
-from .zmod import _units, multipliers
+from .zmod import _units
 
 CONNECTIVITY_CHOICES = ("connected", "disconnected", "all")
 ENUMERATOR_CHOICES = ("backtracking", "both")
@@ -95,7 +95,7 @@ class SweepSpec:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceResult:
     """One report row. Its orbit columns, ``connected`` to ``verdict``, are
     the same on every set of a unit orbit; the others (the set, its
@@ -224,11 +224,11 @@ def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> list:
     source, R's (``_derived``). The trace runs once per set, and a coverage
     that differs from connectivity is a failure. A set that is no earlier
     set's image registers its images with the least unit j and a source:
-    its key, elements, orbit columns and multipliers if its whole row raised
-    nothing and recorded no failure, else None. An image without a source is
-    checked in full. No source holds a set, so each set, with what it
-    caches, is freed once its row is made. An exception becomes that set's
-    ``error`` row and a failure.
+    its key, elements, orbit columns and ``cs.multipliers`` if its whole row
+    raised nothing and recorded no failure, else None. An image without a
+    source is checked in full. No source holds a set, so each set, with
+    what it caches, is freed once its row is made. An exception becomes
+    that set's ``error`` row and a failure.
     """
     n = block[0]
     units = _units(n) if spec.enumerator == "backtracking" else ()
@@ -241,7 +241,7 @@ def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> list:
         source = None
         try:
             if entry is None or entry[0] is None:
-                orbit, mine = _check_instance(spec, cs, failures)
+                orbit = _check_instance(spec, cs, failures)
             else:
                 orbit = _derived(*entry[0], cs, entry[1])
             trace = propagation_certifier(cs)
@@ -255,7 +255,7 @@ def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> list:
                     instance_key(cs), f"propagation coverage {trace.covered} differs from connectivity {orbit[0]}"
                 ))
             if entry is None and not failures:
-                source = instance_key(cs), cs.elements, orbit, mine
+                source = instance_key(cs), cs.elements, orbit, cs.multipliers
         row = InstanceResult(cs.n, cs.elements, cs.mode, *orbit, *prop, (time.perf_counter() - started) * 1e3)
         if entry is None:
             for j in units:
@@ -273,32 +273,31 @@ def _derived(
 
     m: v -> j*v maps Circ(n; R) onto Circ(n; jR) and each kind's parts onto
     parts, and commutes with every multiplier map, so every orbit column is
-    R's. Two checks come first: that the multipliers of ``cs`` are R's, and
-    that j*R is ``cs``; either raises ValueError when it fails.
+    R's. Two checks come first: that ``cs.multipliers`` are R's, and that
+    j*R is ``cs``; either raises ValueError when it fails.
     """
     n = cs.n
-    mine = multipliers(n, cs.elements)
-    if mine != units:
-        raise ValueError(f"multipliers {list(mine)} differ from {list(units)} of {rep}")
+    if cs.multipliers != units:
+        raise ValueError(f"multipliers {list(cs.multipliers)} differ from {list(units)} of {rep}")
     image = sorted(j * r % n for r in elements)
     if tuple(image) != cs.elements:
         raise ValueError(f"{j} times the set of {rep} is {image}, not this set")
     return orbit
 
 
-def _check_instance(spec: SweepSpec, cs: ConnectionSet, failures: list) -> tuple[tuple, tuple[int, ...]]:
-    """The orbit columns of one set, ``connected`` to ``verdict`` in row order, and its multipliers.
+def _check_instance(spec: SweepSpec, cs: ConnectionSet, failures: list) -> tuple:
+    """The orbit columns of one set, ``connected`` to ``verdict`` in row order.
 
     Appends what fails to ``failures``. Searches the groups and checks them
-    on this set's own graph, partitions and multipliers; M <= G is tested on
-    every multiplier but 1, which respects every partition. A group is
-    listed only to compare it with the oracle scan.
+    on this set's own graph, partitions and M, ``cs.multipliers``; M <= G is
+    tested on every multiplier but 1, which respects every partition. A
+    group is listed only to compare it with the oracle scan.
     """
     n, elements = cs.n, cs.elements
     key = instance_key(cs)
     connected = is_connected(cs)
     partitions = {"B": partition_by_generator(cs), "C": partition_by_cycle(cs)}
-    units = multipliers(n, elements)
+    units = cs.multipliers
     groups = {kind: respecting_group(cs, partitions[kind]) for kind in spec.kinds}
     moved_by = [multiplier_perm(n, u) for u in units if u != 1]  # the identity respects every partition
 
@@ -345,7 +344,7 @@ def _check_instance(spec: SweepSpec, cs: ConnectionSet, failures: list) -> tuple
         verdict = "mismatch"
 
     counts = partitions["B"].count, partitions["C"].count, aut_counts.get("B"), aut_counts.get("C"), len(units)
-    return (connected, *counts, verdict), units
+    return (connected, *counts, verdict)
 
 
 def _row_key(row: InstanceResult):

@@ -31,7 +31,7 @@ from typing import NamedTuple
 from .circulant import ArcPartition, ConnectionSet, ResourceLimitError, is_connected
 from .perm import Perm, is_automorphism, multiplier_perm
 from .perm import part_map as leaf_part_map  # respecting_group has a local list named part_map
-from .zmod import MultiplierWitness, crt_combine, factorize, multipliers
+from .zmod import MultiplierWitness, crt_combine, factorize
 
 DEFAULT_ORACLE_LIMIT = 9
 DEFAULT_SEARCH_CAP = 64
@@ -108,11 +108,10 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
     level i, the level's orbit is recomputed and the stack is cut back to
     depth i. ``fix_zero`` keeps vertex 0 in place.
 
-    Multiplier maps v -> j*v with j*S = S are shortcuts. For each depth d,
+    Multiplier maps v -> j*v with j*S = S are shortcuts. The plan's table
     ``shortcuts[d]`` maps an image x of ``order[d]`` to a unit j != 1 of
-    ``multipliers(n, S)`` that fixes ``order[:d]`` and sends ``order[d]`` to
-    x; the table stops at the first depth where no such unit is left. A
-    candidate of an identity-path level that is outside the level's orbit
+    ``graph.multipliers`` that fixes ``order[:d]`` and sends ``order[d]`` to
+    x. A candidate of an identity-path level that is outside the level's orbit
     and has a shortcut gets the leaf's re-check as the map v -> j*v: if it
     passes, it joins the level's generators with no descent; if not, the
     search descends into the candidate as into any other.
@@ -127,7 +126,7 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
     if partition.cs != graph:
         raise ValueError("partition does not partition this graph's arcs")
 
-    order, parents, outs, back, parent_arcs = graph._search_plan
+    order, parents, outs, back, parent_arcs, shortcuts = graph._search_plan
     labels, slot, part_sizes, width = partition.labels, graph.slot, partition.sizes, len(graph.elements)
     # The identity path, laid down whole: each depth maps to themselves the parts of its back arcs
     # that no earlier depth mapped, and records them for ``undo``.
@@ -146,16 +145,6 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
     generators: list[list] = [[] for _ in range(n)]
     found: list[Perm] = []  # every generator so far; all fix the base above the current level
     transversals = [{u: identity} for u in order]
-    # shortcuts[d]: image x of order[d] -> a multiplier j != 1 that fixes order[:d] and sends order[d]
-    # to x. The table stops at the first depth where no such unit is left.
-    shortcuts: list[dict] = []
-    units = [j for j in multipliers(n, graph.elements) if j != 1]
-    while units:
-        u = order[len(shortcuts)]
-        shortcuts.append(table := {})
-        for j in units:
-            table.setdefault(j * u % n, j)
-        units = [j for j in units if j * u % n == u]
 
     def candidates(u):
         parent = parents[u]

@@ -199,11 +199,11 @@ def test_a_failing_instance_makes_verify_exit_3_with_a_report(tmp_path, monkeypa
 def test_a_mismatch_makes_verify_exit_1_with_a_report(tmp_path, monkeypatch, capsys):
     # {1, 2, 3, 4} is the only set of its unit orbit mod 5; told its only multiplier is 1, its
     # 4 respecting automorphisms no longer match
-    import circpart.harness as harness
+    import circpart.circulant as circulant
 
-    real = harness.multipliers
+    real = circulant.multipliers
     monkeypatch.setattr(
-        harness, "multipliers", lambda n, elements: (1,) if (n, elements) == (5, (1, 2, 3, 4)) else real(n, elements)
+        circulant, "multipliers", lambda n, elements: (1,) if (n, elements) == (5, (1, 2, 3, 4)) else real(n, elements)
     )
     out = tmp_path / "r.json"
     assert main(["verify", "--n-min", "3", "--n-max", "5", "--mode", "d", "--out", str(out)]) == 1

@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 import circpart as cp
-from circpart import harness
+from circpart import circulant, harness
 from conftest import directed_subsets, failing_at_n5, inverse_closed_subsets
 
 
@@ -158,7 +158,7 @@ def test_a_sweep_makes_each_set_once_and_frees_it_after_its_row(monkeypatch):
         return respecting_group(graph, partition, **kwargs)
 
     monkeypatch.setattr(cp.ConnectionSet, "__post_init__", counted("validate", cp.ConnectionSet.__post_init__))
-    for name in ("slot", "_search_plan", "arcs"):
+    for name in ("slot", "multipliers", "_search_plan", "arcs"):
         cached = cp.ConnectionSet.__dict__[name]
         monkeypatch.setattr(cached, "func", counted(name, cached.func))
     for name in ("_check_instance", "_derived"):
@@ -167,14 +167,16 @@ def test_a_sweep_makes_each_set_once_and_frees_it_after_its_row(monkeypatch):
     report = cp.verify_theorem(spec)
     assert held == []
     assert len(report.instances) == len(sets) == len(done) == 247 and report.failures == ()
-    # the generated set is the graph: no second set is made, and no arc tuple is ever built; only the
-    # representative of each unit orbit, whose row the others take, builds a slot table and a search
-    # plan, and its kinds B and C search with that one plan
+    # the generated set is the graph: no second set is made, and no arc tuple is ever built; every set,
+    # derived or not, computes its M once; only the representative of each unit orbit, whose row the
+    # others take, builds a slot table and a search plan, and its kinds B and C search with that one
+    # plan, whose shortcut table is empty exactly when M is {1}
     reps = {(n, rep, cp.DIRECTED) for n in range(2, 9) for rep in unit_orbit_minima(n, directed_subsets(n))}
     assert len(reps) == 92
     built = {(name, key): 1 for key in reps for name in ("slot", "_search_plan")}
-    assert counts == {("validate", key): 1 for key in sets} | built
+    assert counts == {(name, key): 1 for key in sets for name in ("validate", "multipliers")} | built
     assert plans.keys() == reps and all(len(read) == 2 and read[0] is read[1] for read in plans.values())
+    assert all(bool(read[0][-1]) == (len(cp.multipliers(*key[:2])) > 1) for key, read in plans.items())
 
 
 def unit_orbit_minima(n, subsets):
@@ -231,10 +233,10 @@ def test_a_set_its_unit_does_not_reach_gets_an_error_row(rep, member, j, message
     spec = cp.SweepSpec(n_min=7, n_max=8, modes=(cp.DIRECTED,))
     failures = []
     source = cp.parse_instance(rep)
-    orbit, units = harness._check_instance(spec, source, failures)
+    orbit = harness._check_instance(spec, source, failures)
     assert (orbit[-1], failures) == ("match", [])
     with pytest.raises(ValueError) as raised:
-        harness._derived(rep, source.elements, orbit, units, cp.parse_instance(member), j)
+        harness._derived(rep, source.elements, orbit, source.multipliers, cp.parse_instance(member), j)
     assert str(raised.value) == message
 
 
@@ -262,7 +264,8 @@ def test_a_derived_set_whose_check_fails_gets_an_error_row_and_the_rest_of_its_o
     # other four sets still take {1, 2}'s row
     spec = cp.SweepSpec(n_min=7, n_max=7, modes=(cp.DIRECTED,))
     clean = cp.verify_theorem(spec)
-    monkeypatch.setattr(harness, name, failing(getattr(harness, name)))
+    module = circulant if name == "multipliers" else harness  # M is computed by the set, in circulant
+    monkeypatch.setattr(module, name, failing(getattr(module, name)))
     calls = recording(monkeypatch, "respecting_group")
     report = cp.verify_theorem(spec)
     assert report.failures == (cp.SweepFailure("7:3,6:d", message),)
