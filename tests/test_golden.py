@@ -1,7 +1,8 @@
 """Golden bytes: report digests, CSV text and CLI transcripts that a refactor must keep.
 
-The JSON digests cover the three standard sweeps, and three more pin the
-propagation traces and solution lists of every small instance. The CSV and
+The JSON digests cover the three standard sweeps, and four more pin the
+propagation traces, the solution lists and the groups themselves (base,
+generators, transversals, order) of every small instance. The CSV and
 transcripts are spelled out so that a reordered or relabelled partition, a
 changed message or a changed exit code shows up as a diff.
 """
@@ -285,3 +286,26 @@ def test_solution_list_digest():
                 sols = cp.enumerate_respecting(graph, partition)
                 h.update(f"{cp.instance_key(cs)} {partition.kind} {sols!r}\n".encode("utf-8"))
     assert h.hexdigest() == "6fc8438902f9b4a0c81fbcfdc933789d266093967834dc34c0933081f8977d9a"
+
+
+def test_respecting_group_digest():
+    """Each group field for field (base, generators, transversals, order), both kinds, ``fix_zero``
+    both ways, directed n <= 11 and undirected n <= 18: the generators a search admits, not only the
+    elements they generate."""
+    h = hashlib.sha256()
+    count = 0
+    for spec in (
+        cp.SweepSpec(n_min=2, n_max=11, modes=(cp.DIRECTED,)),
+        cp.SweepSpec(n_min=2, n_max=18, modes=(cp.UNDIRECTED,)),
+    ):
+        for cs in cp.generate_instances(spec):
+            for kind in ("B", "C"):
+                partition = cp.arc_partition(cs, kind)
+                for fix_zero in (True, False):
+                    g = cp.respecting_group(cs, partition, fix_zero=fix_zero)
+                    transversals = [sorted(t.items()) for t in g.transversals]
+                    line = f"{cp.instance_key(cs)} {kind} {fix_zero} {g.base} {g.generators} {transversals} {g.order}\n"
+                    h.update(line.encode("utf-8"))
+                    count += 1
+    assert count == 14_204
+    assert h.hexdigest() == "6bc7775234ef83c7a58586e5350dfd09f92310167814b1e41f2e14b8e78252ea"
