@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -104,18 +104,36 @@ class ConnectionSet:
     def _search_plan(self) -> tuple:
         """The search's tables, never modified; the arc (u, u+s_k) is named by its index u*|S|+k.
 
-        * ``order``, the cycle-first order (the base), and ``parents``, from ``_search_order``;
+        * ``order``: the cycle-first order, which is also the base, built by one walk from 0 (then
+          from the least vertex of each later component). Visiting u walks u+s, u+2s, ... for each s
+          of S in ascending order until the walk meets a placed vertex, so every generator's cycle is
+          laid out before the search branches off it, and the forward walks alone reach every vertex
+          of a component;
         * ``outs[u]``: u's out-neighbours, ascending, as (v, index);
         * ``back[d]``: the arcs between ``order[d]`` and earlier vertices, as (other end, index,
           whether the arc leaves ``order[d]``); each arc once when directed, each edge once, by its
           arc leaving ``order[d]``, when undirected (both arcs of an edge share a part);
-        * ``parent_arcs[u]``: the index of the arc from u's parent to u (None for a root);
+        * ``parent_arcs[u]``: the index of the arc by which the walk placed u, from the previous
+          vertex on its cycle, u's parent (None for a root);
         * ``shortcuts[d]``: each image x of ``order[d]`` under a multiplier j != 1 that fixes
           ``order[:d]``, mapped to one such j; the table stops at the first depth with no such j left.
         """
         n, elements, width = self.n, self.elements, len(self.elements)
-        order, parents = _search_order(self)
-        depth = sorted(range(n), key=order.__getitem__)  # depth[u]: u's place in the order
+        order: list[int] = []
+        depth: list = [None] * n  # depth[u]: u's place in the order
+        parent_arcs: list = [None] * n
+        for root in range(n):
+            if depth[root] is None:  # the least vertex of a component not yet walked
+                visit = depth[root] = len(order)
+                order.append(root)
+                while visit < len(order):  # visit each vertex in the order it was placed
+                    u, visit = order[visit], visit + 1
+                    for k, s in enumerate(elements):
+                        prev, w = u, (u + s) % n
+                        while depth[w] is None:
+                            depth[w], parent_arcs[w] = len(order), prev * width + k
+                            order.append(w)
+                            prev, w = w, (w + s) % n
         pairs, directed = list(zip(elements, range(width))), self.directed
         outs: list[list] = []
         back: list[list] = [[] for _ in range(n)]
@@ -127,7 +145,6 @@ class ConnectionSet:
                     back[du].append((v, a, True))
                 elif directed:  # undirected, the edge goes there as the opposite arc, which leaves v
                     back[depth[v]].append((u, a, False))
-        parent_arcs = [None if w is None else w * width + self.slot[u - w] for u, w in enumerate(parents)]
         shortcuts: list[dict] = []
         units = [j for j in self.multipliers if j != 1]
         while units:
@@ -136,38 +153,7 @@ class ConnectionSet:
             for j in units:
                 table.setdefault(j * u % n, j)
             units = [j for j in units if j * u % n == u]
-        return order, parents, outs, back, parent_arcs, shortcuts
-
-
-def _search_order(graph: ConnectionSet):
-    """Cycle-first vertex order from 0 (then any later components from their
-    smallest vertex). Visiting ``u`` walks ``u+s, u+2s, ...`` for each
-    generator ``s`` in ascending order until the walk meets a vertex already
-    seen, so every generator's cycle is laid out before the search branches
-    off it. Returns the order plus, for each non-root vertex, its parent:
-    the previous vertex on its cycle, from which an arc points to it (the
-    forward walks alone reach every vertex of a component)."""
-    n = graph.n
-    parents: list = [None] * n
-    seen = [False] * n
-    order = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        order.append(root)
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for s in graph.elements:
-                prev, w = u, (u + s) % n
-                while not seen[w]:
-                    seen[w] = True
-                    parents[w] = prev
-                    order.append(w)
-                    queue.append(w)
-                    prev, w = w, (w + s) % n
-    return order, parents
+        return order, outs, back, parent_arcs, shortcuts
 
 
 def build(n: int, elements, mode: str) -> ConnectionSet:

@@ -126,7 +126,7 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
     if partition.cs != graph:
         raise ValueError("partition does not partition this graph's arcs")
 
-    order, parents, outs, back, parent_arcs, shortcuts = graph._search_plan
+    order, outs, back, parent_arcs, shortcuts = graph._search_plan
     labels, slot, part_sizes, width = partition.labels, graph.slot, partition.sizes, len(graph.elements)
     # The identity path, laid down whole: each depth maps to themselves the parts of its back arcs
     # that no earlier depth mapped, and records them for ``undo``.
@@ -147,12 +147,12 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
     transversals = [{u: identity} for u in order]
 
     def candidates(u):
-        parent = parents[u]
-        if parent is None:
+        arc = parent_arcs[u]
+        if arc is None:  # a root
             return [0] if u == 0 and fix_zero else [v for v in range(n) if not used[v]]
         # the parent image's out-neighbours, ascending, along the mapped part once there is one
-        mapped = part_map[labels[parent_arcs[u]]]
-        return [v for v, a in outs[images[parent]] if not used[v] and (mapped < 0 or labels[a] == mapped)]
+        mapped = part_map[labels[arc]]
+        return [v for v, a in outs[images[arc // width]] if not used[v] and (mapped < 0 or labels[a] == mapped)]
 
     def try_assign(depth, v):
         added = []
@@ -197,11 +197,10 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
             part_map_inv[dp] = -1
         added_at[depth] = None
 
-    # Explicit depth-first stack, started at the last level of the identity path: per depth, the
-    # candidate list, the cursor into it and the part-map entries added by the current assignment.
-    # ``split`` is the depth of the path's first non-identity image, n on the identity path.
+    # Explicit depth-first stack, started at the last level of the identity path: per depth, an
+    # iterator over the candidates not yet tried and the part-map entries added by the current
+    # assignment. ``split`` is the depth of the path's first non-identity image, n on the identity path.
     pending: list = [None] * n
-    cursor = [0] * n
     split, depth = n, n - 1
     while depth >= 0:
         u = order[depth]
@@ -210,15 +209,11 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
         if depth == split:
             split = n
         on_path = split == n
-        pool = pending[depth]
-        if pool is None:  # a level of the identity path, backed into for the first time: the state
-            pool = pending[depth] = candidates(u)  # above is the identity's, so these are its candidates
-            pool.remove(u)  # after u, whose subtree is done
+        if pending[depth] is None:  # a level of the identity path, backed into for the first time: the
+            # state above is the identity's, so these are its candidates; u, whose subtree is done, is
+            pending[depth] = iter(candidates(u))  # in its own orbit, so the orbit check skips it
         orbit = transversals[depth]
-        i = cursor[depth]
-        while i < len(pool):
-            v = pool[i]
-            i += 1
+        for v in pending[depth]:
             if on_path and v in orbit:
                 continue
             if on_path and depth < len(shortcuts) and v in shortcuts[depth]:
@@ -233,7 +228,6 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
         else:
             depth -= 1
             continue
-        cursor[depth] = i
         images[u] = v
         used[v] = True
         added_at[depth] = added
@@ -241,8 +235,7 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
             split = depth
         if depth + 1 < n:
             depth += 1
-            pending[depth] = candidates(order[depth])
-            cursor[depth] = 0
+            pending[depth] = iter(candidates(order[depth]))
             continue
         p = tuple(images)
         if passes(p):

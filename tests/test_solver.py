@@ -271,8 +271,10 @@ def test_a_leaf_that_fails_its_recheck_is_not_a_generator(rejection, monkeypatch
 def test_no_leaf_fails_its_recheck_and_the_back_arcs_cover_the_graph_once(monkeypatch):
     """Every set to directed n = 10 and undirected n = 14, both kinds, ``fix_zero`` both ways: the
     incremental checks leave the leaf re-check nothing to reject, so a part that the unchecked
-    identity path left unmapped would show as a failed leaf; and the plan's back arcs, over all
-    depths, name each arc once when directed and each edge once when undirected."""
+    identity path left unmapped would show as a failed leaf; the plan's order is a permutation whose
+    roots are the least vertices of the components, and every other vertex's parent arc ends at it
+    from an earlier vertex; and the plan's back arcs, over all depths, name each arc once when
+    directed and each edge once when undirected."""
     results = []
     part_map = solver.leaf_part_map
 
@@ -290,7 +292,14 @@ def test_no_leaf_fails_its_recheck_and_the_back_arcs_cover_the_graph_once(monkey
         for n in range(2, n_max + 1):
             for elements in subsets(n):
                 g = cp.build(n, elements, mode)
-                order, _, _, back, _, _ = g._search_plan
+                order, _, back, parent_arcs, _ = g._search_plan
+                assert sorted(order) == list(range(n))
+                roots = [u for u in order if parent_arcs[u] is None]
+                assert roots == list(range(math.gcd(n, *elements))), elements
+                for depth, u in enumerate(order):  # every other vertex hangs off an arc from an earlier one
+                    if parent_arcs[u] is not None:
+                        tail, k = divmod(parent_arcs[u], len(elements))
+                        assert (tail + elements[k]) % n == u and order.index(tail) < depth, elements
                 covered = []
                 for depth, (u, arcs) in enumerate(zip(order, back)):
                     for w, a, leaves in arcs:
