@@ -97,16 +97,15 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
     monochromatic cycle after its first arc.
 
     The identity passes every check, so the identity path is laid down whole,
-    unchecked, and the search backs into it from the last level. A level's
-    other candidates are listed when the search first backs into it, when
-    every level above holds the identity's state, so the deeper levels are
-    complete before a level branches; a candidate already in the level's
-    orbit is skipped. Below a non-identity choice at
-    depth i the search stops at the first leaf that passes a full re-check,
-    one ``part_map`` pass (every arc's image is an arc, and the label map is
-    well defined and injective): that leaf joins the generators of
-    level i, the level's orbit is recomputed and the stack is cut back to
-    depth i. ``fix_zero`` keeps vertex 0 in place.
+    unchecked, and the levels are finished one at a time from the last up.
+    Level i's pass undoes its part of the lay-down, so every level above it
+    holds the identity's state and every level below it is complete, and
+    lists the identity's candidates for ``order[i]``; a candidate already in
+    the level's orbit is skipped. Below any other candidate a depth-first
+    descent stops at the first leaf that passes a full re-check, one
+    ``part_map`` pass (every arc's image is an arc, and the label map is
+    well defined and injective): that leaf joins the generators of level i
+    and the level's orbit is recomputed. ``fix_zero`` keeps vertex 0 in place.
 
     Multiplier maps v -> j*v with j*S = S are shortcuts. The plan's table
     ``shortcuts[d]`` maps an image x of ``order[d]`` to a unit j != 1 of
@@ -195,54 +194,44 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
         for sp, dp in added_at[depth]:
             part_map[sp] = -1
             part_map_inv[dp] = -1
-        added_at[depth] = None
 
-    # Explicit depth-first stack, started at the last level of the identity path: per depth, an
-    # iterator over the candidates not yet tried and the part-map entries added by the current
-    # assignment. ``split`` is the depth of the path's first non-identity image, n on the identity path.
-    pending: list = [None] * n
-    split, depth = n, n - 1
-    while depth >= 0:
-        u = order[depth]
-        if added_at[depth] is not None:
-            undo(depth)
-        if depth == split:
-            split = n
-        on_path = split == n
-        if pending[depth] is None:  # a level of the identity path, backed into for the first time: the
-            # state above is the identity's, so these are its candidates; u, whose subtree is done, is
-            pending[depth] = iter(candidates(u))  # in its own orbit, so the orbit check skips it
-        orbit = transversals[depth]
-        for v in pending[depth]:
-            if on_path and v in orbit:
+    def first_leaf(top, v):
+        """Map ``order[top]`` to v and descend depth-first below it: the first leaf that passes the
+        re-check, or None. Either way every depth it assigned is undone."""
+        untried = [iter((v,))]  # per depth from ``top`` down, an iterator over the candidates not yet tried
+        while untried:
+            depth = top + len(untried) - 1
+            for w in untried[-1]:
+                if (added := try_assign(depth, w)) is not None:
+                    break
+            else:  # every candidate tried: back up one depth
+                untried.pop()
+                if depth > top:
+                    undo(depth - 1)
                 continue
-            if on_path and depth < len(shortcuts) and v in shortcuts[depth]:
-                p = multiplier_perm(n, shortcuts[depth][v])
-                if passes(p):  # a generator of this level with no descent
-                    admit(depth, p)
-                    orbit = transversals[depth]
-                    continue
-            added = try_assign(depth, v)
-            if added is not None:
-                break
-        else:
-            depth -= 1
-            continue
-        images[u] = v
-        used[v] = True
-        added_at[depth] = added
-        if on_path:
-            split = depth
-        if depth + 1 < n:
-            depth += 1
-            pending[depth] = iter(candidates(order[depth]))
-            continue
-        p = tuple(images)
-        if passes(p):
-            admit(split, p)
-            while depth > split:
+            images[order[depth]], used[w], added_at[depth] = w, True, added
+            if depth + 1 < n:
+                untried.append(iter(candidates(order[depth + 1])))
+            elif passes(p := tuple(images)):
+                for d in range(top, n):
+                    undo(d)
+                return p
+            else:
                 undo(depth)
-                depth -= 1
+        return None
+
+    for top in reversed(range(n)):
+        undo(top)  # the levels above hold the identity's state, so these are its candidates
+        for v in candidates(order[top]):
+            if v in transversals[top]:  # order[top] itself among them: its subtree is done
+                continue
+            if top < len(shortcuts) and v in shortcuts[top]:
+                p = multiplier_perm(n, shortcuts[top][v])
+                if passes(p):  # a generator of this level with no descent
+                    admit(top, p)
+                    continue
+            if (p := first_leaf(top, v)) is not None:
+                admit(top, p)
 
     return RespectingGroup(
         tuple(order), tuple(map(tuple, generators)), tuple(transversals), math.prod(map(len, transversals))
