@@ -457,7 +457,9 @@ def propagation_certifier(graph: ConnectionSet, order: tuple[int, ...] | None = 
     vertex x of the enlarged subgroup whose two predecessors x - s_next and
     x - s_y (for some earlier generator s_y) are both already in the set.
     Each stage should close up to the enlarged subgroup; after the last
-    stage the set covers Z_n exactly when the graph is connected.
+    stage the set covers Z_n exactly when the graph is connected. A later
+    round tests only the successors of the last round's additions, the only
+    vertices whose predecessors changed: its cost follows its additions.
     """
     n = graph.n
     if order is None:
@@ -480,11 +482,12 @@ def propagation_certifier(graph: ConnectionSet, order: tuple[int, ...] | None = 
         fixed = start  # a full subgroup has nothing left to add
         rounds = []
         if len(start) < len(members):
-            fixed, earlier = set(start), gens[:k]
+            fixed, earlier, q, tested = set(start), gens[:k], n // d, members
+            cosets = {x % q for x in fixed}  # the cosets of the order-d subgroup that the set meets
             while len(fixed) < len(members):
                 added = tuple(
                     x
-                    for x in members
+                    for x in tested
                     if x not in fixed
                     and (x - s_next) % n in fixed
                     and any((x - s_y) % n in fixed for s_y in earlier)
@@ -493,7 +496,9 @@ def propagation_certifier(graph: ConnectionSet, order: tuple[int, ...] | None = 
                     break
                 fixed.update(added)
                 rounds.append(added)
-                coset_ok = coset_ok and _is_coset_union(fixed, n, d)
+                cosets.update(x % q for x in added)
+                coset_ok = coset_ok and len(cosets) * d == len(fixed)
+                tested = sorted({(a + s) % n for a in added for s in (s_next, *earlier)})  # all that can be new
 
         final, closed = tuple(sorted(fixed)) if rounds else start, len(fixed) == len(members)
         stages.append(

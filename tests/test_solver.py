@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -783,6 +784,25 @@ def test_propagation_rejects_foreign_order():
     g = cp.parse_instance("12:4,3:d")
     with pytest.raises(ValueError):
         cp.propagation_certifier(g, (4, 5))
+
+
+def test_propagation_rounds_cost_their_additions():
+    """Circ(20002; {2, 10001}) adds one or two vertices per round, so its one stage takes 10,000
+    rounds: well inside 10 s when a round tests only the successors of the last one's additions,
+    about a minute when every round rescans the 20,002 members."""
+
+    def out_of_time(signum, frame):
+        raise TimeoutError("propagation_certifier took more than 10 s")
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        trace = cp.propagation_certifier(cp.build(20002, (2, 10001), cp.DIRECTED))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert trace.total_rounds == 10_000
+    assert trace.covered
 
 
 def test_coset_image_check_examples():
