@@ -55,6 +55,11 @@ CONNECTIVITY_CHOICES = ("connected", "disconnected", "all")
 ENUMERATOR_CHOICES = ("backtracking", "both")
 MAX_SWEEP_SETS = 1_100_000  # both modes to n = 20 (1,051,604 sets); directed to n = 21 is 2,097,130
 
+def _distinct_from(values, allowed: set) -> bool:
+    """Are ``values`` one or more distinct members of ``allowed``, and not a str, whose letters would pass?"""
+    return not isinstance(values, str) and bool(values) and len(set(values)) == len(values) and set(values) <= allowed
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """What to sweep and how. An empty range (n_max < n_min) is legal.
@@ -79,11 +84,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.n_min < 2:
             raise ValueError(f"n_min must be at least 2, got {self.n_min}")
-        if not self.modes or len(set(self.modes)) < len(self.modes) or not set(self.modes) <= {DIRECTED, UNDIRECTED}:
+        if not _distinct_from(self.modes, {DIRECTED, UNDIRECTED}):
             raise ValueError(f"modes must be distinct and drawn from ({DIRECTED!r}, {UNDIRECTED!r})")
         if self.connectivity not in CONNECTIVITY_CHOICES:
             raise ValueError(f"connectivity must be one of {CONNECTIVITY_CHOICES}")
-        if not self.kinds or len(set(self.kinds)) < len(self.kinds) or not set(self.kinds) <= {"B", "C"}:
+        if not _distinct_from(self.kinds, {"B", "C"}):
             raise ValueError("kinds must be distinct and drawn from ('B', 'C')")
         if self.enumerator not in ENUMERATOR_CHOICES:
             raise ValueError(f"enumerator must be one of {ENUMERATOR_CHOICES}")

@@ -106,6 +106,11 @@ def test_sweep_spec_validation():
         cp.SweepSpec(n_min=3, n_max=4, modes=(cp.DIRECTED, cp.DIRECTED))
     with pytest.raises(ValueError, match="kinds must be distinct"):
         cp.SweepSpec(n_min=3, n_max=4, kinds=("B", "B"))
+    # a str would pass as its letters, and the report would echo it as a str
+    with pytest.raises(ValueError, match="kinds must be distinct"):
+        cp.SweepSpec(n_min=3, n_max=4, kinds="BC")
+    with pytest.raises(ValueError, match="modes must be distinct"):
+        cp.SweepSpec(n_min=3, n_max=4, modes=cp.DIRECTED)
 
 
 def recording(monkeypatch, *names):
