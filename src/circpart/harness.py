@@ -55,6 +55,7 @@ CONNECTIVITY_CHOICES = ("connected", "disconnected", "all")
 ENUMERATOR_CHOICES = ("backtracking", "both")
 MAX_SWEEP_SETS = 1_100_000  # both modes to n = 20 (1,051,604 sets); directed to n = 21 is 2,097,130
 
+
 def _distinct_from(values, allowed: set) -> bool:
     """Are ``values`` one or more distinct members of ``allowed``, and not a str, whose letters would pass?"""
     return not isinstance(values, str) and bool(values) and len(set(values)) == len(values) and set(values) <= allowed

@@ -196,8 +196,7 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
             part_map_inv[dp] = -1
 
     def first_leaf(top, v):
-        """Map ``order[top]`` to v and descend depth-first below it: the first leaf that passes the
-        re-check, or None. Either way every depth it assigned is undone."""
+        """Map ``order[top]`` to v, then descend: the first leaf that passes, or None; all it assigned is undone."""
         untried = [iter((v,))]  # per depth from ``top`` down, an iterator over the candidates not yet tried
         while untried:
             depth = top + len(untried) - 1

@@ -312,21 +312,18 @@ def test_respecting_group_digest():
     assert h.hexdigest() == "6bc7775234ef83c7a58586e5350dfd09f92310167814b1e41f2e14b8e78252ea"
 
 
-class _CountedLabels(tuple):
-    """A partition's labels that count their reads by index."""
-
-    reads = 0
-
-    def __getitem__(self, index):
-        _CountedLabels.reads += 1
-        return tuple.__getitem__(self, index)
-
-
 def test_respecting_group_label_reads():
     """The search's work, pinned: the label reads of every search, both kinds, ``fix_zero`` both ways,
     directed n <= 10 and undirected n <= 14. A change that keeps every group but searches more nodes
     (a lay-down of the identity path that forgets a part, say) reads more labels."""
-    _CountedLabels.reads = 0
+    reads = 0
+
+    class CountedLabels(tuple):
+        def __getitem__(self, index):
+            nonlocal reads
+            reads += 1
+            return tuple.__getitem__(self, index)
+
     count = 0
     for spec in (
         cp.SweepSpec(n_min=2, n_max=10, modes=(cp.DIRECTED,)),
@@ -335,9 +332,9 @@ def test_respecting_group_label_reads():
         for cs in cp.generate_instances(spec):
             for kind in ("B", "C"):
                 partition = cp.arc_partition(cs, kind)
-                counted = dataclasses.replace(partition, labels=_CountedLabels(partition.labels))
+                counted = dataclasses.replace(partition, labels=CountedLabels(partition.labels))
                 for fix_zero in (True, False):
                     cp.respecting_group(cs, counted, fix_zero=fix_zero)
                     count += 1
     assert count == 5_520
-    assert _CountedLabels.reads == 1_431_552
+    assert reads == 1_431_552
