@@ -46,7 +46,7 @@ from .solver import (
     brute_oracle,
     coset_image_check,
     normalize_to_multiplier,
-    propagation_certifier,
+    propagation_stage,
     respecting_group,
 )
 from .zmod import _units
@@ -225,20 +225,21 @@ def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> list:
     """Worker body: one block in, one (row, failures) pair per set out, in one pass in generation order.
 
     Every row is built here, from the set's own columns (its elements, its
-    propagation trace and ``ms``) and its orbit columns: a full check's
+    propagation and ``ms``) and its orbit columns: a full check's
     (``_check_instance``), or, for an image j*R of a representative R with a
-    source, R's (``_derived``). The trace runs once per set, and a coverage
-    that differs from connectivity is a failure. A set that is no earlier
-    set's image registers its images with the least unit j and a source:
-    its key, elements, orbit columns and ``cs.multipliers`` if its whole row
-    raised nothing and recorded no failure, else None. An image without a
-    source is checked in full. No source holds a set, so each set, with
-    what it caches, is freed once its row is made. An exception becomes
-    that set's ``error`` row and a failure.
+    source, R's (``_derived``). Each set is propagated once, along the block's
+    walk (``_propagate``); a coverage that differs from connectivity is a
+    failure. A set that is no earlier set's image registers its images with
+    the least unit j and a source: its key, elements, orbit columns and
+    ``cs.multipliers`` if its whole row raised nothing and recorded no
+    failure, else None. An image without a source is checked in full. No
+    source and no walk holds a set, so each set, with what it caches, is
+    freed once its row is made. An exception becomes its ``error`` row and a failure.
     """
     n = block[0]
     units = _units(n) if spec.enumerator == "backtracking" else ()
     pending: dict = {}  # a later set's elements -> (its representative's source or None, its j)
+    walk: list = []  # see _propagate
     out = []
     for cs in _block_sets(spec, block):
         entry = pending.pop(cs.elements, None)
@@ -250,15 +251,14 @@ def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> list:
                 orbit = _check_instance(spec, cs, failures)
             else:
                 orbit = _derived(*entry[0], cs, entry[1])
-            trace = propagation_certifier(cs)
+            prop = _propagate(cs, walk)
         except Exception as exc:
             failures.append(SweepFailure(instance_key(cs), f"{type(exc).__name__}: {exc}"))
             orbit, prop = (is_connected(cs), *(None,) * 5, "error"), (None, None)
         else:
-            prop = trace.covered, trace.total_rounds
-            if trace.covered != orbit[0]:
+            if prop[0] != orbit[0]:
                 failures.append(SweepFailure(
-                    instance_key(cs), f"propagation coverage {trace.covered} differs from connectivity {orbit[0]}"
+                    instance_key(cs), f"propagation coverage {prop[0]} differs from connectivity {orbit[0]}"
                 ))
             if entry is None and not failures:
                 source = instance_key(cs), cs.elements, orbit, cs.multipliers
@@ -272,6 +272,24 @@ def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> list:
     return out
 
 
+def _propagate(cs: ConnectionSet, walk: list) -> tuple[bool, int]:
+    """``cs``'s (covered, total_rounds) as ``propagation_certifier(cs)`` gives them. Stage k reads only n,
+    gcd(n, s_1..s_k) and s_1..s_{k+1}, so ``walk`` keeps, per prefix s_1..s_k of the last set given with this
+    n, (the prefix, gcd(n, s_1..s_k), whether every stage so far closed, the rounds so far), and ``cs`` makes
+    only the stages past their common prefix. All closed, the last fixed set is the subgroup of the last step."""
+    n, gens = cs.n, cs.elements
+    while walk and walk[-1][0] != gens[: len(walk)]:
+        walk.pop()
+    if not walk:
+        walk.append((gens[:1], math.gcd(n, gens[0]), True, 0))
+    for k in range(len(walk), len(gens)):
+        _, step, closed, rounds = walk[-1]
+        stage = propagation_stage(n, step, prefix := gens[: k + 1])
+        walk.append((prefix, math.gcd(step, gens[k]), closed and stage.closed, rounds + len(stage.rounds)))
+    _, step, closed, rounds = walk[-1]
+    return closed and step == 1, rounds
+
+
 def _derived(
     rep: str, elements: tuple[int, ...], orbit: tuple, units: tuple[int, ...], cs: ConnectionSet, j: int
 ) -> tuple:
@@ -279,15 +297,16 @@ def _derived(
 
     m: v -> j*v maps Circ(n; R) onto Circ(n; jR) and each kind's parts onto
     parts, and commutes with every multiplier map, so every orbit column is
-    R's. Two checks come first: that ``cs.multipliers`` are R's, and that
-    j*R is ``cs``; either raises ValueError when it fails.
+    R's. Two checks come first, raising ValueError when they fail: that j*R is S = ``cs``, and that each u of
+    ``units``, M(R), maps S onto S: M(R) <= M(S). As units commute, u*S = S gives u*R = R: S = j*R proves the reverse.
     """
     n = cs.n
-    if cs.multipliers != units:
-        raise ValueError(f"multipliers {list(cs.multipliers)} differ from {list(units)} of {rep}")
     image = sorted(j * r % n for r in elements)
     if tuple(image) != cs.elements:
         raise ValueError(f"{j} times the set of {rep} is {image}, not this set")
+    for u in units:
+        if (moved := sorted(u * s % n for s in cs.elements)) != image:
+            raise ValueError(f"multiplier {u} of {rep} maps this set to {moved}")
     return orbit
 
 
@@ -296,8 +315,8 @@ def _check_instance(spec: SweepSpec, cs: ConnectionSet, failures: list) -> tuple
 
     Appends what fails to ``failures``. Searches the groups and checks them
     on this set's own graph, partitions and M, ``cs.multipliers``; M <= G is
-    tested on every multiplier but 1, which respects every partition. A
-    group is listed only to compare it with the oracle scan.
+    tested on every multiplier but 1 by sifting it through the transversals
+    found. A group is listed only to compare it with the oracle scan.
     """
     n, elements = cs.n, cs.elements
     key = instance_key(cs)
@@ -305,7 +324,7 @@ def _check_instance(spec: SweepSpec, cs: ConnectionSet, failures: list) -> tuple
     partitions = {"B": partition_by_generator(cs), "C": partition_by_cycle(cs)}
     units = cs.multipliers
     groups = {kind: respecting_group(cs, partitions[kind]) for kind in spec.kinds}
-    moved_by = [multiplier_perm(n, u) for u in units if u != 1]  # the identity respects every partition
+    moved_by = [multiplier_perm(n, u) for u in units if u != 1]  # the identity is in every group
 
     aut_counts = {kind: group.order for kind, group in groups.items()}
     if spec.enumerator == "both":
@@ -316,8 +335,8 @@ def _check_instance(spec: SweepSpec, cs: ConnectionSet, failures: list) -> tuple
         group = groups[kind]
         if spec.enumerator == "both" and oracle[kind] != group.elements():
             failures.append(SweepFailure(key, f"kind {kind}: backtracking disagrees with brute oracle"))
-        # M <= G straight from the definition; with |G| = |M| the two are equal.
-        contains = all(respects(m, part) for m in moved_by)
+        # M <= G in the group the search found; with |G| = |M| the two are equal.
+        contains = all(m in group for m in moved_by)
         outcomes.append((contains and aut_counts[kind] == len(units), contains))
         if kind == "C":
             # Both properties are closed under composition, so the generators suffice.

@@ -12,9 +12,9 @@
   partition passed.
 * ``normalize_to_multiplier``: recovers the unit j with p(s) = j*s for all
   generators s, one residue per prime power, combined by CRT.
-* ``propagation_certifier``: the fixed-set closure that certifies, with no
-  reference to any particular automorphism, that pointwise-fixed generators
-  force every vertex to be fixed exactly when the graph is connected.
+* ``propagation_certifier``: the fixed-set closure, one ``propagation_stage``
+  per generator, that certifies, with no reference to any automorphism, that
+  pointwise-fixed generators fix every vertex exactly when the graph is connected.
 * ``coset_image_check``: images of cosets of a subgroup generated by part
   of the connection set are again cosets.
 """
@@ -57,6 +57,15 @@ class RespectingGroup:
     def strong_generators(self) -> list[Perm]:
         """Every generator, level by level; together they generate G."""
         return [p for level in self.generators for p in level]
+
+    def __contains__(self, p: Perm) -> bool:
+        """Is p in G? Sims's sift: strip, level by level, the transversal element that agrees with p; 1 must be left."""
+        for point, trans in zip(self.base, self.transversals):
+            if p[point] != point:  # else the transversal's element is the identity
+                if (t := trans.get(p[point])) is None:
+                    return False
+                p = tuple(map(dict(zip(t, range(len(t)))).__getitem__, p))  # t^-1 after p
+        return p == tuple(range(len(p)))
 
     def elements(self) -> list[Perm]:
         """Every element of G, ascending: the products of one transversal element per level."""
@@ -395,7 +404,7 @@ def normalize_to_multiplier(graph: ConnectionSet, p: Perm) -> MultiplierWitness 
     return MultiplierWitness(tuple(residues), combined)
 
 
-class PropagationStage(NamedTuple):  # a tuple, cheap to make once per generator of every swept set
+class PropagationStage(NamedTuple):  # a tuple, cheap to make for every stage that a sweep computes
     """One outer step of the closure: extending the fixed subgroup by one generator.
 
     ``subgroup_order`` is the order of the subgroup spanned by the previous
@@ -448,18 +457,46 @@ def _stage_start(n: int, step: int, next_step: int, d: int) -> tuple[tuple[int, 
     return tuple(sorted(fixed)), _is_coset_union(fixed, n, d)
 
 
-def propagation_certifier(graph: ConnectionSet, order: tuple[int, ...] | None = None) -> PropagationTrace:
-    """Replay the fixed-set closure over the generators, one stage per new generator.
-
-    Stage k starts from the union of the subgroup spanned by the first k
-    generators with the cycle of the next one, then repeatedly adds every
-    vertex x of the enlarged subgroup whose two predecessors x - s_next and
-    x - s_y (for some earlier generator s_y) are both already in the set.
-    Each stage should close up to the enlarged subgroup; after the last
-    stage the set covers Z_n exactly when the graph is connected. A later
-    round tests only the successors of the last round's additions, the only
-    vertices whose predecessors changed: its cost follows its additions.
+def propagation_stage(n: int, step: int, gens: tuple[int, ...]) -> PropagationStage:
+    """Stage k = len(gens) - 1: the subgroup of step ``step`` = gcd(n, s_1..s_k) joined with the cycle of
+    s_next = s_{k+1}, then each round adds every x of the enlarged subgroup whose predecessors x - s_next
+    and x - s_y (some earlier s_y) are both in the set. A later round tests only the successors of the
+    last round's additions, the only vertices whose predecessors changed: its cost follows its additions.
     """
+    k, s_next = len(gens) - 1, gens[-1]
+    next_step = math.gcd(n, s_next)
+    subgroup_order, next_order = n // step, n // next_step
+    d = math.gcd(subgroup_order, next_order)
+    members = range(0, n, math.gcd(step, s_next))  # the enlarged subgroup
+    start, coset_ok = _stage_start(n, step, next_step, d)
+    fixed = start  # a full subgroup has nothing left to add
+    rounds = []
+    if len(start) < len(members):
+        fixed, earlier, q, tested = set(start), gens[:k], n // d, members
+        cosets = {x % q for x in fixed}  # the cosets of the order-d subgroup that the set meets
+        while len(fixed) < len(members):
+            added = tuple(
+                x
+                for x in tested
+                if x not in fixed
+                and (x - s_next) % n in fixed
+                and any((x - s_y) % n in fixed for s_y in earlier)
+            )
+            if not added:
+                break
+            fixed.update(added)
+            rounds.append(added)
+            cosets.update(x % q for x in added)
+            coset_ok = coset_ok and len(cosets) * d == len(fixed)
+            tested = sorted({(a + s) % n for a in added for s in (s_next, *earlier)})  # all that can be new
+
+    final, closed = tuple(sorted(fixed)) if rounds else start, len(fixed) == len(members)
+    return PropagationStage(k, s_next, subgroup_order, next_order, d, start, tuple(rounds), final, closed, coset_ok)
+
+
+def propagation_certifier(graph: ConnectionSet, order: tuple[int, ...] | None = None) -> PropagationTrace:
+    """Replay the fixed-set closure over the generators, one ``propagation_stage`` per new generator. Each
+    should close up to its enlarged subgroup; the last leaves Z_n exactly when the graph is connected."""
     n = graph.n
     if order is None:
         gens = graph.elements
@@ -471,39 +508,8 @@ def propagation_certifier(graph: ConnectionSet, order: tuple[int, ...] | None = 
     stages = []
     step = math.gcd(n, gens[0])  # the fixed subgroup starts as <s_1>
     for k in range(1, len(gens)):
-        s_next = gens[k]
-        next_step = math.gcd(n, s_next)
-        subgroup_order, next_order = n // step, n // next_step
-        d = math.gcd(subgroup_order, next_order)
-        members = range(0, n, math.gcd(step, s_next))  # the enlarged subgroup
-
-        start, coset_ok = _stage_start(n, step, next_step, d)
-        fixed = start  # a full subgroup has nothing left to add
-        rounds = []
-        if len(start) < len(members):
-            fixed, earlier, q, tested = set(start), gens[:k], n // d, members
-            cosets = {x % q for x in fixed}  # the cosets of the order-d subgroup that the set meets
-            while len(fixed) < len(members):
-                added = tuple(
-                    x
-                    for x in tested
-                    if x not in fixed
-                    and (x - s_next) % n in fixed
-                    and any((x - s_y) % n in fixed for s_y in earlier)
-                )
-                if not added:
-                    break
-                fixed.update(added)
-                rounds.append(added)
-                cosets.update(x % q for x in added)
-                coset_ok = coset_ok and len(cosets) * d == len(fixed)
-                tested = sorted({(a + s) % n for a in added for s in (s_next, *earlier)})  # all that can be new
-
-        final, closed = tuple(sorted(fixed)) if rounds else start, len(fixed) == len(members)
-        stages.append(
-            PropagationStage(k, s_next, subgroup_order, next_order, d, start, tuple(rounds), final, closed, coset_ok)
-        )
-        step = members.step
+        stages.append(propagation_stage(n, step, gens[: k + 1]))
+        step = math.gcd(step, gens[k])
 
     final_fixed = stages[-1].final if stages else tuple(range(0, n, step))
     covered = len(final_fixed) == n and all(stage.closed for stage in stages)

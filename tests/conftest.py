@@ -151,17 +151,17 @@ def graphs(draw, **kwargs):
 
 
 def failing_at_n5(monkeypatch):
-    """Make the propagation certifier raise ValueError("boom") on every n=5 instance."""
+    """Make a sweep's propagation raise ValueError("boom") on every n=5 instance."""
     import circpart.harness as harness
 
-    certify = harness.propagation_certifier
+    propagate = harness._propagate
 
-    def boom(graph, order=None):
-        if graph.n == 5:
+    def boom(cs, walk):
+        if cs.n == 5:
             raise ValueError("boom")
-        return certify(graph, order)
+        return propagate(cs, walk)
 
-    monkeypatch.setattr(harness, "propagation_certifier", boom)
+    monkeypatch.setattr(harness, "_propagate", boom)
 
 
 def search_cap(n):

@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 import circpart as cp
-from circpart import circulant, harness
+from circpart import harness
 from conftest import directed_subsets, failing_at_n5, inverse_closed_subsets
 
 
@@ -172,14 +172,14 @@ def test_a_sweep_makes_each_set_once_and_frees_it_after_its_row(monkeypatch):
     report = cp.verify_theorem(spec)
     assert held == []
     assert len(report.instances) == len(sets) == len(done) == 247 and report.failures == ()
-    # the generated set is the graph: no second set is made, and no arc tuple is ever built; every set,
-    # derived or not, computes its M once; only the representative of each unit orbit, whose row the
-    # others take, builds a slot table and a search plan, and its kinds B and C search with that one
-    # plan, whose shortcut table is empty exactly when M is {1}
+    # the generated set is the graph: no second set is made, and no arc tuple is ever built; only the
+    # representative of each unit orbit, whose row the others take, computes its M, once (a derived
+    # set never does), and builds a slot table and a search plan, and its kinds B and C search with
+    # that one plan, whose shortcut table is empty exactly when M is {1}
     reps = {(n, rep, cp.DIRECTED) for n in range(2, 9) for rep in unit_orbit_minima(n, directed_subsets(n))}
     assert len(reps) == 92
-    built = {(name, key): 1 for key in reps for name in ("slot", "_search_plan")}
-    assert counts == {(name, key): 1 for key in sets for name in ("validate", "multipliers")} | built
+    built = {(name, key): 1 for key in reps for name in ("multipliers", "slot", "_search_plan")}
+    assert counts == {("validate", key): 1 for key in sets} | built
     assert plans.keys() == reps and all(len(read) == 2 and read[0] is read[1] for read in plans.values())
     assert all(bool(read[0][-1]) == (len(cp.multipliers(*key[:2])) > 1) for key, read in plans.items())
 
@@ -192,16 +192,14 @@ def unit_orbit_minima(n, subsets):
 
 
 def test_sweeps_search_once_per_unit_orbit_and_check_every_set(monkeypatch):
-    calls = recording(
-        monkeypatch, "respecting_group", "propagation_certifier", "normalize_to_multiplier", "brute_oracle"
-    )
+    calls = recording(monkeypatch, "respecting_group", "_propagate", "normalize_to_multiplier", "brute_oracle")
     spec = cp.SweepSpec(n_min=2, n_max=10, modes=(cp.DIRECTED,))
     report = cp.verify_theorem(spec)
     minima = [(n, rep) for n in range(2, 11) for rep in unit_orbit_minima(n, directed_subsets(n))]
     assert len(minima) == 282 and len(report.instances) == 1013
     # two searches per orbit, kinds B and C, on its least set
     assert [(g.n, g.elements) for g in calls["respecting_group"]] == [pair for pair in minima for _ in "BC"]
-    traced = sorted(cp.instance_key(g) for g in calls["propagation_certifier"])
+    traced = sorted(cp.instance_key(g) for g in calls["_propagate"])
     assert traced == sorted(cp.instance_key(cs) for cs in cp.generate_instances(spec))
     # one normalization per generator of each connected representative's cycle-respecting group
     generators = 0
@@ -221,18 +219,20 @@ def test_sweeps_search_once_per_unit_orbit_and_check_every_set(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "rep, member, j, message",
+    "rep, member, j, message, carried",
     [
-        ("7:1,2:d", "7:3,6:d", 5, "5 times the set of 7:1,2:d is [3, 5], not this set"),
-        ("8:1,5:d", "8:2:d", 1, "1 times the set of 8:1,5:d is [1, 5], not this set"),
-        ("8:1:d", "8:2:d", 3, "multipliers [1, 5] differ from [1] of 8:1:d"),
+        ("7:1,2:d", "7:3,6:d", 5, "5 times the set of 7:1,2:d is [3, 5], not this set", None),
+        ("8:1,5:d", "8:2:d", 1, "1 times the set of 8:1,5:d is [1, 5], not this set", None),
+        ("8:1:d", "8:2:d", 3, "3 times the set of 8:1:d is [3], not this set", None),
+        ("8:1:d", "8:3:d", 3, "multiplier 5 of 8:1:d maps this set to [7]", (1, 5)),
     ],
 )
-def test_a_set_its_unit_does_not_reach_gets_an_error_row(rep, member, j, message):
+def test_a_set_its_unit_does_not_reach_gets_an_error_row(rep, member, j, message, carried):
     # 3 * {1, 2} = {3, 6} mod 7, so 5 = 3^-1 is the wrong unit. {2} lies in another orbit than
     # {1, 5}, with the same multipliers but 4 cycle-respecting automorphisms to its 2, and in
-    # another orbit than {1}, with other multipliers. Each raises, never giving the
-    # representative's counts
+    # another orbit than {1}, with other multipliers. {3} = 3 * {1}, but carried with the
+    # multipliers of {2}, {1, 5}, {1} brings a unit that does not map {3} onto itself. Each
+    # raises, never giving the representative's counts
     import circpart.harness as harness
 
     spec = cp.SweepSpec(n_min=7, n_max=8, modes=(cp.DIRECTED,))
@@ -240,8 +240,9 @@ def test_a_set_its_unit_does_not_reach_gets_an_error_row(rep, member, j, message
     source = cp.parse_instance(rep)
     orbit = harness._check_instance(spec, source, failures)
     assert (orbit[-1], failures) == ("match", [])
+    units = source.multipliers if carried is None else carried
     with pytest.raises(ValueError) as raised:
-        harness._derived(rep, source.elements, orbit, source.multipliers, cp.parse_instance(member), j)
+        harness._derived(rep, source.elements, orbit, units, cp.parse_instance(member), j)
     assert str(raised.value) == message
 
 
@@ -249,13 +250,15 @@ def test_a_set_its_unit_does_not_reach_gets_an_error_row(rep, member, j, message
     "name, failing, message",
     [
         (
-            "multipliers",
-            lambda real: lambda n, elements: (1, 6) if elements == (3, 6) else real(n, elements),
-            "ValueError: multipliers [1, 6] differ from [1] of 7:1,2:d",
+            "_derived",
+            lambda real: lambda rep, elements, orbit, units, cs, j: real(
+                rep, elements, orbit, units + (6,) if cs.elements == (3, 6) else units, cs, j
+            ),
+            "ValueError: multiplier 6 of 7:1,2:d maps this set to [1, 4]",
         ),
         (
-            "propagation_certifier",
-            lambda real: lambda g, order=None: 1 / 0 if g.elements == (3, 6) else real(g, order),
+            "_propagate",
+            lambda real: lambda cs, walk: 1 / 0 if cs.elements == (3, 6) else real(cs, walk),
             "ZeroDivisionError: division by zero",
         ),
     ],
@@ -264,13 +267,12 @@ def test_a_set_its_unit_does_not_reach_gets_an_error_row(rep, member, j, message
 def test_a_derived_set_whose_check_fails_gets_an_error_row_and_the_rest_of_its_orbit_is_derived(
     monkeypatch, name, failing, message
 ):
-    # {3, 6} = 3 * {1, 2} mod 7 is not its orbit's representative; made to report other multipliers
-    # than {1, 2}, or to raise in its own propagation trace, it gets an error row, while the orbit's
-    # other four sets still take {1, 2}'s row
+    # {3, 6} = 3 * {1, 2} mod 7 is not its orbit's representative; made to carry, as {1, 2}'s, a
+    # multiplier 6 that does not map it onto itself, or to raise in its own propagation, it gets an
+    # error row, while the orbit's other four sets still take {1, 2}'s row
     spec = cp.SweepSpec(n_min=7, n_max=7, modes=(cp.DIRECTED,))
     clean = cp.verify_theorem(spec)
-    module = circulant if name == "multipliers" else harness  # M is computed by the set, in circulant
-    monkeypatch.setattr(module, name, failing(getattr(module, name)))
+    monkeypatch.setattr(harness, name, failing(getattr(harness, name)))
     calls = recording(monkeypatch, "respecting_group")
     report = cp.verify_theorem(spec)
     assert report.failures == (cp.SweepFailure("7:3,6:d", message),)
@@ -334,15 +336,50 @@ def test_derived_rows_equal_a_check_per_set(monkeypatch):
         assert report.failures == per_set.failures == ()
 
 
+@pytest.mark.parametrize("connectivity", harness.CONNECTIVITY_CHOICES)
+def test_the_propagation_walk_gives_every_set_the_certifiers_coverage_and_rounds(connectivity):
+    # one walk per n and mode, across its blocks: a block's first set, a new size, and the sets the
+    # connectivity filter drops all break the prefix that a set shares with the one before it
+    for mode, n_max in ((cp.DIRECTED, 14), (cp.UNDIRECTED, 22)):
+        spec = cp.SweepSpec(n_min=2, n_max=n_max, modes=(mode,), connectivity=connectivity)
+        walks = collections.defaultdict(list)
+        for cs in cp.generate_instances(spec):
+            trace = cp.propagation_certifier(cs)
+            assert harness._propagate(cs, walks[cs.n]) == (trace.covered, trace.total_rounds), cs
+            assert all(
+                type(prefix) is tuple and {type(value) for value in (*prefix, *rest)} <= {int, bool}
+                for prefix, *rest in walks[cs.n]
+            )
+
+
+def test_a_set_after_one_whose_propagation_raised_gets_the_certifiers_coverage_and_rounds(monkeypatch):
+    # the stage of s_1..s_3 = 1, 3, 4 raises after the stages before it were kept: each set that
+    # begins with them raises, and every other set still gets the certifier's numbers
+    stage = harness.propagation_stage
+
+    def failing(n, step, gens):
+        if gens == (1, 3, 4):
+            raise ZeroDivisionError
+        return stage(n, step, gens)
+
+    monkeypatch.setattr(harness, "propagation_stage", failing)
+    walk, raised = [], []
+    for cs in cp.generate_instances(cp.SweepSpec(n_min=9, n_max=9, modes=(cp.DIRECTED,))):
+        trace = cp.propagation_certifier(cs)
+        try:
+            assert harness._propagate(cs, walk) == (trace.covered, trace.total_rounds), cs
+        except ZeroDivisionError:
+            raised.append(cs.elements)
+    assert len(raised) == 16 and all(elements[:3] == (1, 3, 4) for elements in raised)
+
+
 def test_the_orbit_of_a_failing_representative_is_searched_set_by_set(monkeypatch):
     import circpart.harness as harness
 
     spec = cp.SweepSpec(n_min=7, n_max=7, modes=(cp.DIRECTED,))
     clean = cp.verify_theorem(spec)
-    certify = harness.propagation_certifier
-    monkeypatch.setattr(
-        harness, "propagation_certifier", lambda g, order=None: 1 / 0 if g.elements == (1, 2) else certify(g, order)
-    )
+    propagate = harness._propagate
+    monkeypatch.setattr(harness, "_propagate", lambda cs, walk: 1 / 0 if cs.elements == (1, 2) else propagate(cs, walk))
     calls = recording(monkeypatch, "respecting_group")
     report = cp.verify_theorem(spec)
     assert report.failures == (cp.SweepFailure("7:1,2:d", "ZeroDivisionError: division by zero"),)
@@ -367,40 +404,45 @@ def test_sweeps_count_and_certify_without_listing(monkeypatch):
 def test_sweeps_never_pass_the_identity_to_respects(monkeypatch):
     import circpart.harness as harness
 
-    seen = []
-    real = harness.respects
+    seen, sifted = [], []
+    real, sift = harness.respects, cp.RespectingGroup.__contains__
 
     def recording(p, partition):
         seen.append(p)
         return real(p, partition)
 
+    def sifting(group, p):
+        sifted.append(p)
+        return sift(group, p)
+
     monkeypatch.setattr(harness, "respects", recording)
+    monkeypatch.setattr(cp.RespectingGroup, "__contains__", sifting)
     spec = cp.SweepSpec(n_min=2, n_max=9)
     report = cp.verify_theorem(spec)
     assert report.failures == ()
-    assert all(p != tuple(range(len(p))) for p in seen)
-    # on each representative: every other multiplier, once per kind, and every generator of G_B,
-    # and of G_C when connected, against the other kind's partition
-    expected = 0
+    assert all(p != tuple(range(len(p))) for p in seen + sifted)
+    # on each representative: every other multiplier, once per kind, sifted through that kind's
+    # group, and every generator of G_B, and of G_C when connected, against the other kind's partition
+    multipliers = generators = 0
     for mode, subsets in ((cp.DIRECTED, directed_subsets), (cp.UNDIRECTED, inverse_closed_subsets)):
         for g in (cp.build(n, rep, mode) for n in range(2, 10) for rep in unit_orbit_minima(n, subsets(n))):
-            expected += 2 * (len(cp.multipliers(g.n, g.elements)) - 1)
-            expected += len(cp.respecting_group(g, cp.partition_by_generator(g)).strong_generators())
+            multipliers += 2 * (len(cp.multipliers(g.n, g.elements)) - 1)
+            generators += len(cp.respecting_group(g, cp.partition_by_generator(g)).strong_generators())
             if cp.is_connected(g):
-                expected += len(cp.respecting_group(g, cp.partition_by_cycle(g)).strong_generators())
-    assert len(seen) == expected > 0
+                generators += len(cp.respecting_group(g, cp.partition_by_cycle(g)).strong_generators())
+    assert len(sifted) == multipliers > 0 and len(seen) == generators > 0
 
 
 def test_sweeps_check_each_multiplier_and_each_generator(monkeypatch):
     # the real checks never fail, so stubs that always fail show what the sweep checks
     import circpart.harness as harness
 
-    monkeypatch.setattr(harness, "respects", lambda p, partition: p == tuple(range(len(p))))
+    monkeypatch.setattr(cp.RespectingGroup, "__contains__", lambda group, p: p == tuple(range(len(p))))
     monkeypatch.setattr(harness, "coset_image_check", lambda graph, p, subset: False)
     monkeypatch.setattr(harness, "normalize_to_multiplier", lambda graph, p: None)
     spec = cp.SweepSpec(n_min=6, n_max=6, modes=(cp.UNDIRECTED,), kinds=("C",))
     report = cp.verify_theorem(spec)
-    # j = 5 is a multiplier of every inverse-closed set, and it no longer respects
+    # j = 5 is a multiplier of every inverse-closed set, and it no longer sifts through the group
     assert {row.verdict for row in report.instances} == {"mismatch"}
     expected = set()
     for cs in cp.generate_instances(spec):
@@ -412,6 +454,37 @@ def test_sweeps_check_each_multiplier_and_each_generator(monkeypatch):
                 expected.add((cp.instance_key(cs), f"multiplier normalization failed for {p}"))
     assert {(f.instance, f.message) for f in report.failures} == expected
     assert len(report.failures) == len(expected) > 0
+
+
+def test_a_sweep_checks_the_multipliers_against_the_transversals_the_search_found(monkeypatch):
+    # each element of the first nontrivial transversal of every kind-B group is made to stand for
+    # the next point of its orbit; the order and the generators stay, so only a check that reads
+    # the transversals sees that a multiplier moving that level's point is no longer in the group
+    spec = cp.SweepSpec(n_min=2, n_max=10)
+    clean = cp.verify_theorem(spec)
+    search = harness.respecting_group
+
+    def moved(graph, partition, **kwargs):
+        group = search(graph, partition, **kwargs)
+        levels = [i for i, trans in enumerate(group.transversals) if len(trans) > 1]
+        if partition.kind != "B" or not levels:
+            return group
+        trans = group.transversals[levels[0]]
+        points = list(trans)
+        corrupted = dict(zip(points[1:] + points[:1], trans.values()))
+        transversals = group.transversals[: levels[0]] + (corrupted,) + group.transversals[levels[0] + 1 :]
+        return dataclasses.replace(group, transversals=transversals)
+
+    monkeypatch.setattr(harness, "respecting_group", moved)
+    report = cp.verify_theorem(spec)
+    # on a connected set G_B is M, so a set with a multiplier other than 1 has a nontrivial
+    # transversal, and some multiplier moves its point
+    assert clean.aggregates["mismatch"] == 0 and report.failures == clean.failures == ()
+    for row, before in zip(report.instances, clean.instances):
+        if row.connected:
+            assert row.verdict == ("mismatch" if row.multiplier_count > 1 else "match")
+        assert dataclasses.replace(row, verdict=before.verdict) == before
+    assert report.aggregates["mismatch"] > 0
 
 
 def test_a_failing_instance_does_not_abort_the_sweep(monkeypatch):

@@ -510,6 +510,21 @@ def test_elements_are_the_distinct_transversal_products():
         assert all(compose(p, q) in members for q in sols)
 
 
+@pytest.mark.parametrize("text", ["7:1,6:u", "6:2,4:d", "6:3:u", "7:1,2,4:d", "6:1,2,3,4,5:d"])
+def test_membership_sifts_through_the_transversals(text):
+    # every permutation fixing 0 is in the group exactly when it is one of the listed elements
+    g = cp.parse_instance(text)
+    for partition in (cp.partition_by_generator(g), cp.partition_by_cycle(g)):
+        group = cp.respecting_group(g, partition)
+        members = set(group.elements())
+        assert all((p in group) == (p in members) for p in itertools.permutations(range(g.n)) if p[0] == 0)
+    # an element that sends its level's point where its key says but moves an earlier base point:
+    # (0, 2, 1) then passes every lookup, and only the residue, (1, 0, 2), shows it is not a member
+    one, bad = identity(3), (1, 2, 0)
+    group = cp.RespectingGroup((0, 1, 2), ((), (), ()), ({0: one}, {1: one, 2: bad}, {2: one, 0: bad}), 3)
+    assert (0, 2, 1) not in group
+
+
 def multiplier_maps(n, elements):
     return sorted(cp.multiplier_perm(n, j) for j in cp.multipliers(n, elements))
 
