@@ -208,8 +208,10 @@ class ArcPartition:
     ``labels[u*|S| + k]`` is the part of arc (u, u+s_k), for s_k the k-th
     element of the ascending S; ``count`` parts are labelled 0 to count-1.
     ``sizes`` counts each part's arcs on first read, which only the search
-    does in a sweep. The storage is internal: ``parts()`` gives each part as
-    arcs and metadata.
+    does in a sweep. ``period``, also read on first use, is the least P
+    dividing n such that the labels are their first P*|S| repeated: the
+    labels of the arcs of u depend on u mod P only. The storage is internal:
+    ``parts()`` gives each part as arcs and metadata.
     """
 
     kind: str
@@ -225,6 +227,11 @@ class ArcPartition:
     @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(map(Counter(self.labels).__getitem__, range(self.count)))
+
+    @cached_property
+    def period(self) -> int:  # read off the labels, whatever built them
+        n, width, labels = self.cs.n, len(self.cs.elements), self.labels
+        return next(p for p in range(1, n + 1) if n % p == 0 and labels[: p * width] * (n // p) == labels)
 
     def parts(self) -> tuple:
         """Each part, by label, as (sorted arcs, generators, coset): the s with

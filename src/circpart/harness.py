@@ -354,11 +354,13 @@ def _check_instance(spec: SweepSpec, cs: ConnectionSet, failures: list) -> tuple
                     if not coset_image_check(cs, p, sub):
                         failures.append(SweepFailure(key, f"coset image check failed for {p} on {sub}"))
     # The inclusions, generator by generator. C refines B and its parts are the components of the
-    # B parts, so G_B <= G_C on every circulant; the paper shows G_C <= G_B on connected ones.
-    if "B" in groups and not all(respects(p, partitions["C"]) for p in groups["B"].strong_generators()):
-        failures.append(SweepFailure(key, "kind B group is not inside the kind C group"))
-    if connected and len(groups) == 2:
-        if not all(respects(p, partitions["B"]) for p in groups["C"].strong_generators()):
+    # B parts, so G_B <= G_C on every circulant; the paper shows G_C <= G_B on connected ones. On a
+    # connected set where both kinds were searched and both equal M, G_B = M = G_C as sets: both hold.
+    both = connected and len(groups) == 2
+    if not (both and all(equal for equal, _ in outcomes)):
+        if "B" in groups and not all(respects(p, partitions["C"]) for p in groups["B"].strong_generators()):
+            failures.append(SweepFailure(key, "kind B group is not inside the kind C group"))
+        if both and not all(respects(p, partitions["B"]) for p in groups["C"].strong_generators()):
             failures.append(SweepFailure(key, "kind C group is not inside the kind B group"))
 
     if all(equal for equal, _ in outcomes):

@@ -67,6 +67,29 @@ def part_map(p: Perm, partition: "ArcPartition") -> list[int] | None:
     return None if clash or len(set(image)) < len(image) else image
 
 
+def multiplier_part_map(j: int, partition: "ArcPartition") -> list[int] | None:
+    """``part_map(multiplier_perm(n, j), partition)``, raising as it does, read off one period of the labels.
+
+    v -> j*v sends the arc (u, u+s_k) to (ju, ju+js_k), of slot ``slot[js_k]`` whatever u is. The labels
+    of u's arcs depend on u mod P, ``partition.period``, and P divides n, so both labels of the pair depend
+    on u mod P only: the arcs with u < P, which hold every label, give the whole label map.
+    """
+    graph = partition.cs
+    n, width, period, labels = graph.n, len(graph.elements), partition.period, partition.labels
+    if math.gcd(j % n, n) != 1:
+        raise ValueError(f"{j} is not a unit mod {n}")
+    slots = [graph.slot[j * s % n] for s in graph.elements]
+    if min(slots) < 0:
+        raise ValueError(_NOT_AN_AUTOMORPHISM)
+    image = [-1] * partition.count
+    targets = [labels[j * u % period * width + k] for u in range(period) for k in slots]
+    for label, mapped in set(zip(labels[: period * width], targets)):
+        if image[label] >= 0:  # two images: not well defined
+            return None
+        image[label] = mapped
+    return None if len(set(image)) < len(image) else image
+
+
 def respects(p: Perm, partition: "ArcPartition") -> bool:
     """True iff p maps every part of ``partition`` onto a part.
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .circulant import ArcPartition, ConnectionSet, ResourceLimitError, is_connected
-from .perm import Perm, is_automorphism, multiplier_perm
+from .perm import Perm, is_automorphism, multiplier_part_map, multiplier_perm
 from .perm import part_map as leaf_part_map  # respecting_group has a local list named part_map
 from .zmod import MultiplierWitness, crt_combine, factorize
 
@@ -120,9 +120,10 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
     ``shortcuts[d]`` maps an image x of ``order[d]`` to a unit j != 1 of
     ``graph.multipliers`` that fixes ``order[:d]`` and sends ``order[d]`` to
     x. A candidate of an identity-path level that is outside the level's orbit
-    and has a shortcut gets the leaf's re-check as the map v -> j*v: if it
-    passes, it joins the level's generators with no descent; if not, the
-    search descends into the candidate as into any other.
+    and has a shortcut gets the leaf's re-check as the map v -> j*v, read
+    over one period of the labels (``multiplier_part_map``): if it passes,
+    it joins the level's generators with no descent; if not, the search
+    descends into the candidate as into any other.
 
     Graphs of more than ``DEFAULT_SEARCH_CAP`` vertices, and partitions of
     another connection set, are refused. There is no solution cap: the group is held as at
@@ -187,9 +188,9 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
             part_map_inv[dp] = -1
         return None
 
-    def passes(p):  # the leaf re-check, one pass: every arc maps to an arc, and the label map is
-        try:  # well defined and injective
-            return leaf_part_map(p, partition) is not None
+    def passes(check, p):  # the leaf re-check of p, a leaf or the j of a shortcut: every arc maps to
+        try:  # an arc, and the label map is well defined and injective
+            return check(p, partition) is not None
         except ValueError:  # an arc image that is not an arc
             return False
 
@@ -220,7 +221,7 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
             images[order[depth]], used[w], added_at[depth] = w, True, added
             if depth + 1 < n:
                 untried.append(iter(candidates(order[depth + 1])))
-            elif passes(p := tuple(images)):
+            elif passes(leaf_part_map, p := tuple(images)):
                 for d in range(top, n):
                     undo(d)
                 return p
@@ -234,9 +235,8 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
             if v in transversals[top]:  # order[top] itself among them: its subtree is done
                 continue
             if top < len(shortcuts) and v in shortcuts[top]:
-                p = multiplier_perm(n, shortcuts[top][v])
-                if passes(p):  # a generator of this level with no descent
-                    admit(top, p)
+                if passes(multiplier_part_map, j := shortcuts[top][v]):  # a generator of this level with no descent
+                    admit(top, multiplier_perm(n, j))
                     continue
             if (p := first_leaf(top, v)) is not None:
                 admit(top, p)

@@ -134,6 +134,29 @@ def inverse_closed_subsets(n):
             yield tuple(sorted(elems))
 
 
+def random_partitions(g, rng):
+    """Arc partitions of ``g`` beyond B and C, every label used: free labels,
+    equal-size parts (shuffled, and by vertex residue) and unions of C parts."""
+
+    def onto(m, count):  # m labels in random order, each of 0..count-1 used
+        labels = list(range(count)) + [rng.randrange(count) for _ in range(m - count)]
+        rng.shuffle(labels)
+        return labels
+
+    width = len(g.elements)
+    m = g.n * width
+    size = rng.choice([d for d in range(1, m + 1) if m % d == 0])
+    equal = [i // size for i in range(m)]
+    rng.shuffle(equal)
+    modulus = rng.randint(1, g.n)  # arc (u, u+s_k) gets (u + k) mod modulus, every residue met at k = 0
+    by_residue = [(a // width + a % width) % modulus for a in range(m)]
+    c = cp.arc_partition(g, "C")
+    merge = onto(c.count, rng.randint(1, c.count))
+    unions = [merge[label] for label in c.labels]
+    free = onto(m, rng.randint(1, m))
+    return [cp.ArcPartition(rng.choice("BC"), g, tuple(labels)) for labels in (free, equal, by_residue, unions)]
+
+
 @st.composite
 def connection_sets(draw, min_n=2, max_n=16, modes=(cp.DIRECTED, cp.UNDIRECTED), max_size=6):
     n = draw(st.integers(min_n, max_n))

@@ -14,6 +14,7 @@ from conftest import (
     inverse_closed_subsets,
     order_mod,
     parts_by_definition,
+    random_partitions,
     refines,
 )
 
@@ -97,6 +98,35 @@ def test_partition_labels_repeat_with_the_period_of_the_steps():
         labels = cp.arc_partition(g, kind).labels
         assert labels == labels[: 4 * period] * (12 // period)
     assert cp.arc_partition(g, "C").labels[:24] == (0, 2, 2, 0, 1, 3, 3, 1, 0, 4, 4, 0, 1, 2, 2, 1, 0, 3, 3, 0, 1, 4, 4, 1)
+
+
+def test_the_period_is_read_off_the_labels():
+    """Every set to directed n = 10 and undirected n = 16: kind "B" has period 1 and kind "C" the lcm of
+    gcd(n, s) over S; a copy with one arc given a new label has period n, whatever its kind says; and the
+    period of a random partition is the least P dividing n with every label that of its arc mod P*|S|."""
+    rng = random.Random(3)
+    longer = 0
+    for mode, n_max, subsets in ((cp.DIRECTED, 10, directed_subsets), (cp.UNDIRECTED, 16, inverse_closed_subsets)):
+        for n in range(2, n_max + 1):
+            for elements in subsets(n):
+                g = cp.build(n, elements, mode)
+                for kind, period in (("B", 1), ("C", math.lcm(*(math.gcd(n, s) for s in elements)))):
+                    partition = cp.arc_partition(g, kind)
+                    assert partition.period == period, (cp.instance_key(g), kind)
+                    labels = list(partition.labels)
+                    labels[rng.randrange(len(labels))] = partition.count
+                    assert cp.ArcPartition(kind, g, tuple(labels)).period == n, (cp.instance_key(g), kind)
+                    longer += period < n
+                if n <= 10:
+                    width = len(elements)
+                    for partition in random_partitions(g, rng):
+                        labels = partition.labels
+                        assert partition.period == min(
+                            p
+                            for p in range(1, n + 1)
+                            if n % p == 0 and all(label == labels[a % (p * width)] for a, label in enumerate(labels))
+                        )
+    assert longer > 1_000
 
 
 def test_a_large_inverse_closed_set_is_refused_quickly():

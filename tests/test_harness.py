@@ -422,15 +422,23 @@ def test_sweeps_never_pass_the_identity_to_respects(monkeypatch):
     assert report.failures == ()
     assert all(p != tuple(range(len(p))) for p in seen + sifted)
     # on each representative: every other multiplier, once per kind, sifted through that kind's
-    # group, and every generator of G_B, and of G_C when connected, against the other kind's partition
-    multipliers = generators = 0
+    # group, and every generator of G_B, and of G_C when connected, against the other kind's partition,
+    # except on a connected one where both groups equal M, so G_B = M = G_C
+    multipliers = generators = skipped = 0
     for mode, subsets in ((cp.DIRECTED, directed_subsets), (cp.UNDIRECTED, inverse_closed_subsets)):
         for g in (cp.build(n, rep, mode) for n in range(2, 10) for rep in unit_orbit_minima(n, subsets(n))):
-            multipliers += 2 * (len(cp.multipliers(g.n, g.elements)) - 1)
-            generators += len(cp.respecting_group(g, cp.partition_by_generator(g)).strong_generators())
+            ms = cp.multipliers(g.n, g.elements)
+            multipliers += 2 * (len(ms) - 1)
+            gb, gc = (cp.respecting_group(g, cp.arc_partition(g, kind)) for kind in ("B", "C"))
+            if cp.is_connected(g) and sorted(gb.elements()) == sorted(gc.elements()) == sorted(
+                cp.multiplier_perm(g.n, j) for j in ms
+            ):
+                skipped += 1
+                continue
+            generators += len(gb.strong_generators())
             if cp.is_connected(g):
-                generators += len(cp.respecting_group(g, cp.partition_by_cycle(g)).strong_generators())
-    assert len(sifted) == multipliers > 0 and len(seen) == generators > 0
+                generators += len(gc.strong_generators())
+    assert len(sifted) == multipliers > 0 and len(seen) == generators > 0 and skipped > 0
 
 
 def test_sweeps_check_each_multiplier_and_each_generator(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -13,8 +14,9 @@ from conftest import (
     inverse,
     inverse_closed_subsets,
     naive_respects,
+    random_partitions,
 )
-from circpart.perm import part_map
+from circpart.perm import multiplier_part_map, part_map
 
 
 def test_compose_identities():
@@ -197,6 +199,41 @@ def test_multipliers_respect_both_partitions(graph):
         assert cp.respects(p, c)
         assert naive_respects(b, p)
         assert naive_respects(c, p)
+
+
+def test_the_multiplier_check_is_part_map_of_the_multiplier():
+    """``multiplier_part_map(j, p)`` returns what ``part_map(multiplier_perm(n, j), p)`` returns, or raises
+    the same ValueError, for every unit j of Z_n, on every set to directed n = 11 and undirected n = 20:
+    on both kinds, on a copy of each with one arc relabelled, and, to n = 10, on random partitions."""
+
+    def outcome(check, *args):
+        try:
+            return check(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    rng = random.Random(29)
+    results = []
+    for mode, n_max, subsets in ((cp.DIRECTED, 11, directed_subsets), (cp.UNDIRECTED, 20, inverse_closed_subsets)):
+        for n in range(2, n_max + 1):
+            for elements in subsets(n):
+                g = cp.build(n, elements, mode)
+                partitions = [cp.arc_partition(g, kind) for kind in ("B", "C")]
+                for partition in partitions[:2]:
+                    labels = list(partition.labels)
+                    a = rng.randrange(len(labels))
+                    labels[a] = rng.choice([label for label in range(partition.count + 1) if label != labels[a]])
+                    partitions.append(cp.ArcPartition(partition.kind, g, tuple(labels)))
+                if n <= 10:
+                    partitions += random_partitions(g, rng)
+                for j in (j for j in range(1, n) if math.gcd(j, n) == 1):
+                    p = cp.multiplier_perm(n, j)
+                    for partition in partitions:
+                        expected = outcome(part_map, p, partition)
+                        assert outcome(multiplier_part_map, j, partition) == expected, (g, j, partition)
+                        results.append(type(expected))
+    assert len(results) == 199_208
+    assert min(results.count(list), results.count(type(None)), results.count(str)) > 9_000
 
 
 @pytest.mark.parametrize("text, kind", [("6:2,4:u", "C"), ("8:1,2:d", "B"), ("4:1,2,3:u", "C")])

@@ -15,6 +15,7 @@ from conftest import (
     identity,
     inverse_closed_subsets,
     naive_respects,
+    random_partitions,
     search_cap,
     solution_cap,
 )
@@ -196,29 +197,6 @@ def test_oracle_draws_exactly_the_permutations_that_map_s_onto_p0_plus_s():
             assert drawn == expected, (cp.instance_key(g), fix_zero)
 
 
-def random_partitions(g, rng):
-    """Arc partitions of ``g`` beyond B and C, every label used: free labels,
-    equal-size parts (shuffled, and by vertex residue) and unions of C parts."""
-
-    def onto(m, count):  # m labels in random order, each of 0..count-1 used
-        labels = list(range(count)) + [rng.randrange(count) for _ in range(m - count)]
-        rng.shuffle(labels)
-        return labels
-
-    width = len(g.elements)
-    m = g.n * width
-    size = rng.choice([d for d in range(1, m + 1) if m % d == 0])
-    equal = [i // size for i in range(m)]
-    rng.shuffle(equal)
-    modulus = rng.randint(1, g.n)  # arc (u, u+s_k) gets (u + k) mod modulus, every residue met at k = 0
-    by_residue = [(a // width + a % width) % modulus for a in range(m)]
-    c = cp.arc_partition(g, "C")
-    merge = onto(c.count, rng.randint(1, c.count))
-    unions = [merge[label] for label in c.labels]
-    free = onto(m, rng.randint(1, m))
-    return [cp.ArcPartition(rng.choice("BC"), g, tuple(labels)) for labels in (free, equal, by_residue, unions)]
-
-
 def test_oracle_family_test_on_partitions_beyond_b_and_c():
     rng = random.Random(17)
     equal_sizes = nontrivial = 0
@@ -261,6 +239,7 @@ def test_a_leaf_that_fails_its_recheck_is_not_a_generator(rejection, monkeypatch
     partitions = [cp.arc_partition(g, kind) for kind in ("B", "C")]
     assert [cp.respecting_group(g, partition).order for partition in partitions] == [12, 12]
     monkeypatch.setattr(solver, "leaf_part_map", reject)
+    monkeypatch.setattr(solver, "multiplier_part_map", lambda j, part: reject(cp.multiplier_perm(part.cs.n, j), part))
     for partition in partitions:
         for fix_zero in (True, False):
             group = cp.respecting_group(g, partition, fix_zero=fix_zero)
@@ -277,18 +256,21 @@ def test_no_leaf_fails_its_recheck_and_the_back_arcs_cover_the_graph_once(monkey
     from an earlier vertex; and the plan's back arcs, over all depths, name each arc once when
     directed and each edge once when undirected."""
     results = []
-    part_map = solver.leaf_part_map
 
-    def recorded(p, partition):
-        try:
-            image = part_map(p, partition)
-        except ValueError:
-            results.append(False)
-            raise
-        results.append(image is not None)
-        return image
+    def recorded(check):  # a leaf's check of p, or a shortcut's of j
+        def run(p, partition):
+            try:
+                image = check(p, partition)
+            except ValueError:
+                results.append(False)
+                raise
+            results.append(image is not None)
+            return image
 
-    monkeypatch.setattr(solver, "leaf_part_map", recorded)
+        return run
+
+    monkeypatch.setattr(solver, "leaf_part_map", recorded(solver.leaf_part_map))
+    monkeypatch.setattr(solver, "multiplier_part_map", recorded(solver.multiplier_part_map))
     for mode, n_max, subsets in ((cp.DIRECTED, 10, directed_subsets), (cp.UNDIRECTED, 14, inverse_closed_subsets)):
         for n in range(2, n_max + 1):
             for elements in subsets(n):
@@ -448,19 +430,22 @@ def test_a_shortcut_that_is_not_a_multiplier_is_refused(monkeypatch):
     for g, kind, fix_zero in cases:
         groups[g, kind, fix_zero] = cp.respecting_group(g, cp.arc_partition(g, kind), fix_zero=fix_zero)
     rejected = []
-    part_map = solver.leaf_part_map
 
-    def recorded(p, partition):
-        try:
-            image = part_map(p, partition)
-        except ValueError:
-            rejected.append((p, partition.cs))
-            raise
-        if image is None:
-            rejected.append((p, partition.cs))
-        return image
+    def recorded(check, perm):  # a leaf's check of p, or a shortcut's of j, as the vertex map perm(n, p)
+        def run(p, partition):
+            try:
+                image = check(p, partition)
+            except ValueError:
+                rejected.append((perm(partition.cs.n, p), partition.cs))
+                raise
+            if image is None:
+                rejected.append((perm(partition.cs.n, p), partition.cs))
+            return image
 
-    monkeypatch.setattr(solver, "leaf_part_map", recorded)
+        return run
+
+    monkeypatch.setattr(solver, "leaf_part_map", recorded(solver.leaf_part_map, lambda n, p: p))
+    monkeypatch.setattr(solver, "multiplier_part_map", recorded(solver.multiplier_part_map, cp.multiplier_perm))
     monkeypatch.setattr(circulant, "multipliers", lambda n, elements: tuple(j for j in range(1, n) if math.gcd(j, n) == 1))
     for g, kind, fix_zero in cases:
         g = cp.build(g.n, g.elements, g.mode)  # a fresh set, whose plan takes every unit as a shortcut
