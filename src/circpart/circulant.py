@@ -206,27 +206,31 @@ class ArcPartition:
     """A partition of the arcs of Circ(n; S), stored as one label per arc.
 
     ``labels[u*|S| + k]`` is the part of arc (u, u+s_k), for s_k the k-th
-    element of the ascending S; ``count`` parts are labelled 0 to count-1.
-    ``sizes`` counts each part's arcs on first read, which only the search
-    does in a sweep. ``period``, also read on first use, is the least P
-    dividing n such that the labels are their first P*|S| repeated: the
-    labels of the arcs of u depend on u mod P only. The storage is internal:
-    ``parts()`` gives each part as arcs and metadata.
+    element of the ascending S; ``count`` parts are labelled by the ints 0 to
+    count-1, each label used, and ``sizes`` counts each part's arcs. Both
+    come from one pass over the labels when the partition is made, which
+    refuses with ValueError labels of another length, type or numbering.
+    ``period``, read on first use, is the least P dividing n such that the
+    labels are their first P*|S| repeated: the labels of the arcs of u depend
+    on u mod P only. The storage is internal: ``parts()`` gives each part as
+    arcs and metadata.
     """
 
     kind: str
     cs: ConnectionSet
     labels: tuple[int, ...]
     count: int = field(init=False, repr=False, compare=False)
+    sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in PARTITION_KINDS:
             raise ValueError(f"kind must be one of {PARTITION_KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "count", max(self.labels) + 1)
-
-    @cached_property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(map(Counter(self.labels).__getitem__, range(self.count)))
+        sizes, arcs = Counter(self.labels), self.cs.n * len(self.cs.elements)
+        numbered = all(type(label) is int for label in sizes) and sorted(sizes) == list(range(len(sizes)))
+        if len(self.labels) != arcs or not numbered:
+            raise ValueError(f"need {arcs} int labels, one per arc, numbered 0 to count-1 with each used")
+        object.__setattr__(self, "count", len(sizes))
+        object.__setattr__(self, "sizes", tuple(map(sizes.__getitem__, range(len(sizes)))))
 
     @cached_property
     def period(self) -> int:  # read off the labels, whatever built them

@@ -46,7 +46,7 @@ from .solver import (
     brute_oracle,
     coset_image_check,
     normalize_to_multiplier,
-    propagation_stage,
+    propagation_walk,
     respecting_group,
 )
 from .zmod import _units
@@ -228,18 +228,19 @@ def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> list:
     propagation and ``ms``) and its orbit columns: a full check's
     (``_check_instance``), or, for an image j*R of a representative R with a
     source, R's (``_derived``). Each set is propagated once, along the block's
-    walk (``_propagate``); a coverage that differs from connectivity is a
-    failure. A set that is no earlier set's image registers its images with
-    the least unit j and a source: its key, elements, orbit columns and
-    ``cs.multipliers`` if its whole row raised nothing and recorded no
-    failure, else None. An image without a source is checked in full. No
-    source and no walk holds a set, so each set, with what it caches, is
-    freed once its row is made. An exception becomes its ``error`` row and a failure.
+    ``propagation_walk``; a coverage that differs from connectivity, or a
+    stage that breaks its coset union, is a failure. A set that is no earlier
+    set's image registers its images with the least unit j and a source: its
+    key, elements, orbit columns and ``cs.multipliers`` if its whole row
+    raised nothing and recorded no failure, else None. An image without a
+    source is checked in full. No source and no walk holds a set, so each
+    set, with what it caches, is freed once its row is made. An exception
+    becomes its ``error`` row and a failure.
     """
     n = block[0]
     units = _units(n) if spec.enumerator == "backtracking" else ()
     pending: dict = {}  # a later set's elements -> (its representative's source or None, its j)
-    walk: list = []  # see _propagate
+    walk: list = []  # see propagation_walk
     out = []
     for cs in _block_sets(spec, block):
         entry = pending.pop(cs.elements, None)
@@ -251,18 +252,20 @@ def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> list:
                 orbit = _check_instance(spec, cs, failures)
             else:
                 orbit = _derived(*entry[0], cs, entry[1])
-            prop = _propagate(cs, walk)
+            covered, rounds, coset_ok = propagation_walk(n, cs.elements, walk)
         except Exception as exc:
             failures.append(SweepFailure(instance_key(cs), f"{type(exc).__name__}: {exc}"))
-            orbit, prop = (is_connected(cs), *(None,) * 5, "error"), (None, None)
+            orbit, covered, rounds = (is_connected(cs), *(None,) * 5, "error"), None, None
         else:
-            if prop[0] != orbit[0]:
+            if covered != orbit[0]:
                 failures.append(SweepFailure(
-                    instance_key(cs), f"propagation coverage {prop[0]} differs from connectivity {orbit[0]}"
+                    instance_key(cs), f"propagation coverage {covered} differs from connectivity {orbit[0]}"
                 ))
+            if not coset_ok:
+                failures.append(SweepFailure(instance_key(cs), "a propagation stage broke its union of cosets"))
             if entry is None and not failures:
                 source = instance_key(cs), cs.elements, orbit, cs.multipliers
-        row = InstanceResult(cs.n, cs.elements, cs.mode, *orbit, *prop, (time.perf_counter() - started) * 1e3)
+        row = InstanceResult(cs.n, cs.elements, cs.mode, *orbit, covered, rounds, (time.perf_counter() - started) * 1e3)
         if entry is None:
             for j in units:
                 image = tuple(sorted(j * s % n for s in cs.elements))
@@ -270,24 +273,6 @@ def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> list:
                     pending.setdefault(image, (source, j))
         out.append((row, tuple(failures)))
     return out
-
-
-def _propagate(cs: ConnectionSet, walk: list) -> tuple[bool, int]:
-    """``cs``'s (covered, total_rounds) as ``propagation_certifier(cs)`` gives them. Stage k reads only n,
-    gcd(n, s_1..s_k) and s_1..s_{k+1}, so ``walk`` keeps, per prefix s_1..s_k of the last set given with this
-    n, (the prefix, gcd(n, s_1..s_k), whether every stage so far closed, the rounds so far), and ``cs`` makes
-    only the stages past their common prefix. All closed, the last fixed set is the subgroup of the last step."""
-    n, gens = cs.n, cs.elements
-    while walk and walk[-1][0] != gens[: len(walk)]:
-        walk.pop()
-    if not walk:
-        walk.append((gens[:1], math.gcd(n, gens[0]), True, 0))
-    for k in range(len(walk), len(gens)):
-        _, step, closed, rounds = walk[-1]
-        stage = propagation_stage(n, step, prefix := gens[: k + 1])
-        walk.append((prefix, math.gcd(step, gens[k]), closed and stage.closed, rounds + len(stage.rounds)))
-    _, step, closed, rounds = walk[-1]
-    return closed and step == 1, rounds
 
 
 def _derived(
@@ -325,19 +310,16 @@ def _check_instance(spec: SweepSpec, cs: ConnectionSet, failures: list) -> tuple
     units = cs.multipliers
     groups = {kind: respecting_group(cs, partitions[kind]) for kind in spec.kinds}
     moved_by = [multiplier_perm(n, u) for u in units if u != 1]  # the identity is in every group
-
-    aut_counts = {kind: group.order for kind, group in groups.items()}
     if spec.enumerator == "both":
         oracle = dict(zip(spec.kinds, brute_oracle(cs, [partitions[kind] for kind in spec.kinds], fix_zero=True)))
     outcomes = []
     for kind in spec.kinds:
-        part = partitions[kind]
         group = groups[kind]
         if spec.enumerator == "both" and oracle[kind] != group.elements():
             failures.append(SweepFailure(key, f"kind {kind}: backtracking disagrees with brute oracle"))
         # M <= G in the group the search found; with |G| = |M| the two are equal.
         contains = all(m in group for m in moved_by)
-        outcomes.append((contains and aut_counts[kind] == len(units), contains))
+        outcomes.append((contains and group.order == len(units), contains))
         if kind == "C":
             # Both properties are closed under composition, so the generators suffice.
             gens = group.strong_generators()
@@ -370,8 +352,8 @@ def _check_instance(spec: SweepSpec, cs: ConnectionSet, failures: list) -> tuple
     else:
         verdict = "mismatch"
 
-    counts = partitions["B"].count, partitions["C"].count, aut_counts.get("B"), aut_counts.get("C"), len(units)
-    return (connected, *counts, verdict)
+    orders = (groups[kind].order if kind in groups else None for kind in "BC")
+    return (connected, partitions["B"].count, partitions["C"].count, *orders, len(units), verdict)
 
 
 def _row_key(row: InstanceResult):

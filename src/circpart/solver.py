@@ -13,8 +13,9 @@
 * ``normalize_to_multiplier``: recovers the unit j with p(s) = j*s for all
   generators s, one residue per prime power, combined by CRT.
 * ``propagation_certifier``: the fixed-set closure, one ``propagation_stage``
-  per generator, that certifies, with no reference to any automorphism, that
-  pointwise-fixed generators fix every vertex exactly when the graph is connected.
+  per generator along a ``propagation_walk``, which sweeps share by prefix,
+  that certifies, with no reference to any automorphism, that pointwise-fixed
+  generators fix every vertex exactly when the graph is connected.
 * ``coset_image_check``: images of cosets of a subgroup generated by part
   of the connection set are again cosets.
 """
@@ -77,8 +78,9 @@ class RespectingGroup:
         return elems
 
 
-def _transversal(point: int, gens, identity: Perm) -> dict:
-    """For each image of ``point`` under the group ``gens`` generate, one element sending it there."""
+def _transversal(point: int, levels, identity: Perm) -> dict:
+    """For each image of ``point`` under the group the generator lists ``levels`` generate, one element to it."""
+    gens = list(itertools.chain.from_iterable(levels))  # once, not per point: most levels hold no generator
     trans = {point: identity}
     queue = [point]
     for x in queue:
@@ -151,8 +153,7 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
                 added.append((sp, sp))
     part_map_inv = part_map.copy()
     identity = tuple(range(n))
-    generators: list[list] = [[] for _ in range(n)]
-    found: list[Perm] = []  # every generator so far; all fix the base above the current level
+    generators: list[list] = [[] for _ in range(n)]  # those above the current level are still empty
     transversals = [{u: identity} for u in order]
 
     def candidates(u):
@@ -196,8 +197,7 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
 
     def admit(level, p):
         generators[level].append(p)
-        found.append(p)
-        transversals[level] = _transversal(order[level], found, identity)
+        transversals[level] = _transversal(order[level], reversed(generators), identity)  # deepest first, as found
 
     def undo(depth):
         used[images[order[depth]]] = False
@@ -494,26 +494,36 @@ def propagation_stage(n: int, step: int, gens: tuple[int, ...]) -> PropagationSt
     return PropagationStage(k, s_next, subgroup_order, next_order, d, start, tuple(rounds), final, closed, coset_ok)
 
 
+def propagation_walk(n: int, gens: tuple[int, ...], walk: list) -> tuple[bool, int, bool]:
+    """The closure over ``gens``: whether it covers Z_n, its rounds, and whether every stage kept its coset
+    union. Stage k reads only n, gcd(n, s_1..s_k) and s_1..s_{k+1}, so ``walk`` keeps, per prefix s_1..s_k of
+    the last ``gens`` given with this n, (the prefix, gcd(n, s_1..s_k), over the stages so far whether all
+    closed, the rounds and whether all kept the union, stage k), and ``gens`` makes only the stages past their
+    common prefix. All closed, the last fixed set is the subgroup of the last step."""
+    while walk and walk[-1][0] != gens[: len(walk)]:
+        walk.pop()
+    if not walk:
+        walk.append((gens[:1], math.gcd(n, gens[0]), True, 0, True, None))
+    for k in range(len(walk), len(gens)):
+        _, step, closed, rounds, coset_ok, _ = walk[-1]
+        stage = propagation_stage(n, step, prefix := gens[: k + 1])
+        step, closed, coset_ok = math.gcd(step, gens[k]), closed and stage.closed, coset_ok and stage.coset_union_ok
+        walk.append((prefix, step, closed, rounds + len(stage.rounds), coset_ok, stage))
+    _, step, closed, rounds, coset_ok, _ = walk[-1]
+    return closed and step == 1, rounds, coset_ok
+
+
 def propagation_certifier(graph: ConnectionSet, order: tuple[int, ...] | None = None) -> PropagationTrace:
-    """Replay the fixed-set closure over the generators, one ``propagation_stage`` per new generator. Each
-    should close up to its enlarged subgroup; the last leaves Z_n exactly when the graph is connected."""
-    n = graph.n
-    if order is None:
-        gens = graph.elements
-    else:
-        gens = tuple(order)
-        if sorted(gens) != list(graph.elements):
-            raise ValueError(f"order {order!r} is not an arrangement of the connection set")
-
-    stages = []
-    step = math.gcd(n, gens[0])  # the fixed subgroup starts as <s_1>
-    for k in range(1, len(gens)):
-        stages.append(propagation_stage(n, step, gens[: k + 1]))
-        step = math.gcd(step, gens[k])
-
-    final_fixed = stages[-1].final if stages else tuple(range(0, n, step))
-    covered = len(final_fixed) == n and all(stage.closed for stage in stages)
-    return PropagationTrace(n, gens, tuple(stages), final_fixed, covered)
+    """Replay the fixed-set closure over the generators along a fresh ``propagation_walk``, one stage per new
+    generator. Each should close up to its enlarged subgroup; the last leaves Z_n exactly when connected."""
+    n, gens = graph.n, graph.elements if order is None else tuple(order)
+    if sorted(gens) != list(graph.elements):
+        raise ValueError(f"order {order!r} is not an arrangement of the connection set")
+    walk: list = []
+    covered = propagation_walk(n, gens, walk)[0]
+    stages = tuple(entry[-1] for entry in walk[1:])
+    final_fixed = stages[-1].final if stages else tuple(range(0, n, walk[0][1]))
+    return PropagationTrace(n, gens, stages, final_fixed, covered)
 
 
 def coset_image_check(graph: ConnectionSet, p: Perm, subset) -> bool:

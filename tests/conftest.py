@@ -177,14 +177,14 @@ def failing_at_n5(monkeypatch):
     """Make a sweep's propagation raise ValueError("boom") on every n=5 instance."""
     import circpart.harness as harness
 
-    propagate = harness._propagate
+    propagate = harness.propagation_walk
 
-    def boom(cs, walk):
-        if cs.n == 5:
+    def boom(n, gens, walk):
+        if n == 5:
             raise ValueError("boom")
-        return propagate(cs, walk)
+        return propagate(n, gens, walk)
 
-    monkeypatch.setattr(harness, "_propagate", boom)
+    monkeypatch.setattr(harness, "propagation_walk", boom)
 
 
 def search_cap(n):

@@ -129,6 +129,22 @@ def test_the_period_is_read_off_the_labels():
     assert longer > 1_000
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [(0,), (0,) * 13, (0, -1) * 6, (0, 2) * 6, (1,) * 12, (0.0, 1.0) * 6, ("0", "1") * 6],
+    ids=["too-few", "too-many", "negative", "unused-label", "not-from-zero", "float", "str"],
+)
+def test_a_partition_refuses_labels_that_are_not_one_per_arc_numbered_from_zero(labels):
+    # 6:1,5:u has 12 arcs; before the check, the first two made the search and ``respects`` raise
+    # IndexError and ``period`` StopIteration, the third made the identity fail to respect the
+    # partition, the next two made an empty part, and float labels made the search raise TypeError
+    g = cp.parse_instance("6:1,5:u")
+    with pytest.raises(ValueError, match="need 12 int labels, one per arc, numbered 0 to count-1 with each used"):
+        cp.ArcPartition("B", g, labels)
+    partition = cp.ArcPartition("B", g, (0, 1) * 6)  # the sizes are counted when the partition is made
+    assert (partition.count, partition.sizes, vars(partition)["sizes"]) == (2, (6, 6), (6, 6))
+
+
 def test_a_large_inverse_closed_set_is_refused_quickly():
     # 40,000 elements: an inverse-closure test quadratic in |S| takes tens of seconds on this set
     elements = [*range(1, 20_001), *range(180_000, 200_000)]

@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 import circpart as cp
-from circpart import harness
+from circpart import harness, solver
 from conftest import directed_subsets, failing_at_n5, inverse_closed_subsets
 
 
@@ -192,15 +192,21 @@ def unit_orbit_minima(n, subsets):
 
 
 def test_sweeps_search_once_per_unit_orbit_and_check_every_set(monkeypatch):
-    calls = recording(monkeypatch, "respecting_group", "_propagate", "normalize_to_multiplier", "brute_oracle")
+    calls = recording(monkeypatch, "respecting_group", "normalize_to_multiplier", "brute_oracle")
+    propagate = harness.propagation_walk
+
+    def walked(n, gens, walk):
+        calls["propagation_walk"].append((n, gens))
+        return propagate(n, gens, walk)
+
+    monkeypatch.setattr(harness, "propagation_walk", walked)
     spec = cp.SweepSpec(n_min=2, n_max=10, modes=(cp.DIRECTED,))
     report = cp.verify_theorem(spec)
     minima = [(n, rep) for n in range(2, 11) for rep in unit_orbit_minima(n, directed_subsets(n))]
     assert len(minima) == 282 and len(report.instances) == 1013
     # two searches per orbit, kinds B and C, on its least set
     assert [(g.n, g.elements) for g in calls["respecting_group"]] == [pair for pair in minima for _ in "BC"]
-    traced = sorted(cp.instance_key(g) for g in calls["_propagate"])
-    assert traced == sorted(cp.instance_key(cs) for cs in cp.generate_instances(spec))
+    assert sorted(calls["propagation_walk"]) == sorted((cs.n, cs.elements) for cs in cp.generate_instances(spec))
     # one normalization per generator of each connected representative's cycle-respecting group
     generators = 0
     for n, rep in minima:
@@ -257,8 +263,8 @@ def test_a_set_its_unit_does_not_reach_gets_an_error_row(rep, member, j, message
             "ValueError: multiplier 6 of 7:1,2:d maps this set to [1, 4]",
         ),
         (
-            "_propagate",
-            lambda real: lambda cs, walk: 1 / 0 if cs.elements == (3, 6) else real(cs, walk),
+            "propagation_walk",
+            lambda real: lambda n, gens, walk: 1 / 0 if gens == (3, 6) else real(n, gens, walk),
             "ZeroDivisionError: division by zero",
         ),
     ],
@@ -339,38 +345,66 @@ def test_derived_rows_equal_a_check_per_set(monkeypatch):
 @pytest.mark.parametrize("connectivity", harness.CONNECTIVITY_CHOICES)
 def test_the_propagation_walk_gives_every_set_the_certifiers_coverage_and_rounds(connectivity):
     # one walk per n and mode, across its blocks: a block's first set, a new size, and the sets the
-    # connectivity filter drops all break the prefix that a set shares with the one before it
+    # connectivity filter drops all break the prefix that a set shares with the one before it; the
+    # certifier walks each set afresh
     for mode, n_max in ((cp.DIRECTED, 14), (cp.UNDIRECTED, 22)):
         spec = cp.SweepSpec(n_min=2, n_max=n_max, modes=(mode,), connectivity=connectivity)
         walks = collections.defaultdict(list)
         for cs in cp.generate_instances(spec):
             trace = cp.propagation_certifier(cs)
-            assert harness._propagate(cs, walks[cs.n]) == (trace.covered, trace.total_rounds), cs
-            assert all(
-                type(prefix) is tuple and {type(value) for value in (*prefix, *rest)} <= {int, bool}
-                for prefix, *rest in walks[cs.n]
+            coset_ok = all(stage.coset_union_ok for stage in trace.stages)
+            got = solver.propagation_walk(cs.n, cs.elements, walks[cs.n])
+            assert got == (trace.covered, trace.total_rounds, coset_ok), cs
+            assert tuple(entry[-1] for entry in walks[cs.n][1:]) == trace.stages, cs
+            # the walk holds no set and no partition, so neither outlives its row
+            assert not any(
+                isinstance(value, (cp.ConnectionSet, cp.ArcPartition))
+                for entry in walks[cs.n]
+                for value in (*entry[:-1], *(entry[-1] or ()))
             )
 
 
 def test_a_set_after_one_whose_propagation_raised_gets_the_certifiers_coverage_and_rounds(monkeypatch):
     # the stage of s_1..s_3 = 1, 3, 4 raises after the stages before it were kept: each set that
-    # begins with them raises, and every other set still gets the certifier's numbers
-    stage = harness.propagation_stage
+    # begins with them raises, and every other set still gets the certifier's numbers, traced before
+    # the stage was made to raise, since the certifier walks through the same stage function
+    spec = cp.SweepSpec(n_min=9, n_max=9, modes=(cp.DIRECTED,))
+    traces = [(cs, cp.propagation_certifier(cs)) for cs in cp.generate_instances(spec)]
+    stage = solver.propagation_stage
 
     def failing(n, step, gens):
         if gens == (1, 3, 4):
             raise ZeroDivisionError
         return stage(n, step, gens)
 
-    monkeypatch.setattr(harness, "propagation_stage", failing)
+    monkeypatch.setattr(solver, "propagation_stage", failing)
     walk, raised = [], []
-    for cs in cp.generate_instances(cp.SweepSpec(n_min=9, n_max=9, modes=(cp.DIRECTED,))):
-        trace = cp.propagation_certifier(cs)
+    for cs, trace in traces:
         try:
-            assert harness._propagate(cs, walk) == (trace.covered, trace.total_rounds), cs
+            assert solver.propagation_walk(cs.n, cs.elements, walk)[:2] == (trace.covered, trace.total_rounds), cs
         except ZeroDivisionError:
             raised.append(cs.elements)
     assert len(raised) == 16 and all(elements[:3] == (1, 3, 4) for elements in raised)
+
+
+def test_a_stage_that_breaks_its_coset_union_is_a_failure_of_each_set_whose_walk_includes_it(monkeypatch):
+    # made to report its fixed sets as no union of cosets, the stage of s_1..s_3 = 1, 3, 4 mod 9 is a
+    # failure of exactly the 16 sets that begin with them; every row stays as it was
+    spec = cp.SweepSpec(n_min=8, n_max=9, modes=(cp.DIRECTED,))
+    clean = cp.verify_theorem(spec)
+    stage = solver.propagation_stage
+
+    def broken(n, step, gens):
+        made = stage(n, step, gens)
+        return made._replace(coset_union_ok=False) if (n, gens) == (9, (1, 3, 4)) else made
+
+    monkeypatch.setattr(solver, "propagation_stage", broken)
+    report = cp.verify_theorem(spec)
+    walked = [cs for cs in cp.generate_instances(spec) if (cs.n, cs.elements[:3]) == (9, (1, 3, 4))]
+    assert len(walked) == 16 and clean.failures == ()
+    message = "a propagation stage broke its union of cosets"
+    assert report.failures == tuple(cp.SweepFailure(cp.instance_key(cs), message) for cs in walked)
+    assert report.instances == clean.instances
 
 
 def test_the_orbit_of_a_failing_representative_is_searched_set_by_set(monkeypatch):
@@ -378,8 +412,10 @@ def test_the_orbit_of_a_failing_representative_is_searched_set_by_set(monkeypatc
 
     spec = cp.SweepSpec(n_min=7, n_max=7, modes=(cp.DIRECTED,))
     clean = cp.verify_theorem(spec)
-    propagate = harness._propagate
-    monkeypatch.setattr(harness, "_propagate", lambda cs, walk: 1 / 0 if cs.elements == (1, 2) else propagate(cs, walk))
+    propagate = harness.propagation_walk
+    monkeypatch.setattr(
+        harness, "propagation_walk", lambda n, gens, walk: 1 / 0 if gens == (1, 2) else propagate(n, gens, walk)
+    )
     calls = recording(monkeypatch, "respecting_group")
     report = cp.verify_theorem(spec)
     assert report.failures == (cp.SweepFailure("7:1,2:d", "ZeroDivisionError: division by zero"),)
