@@ -10,14 +10,14 @@
   straight from the definitions, as an independent cross-check; it draws
   only those that map S onto p(0) + S, and one scan answers for every
   partition passed.
-* ``normalize_to_multiplier``: recovers the unit j with p(s) = j*s for all
-  generators s, one residue per prime power, combined by CRT.
+* ``normalize_to_multiplier``: recovers the unit j with p = (v -> j*v), one
+  residue per prime power, combined by CRT, and checks it on every vertex.
 * ``propagation_certifier``: the fixed-set closure, one ``propagation_stage``
   per generator along a ``propagation_walk``, which sweeps share by prefix,
   that certifies, with no reference to any automorphism, that pointwise-fixed
   generators fix every vertex exactly when the graph is connected.
 * ``coset_image_check``: images of cosets of a subgroup generated by part
-  of the connection set are again cosets.
+  of the connection set are again cosets, checked by one step per vertex.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .circulant import ArcPartition, ConnectionSet, ResourceLimitError, is_connected
-from .perm import Perm, is_automorphism, multiplier_part_map, multiplier_perm
+from .perm import Perm, is_automorphism, is_permutation, multiplier_part_map, multiplier_perm
 from .perm import part_map as leaf_part_map  # respecting_group has a local list named part_map
 from .zmod import MultiplierWitness, crt_combine, factorize
 
@@ -373,11 +373,13 @@ def normalize_to_multiplier(graph: ConnectionSet, p: Perm) -> MultiplierWitness 
     For each prime power q dividing n, picks the smallest generator s not
     divisible by that prime (one exists by connectivity), solves
     p(s) = j_q * s (mod q), and combines the residues by CRT into j. Returns
-    the witness when p(s) = j*s holds for every generator; returns None when
-    the construction breaks down (a residue fails to be a unit, or the final
-    verification misses), which happens exactly when p does not respect the
-    cycle partition. Structural violations (disconnected graph, p moving 0,
-    p not an automorphism) raise ValueError instead.
+    the witness exactly when p is the whole map v -> j*v; returns None when
+    the construction breaks down (a residue fails to be a unit, or p is
+    not that map), which happens exactly when p does not respect the cycle
+    partition. Agreeing with j on S is not enough: on 6:1,4:d,
+    (0, 1, 5, 3, 4, 2) fixes 1 and 4 but is no multiplier map. Structural
+    violations (disconnected graph, p moving 0, p not an automorphism)
+    raise ValueError instead.
     """
     n = graph.n
     if len(p) != n:
@@ -398,10 +400,7 @@ def normalize_to_multiplier(graph: ConnectionSet, p: Perm) -> MultiplierWitness 
             return None  # p(s) has the wrong order mod q
         residues.append((q, j_q))
     combined = crt_combine((r, q) for q, r in residues)
-    for s in graph.elements:
-        if p[s] != (combined * s) % n:
-            return None
-    return MultiplierWitness(tuple(residues), combined)
+    return MultiplierWitness(tuple(residues), combined) if p == multiplier_perm(n, combined) else None
 
 
 class PropagationStage(NamedTuple):  # a tuple, cheap to make for every stage that a sweep computes
@@ -529,18 +528,17 @@ def propagation_certifier(graph: ConnectionSet, order: tuple[int, ...] | None = 
 def coset_image_check(graph: ConnectionSet, p: Perm, subset) -> bool:
     """For G the subgroup generated by ``subset``, is every p(x + G) a coset of G?
 
-    Holds for every automorphism that respects the cycle partition. The
-    empty subset generates the trivial subgroup, for which the check is
-    vacuous.
+    Holds for every automorphism that respects the cycle partition. G is
+    generated by its step g = gcd(n, *subset), which is n for the empty
+    subset, so the check is one step per vertex: p(x + g) = p(x) mod g. For
+    a permutation that says p(x + G) lies in the coset p(x) + G, and so,
+    as p is injective, is all of it. Raises ValueError unless p is a
+    permutation of Z_n.
     """
     n = graph.n
     if len(p) != n:
         raise ValueError(f"degree mismatch: permutation of {len(p)} on graph of order {n}")
-    step = math.gcd(n, *subset) if subset else n
-    subgroup = list(range(0, n, step))
-    for x in range(step):
-        image = {p[(x + h) % n] for h in subgroup}
-        base = p[x]
-        if image != {(base + h) % n for h in subgroup}:
-            return False
-    return True
+    if not is_permutation(p):
+        raise ValueError("not a permutation of the vertices")
+    step = math.gcd(n, *subset)
+    return all((p[(x + step) % n] - p[x]) % step == 0 for x in range(n))

@@ -64,7 +64,11 @@ def test_normalize_witness_and_failure(capsys):
     out = capsys.readouterr().out
     assert "combined: j = 7 (mod 8)" in out
     assert main(["normalize", "--instance", "4:1,2,3:u", "--perm", "[0,2,1,3]"]) == 0
-    assert "failure" in capsys.readouterr().out
+    failure = capsys.readouterr().out
+    assert "failure" in failure
+    # agrees with j = 1 on S = {1, 4} but is not the identity
+    assert main(["normalize", "--instance", "6:1,4:d", "--perm", "[0,1,5,3,4,2]"]) == 0
+    assert capsys.readouterr().out == failure
 
 
 def test_propagate_trace(capsys):

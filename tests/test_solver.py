@@ -672,6 +672,39 @@ def test_normalize_fails_on_non_respecting_automorphisms():
     assert cp.is_automorphism(k5, double_swap)
     assert cp.normalize_to_multiplier(k5, double_swap) is None
 
+    # 6:1,4:d: p agrees with j = 1 on S = {1, 4}, yet it is not the identity, and it breaks the
+    # cycle partition, so the map must be checked on every vertex
+    g6 = cp.parse_instance("6:1,4:d")
+    fixes_s = (0, 1, 5, 3, 4, 2)
+    assert cp.is_automorphism(g6, fixes_s)
+    assert not cp.respects(fixes_s, cp.partition_by_cycle(g6))
+    assert cp.normalize_to_multiplier(g6, fixes_s) is None
+
+
+def test_normalize_succeeds_exactly_on_the_respecting_automorphisms():
+    # every automorphism fixing 0 of every connected set to n = 8: those are the permutations
+    # fixing 0 that map S onto S and pass the arc test
+    checked = 0
+    for n in range(2, 9):
+        for mode, subsets in ((cp.DIRECTED, directed_subsets), (cp.UNDIRECTED, inverse_closed_subsets)):
+            for elements in subsets(n):
+                g = cp.build(n, elements, mode)
+                if not cp.is_connected(g):
+                    continue
+                cycles = cp.partition_by_cycle(g)
+                others = [v for v in range(1, n) if v not in elements]
+                for on_s in itertools.permutations(elements):
+                    for on_others in itertools.permutations(others):
+                        images = dict(zip(elements + tuple(others), on_s + on_others))
+                        p = tuple(images.get(v, 0) for v in range(n))
+                        if not cp.is_automorphism(g, p):
+                            continue
+                        checked += 1
+                        w = cp.normalize_to_multiplier(g, p)
+                        assert (w is None) == (not cp.respects(p, cycles)), (cp.instance_key(g), p)
+                        assert w is None or cp.multiplier_perm(n, w.combined) == p
+    assert checked == 12_666  # 12,664 for n = 3..8, and the identity of 2:1:d and of 2:1:u
+
 
 def test_propagation_full_cycle_closes_immediately():
     trace = cp.propagation_certifier(cp.parse_instance("8:1,2:d"))
@@ -817,6 +850,38 @@ def test_coset_image_check_examples():
     assert cp.coset_image_check(g6, odd_cycle, ())
     with pytest.raises(ValueError):
         cp.coset_image_check(g6, (0, 1), (2,))
+
+
+def coset_images_by_sets(n, p, subset):
+    """Reference: every p(x + G) equals the coset p(x) + G, for G generated by ``subset``, as sets."""
+    step = math.gcd(n, *subset) if subset else n
+    subgroup = list(range(0, n, step))
+    for x in range(step):
+        image = {p[(x + h) % n] for h in subgroup}
+        base = p[x]
+        if image != {(base + h) % n for h in subgroup}:
+            return False
+    return True
+
+
+def test_coset_image_check_agrees_with_the_set_test_on_every_permutation():
+    checked = 0
+    for n in range(2, 8):
+        g = cp.build(n, (1,), cp.DIRECTED)
+        subsets = [()] + [(d,) for d in range(1, n) if n % d == 0]
+        for p in itertools.permutations(range(n)):
+            for subset in subsets:
+                assert cp.coset_image_check(g, p, subset) == coset_images_by_sets(n, p, subset), (p, subset)
+                checked += 1
+    assert checked == 13_288
+
+
+def test_coset_image_check_refuses_a_non_permutation():
+    # one step per vertex would pass (0,)*6 on (2,); the set test refuses it, as p(1 + G) = {0}
+    g6 = cp.build(6, (2, 4), cp.UNDIRECTED)
+    assert not coset_images_by_sets(6, (0,) * 6, (2,))
+    with pytest.raises(ValueError):
+        cp.coset_image_check(g6, (0,) * 6, (2,))
 
 
 def test_coset_image_check_holds_for_respecting_automorphisms():
