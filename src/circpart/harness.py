@@ -15,7 +15,6 @@ exports, which are byte-stable.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
@@ -71,7 +70,8 @@ class SweepSpec:
     ``enumerator="both"`` searches every set on its own, lists each group
     and checks it against ``brute_oracle``, whose one scan per instance
     serves every kind, so n_max is at most ``DEFAULT_ORACLE_LIMIT``.
-    ``jobs`` bounds the worker processes, which take one block at a time.
+    ``jobs`` bounds the processes that sweep, the caller included, which
+    take one block at a time off one shared counter.
     """
 
     n_min: int
@@ -222,7 +222,7 @@ def generate_instances(spec: SweepSpec):
 
 
 def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> list:
-    """Worker body: one block in, one (row, failures) pair per set out, in one pass in generation order.
+    """One block in, one (row, failures) pair per set out, in one pass in generation order.
 
     Every row is built here, from the set's own columns (its elements, its
     propagation and ``ms``) and its orbit columns: a full check's
@@ -322,13 +322,14 @@ def _check_instance(spec: SweepSpec, cs: ConnectionSet, failures: list) -> tuple
         outcomes.append((contains and group.order == len(units), contains))
         if kind == "C":
             # Both properties are closed under composition, so the generators suffice; the subgroups
-            # <s> and <S> are <g> for their steps g = gcd(n, ...), and each is checked once.
+            # <s> and <S> are <g> for their steps g = gcd(n, ...), and each is checked once. Step 1
+            # is Z_n, one coset, which every permutation maps onto itself, so it is not checked.
             gens = group.strong_generators()
             if connected:
                 for p in gens:
                     if normalize_to_multiplier(cs, p) is None:
                         failures.append(SweepFailure(key, f"multiplier normalization failed for {p}"))
-            steps = dict.fromkeys([*(math.gcd(n, s) for s in elements), math.gcd(n, *elements)])
+            steps = dict.fromkeys(g for g in [*(math.gcd(n, s) for s in elements), math.gcd(n, *elements)] if g > 1)
             for p in gens:
                 for step in steps:
                     if not coset_image_check(cs, p, (step,)):
@@ -352,6 +353,70 @@ def _check_instance(spec: SweepSpec, cs: ConnectionSet, failures: list) -> tuple
 
     orders = (groups[kind].order if kind in groups else None for kind in "BC")
     return (connected, partitions["B"].count, partitions["C"].count, *orders, len(units), verdict)
+
+
+_row_fields = operator.attrgetter(*(f.name for f in fields(InstanceResult)))
+
+
+def _claim(spec: SweepSpec, blocks: list, counter):
+    """Yield the (row, failures) pairs of the block at ``counter``, advanced under its lock, until none is left."""
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= len(blocks):
+            return
+        yield from _sweep_block(spec, blocks[index])
+
+
+def _worker(spec: SweepSpec, blocks: list, counter, conn) -> None:
+    """A worker process: sends its blocks' rows once, as field tuples with their failures, or the exception raised."""
+    try:
+        message = [(_row_fields(row), failures) for row, failures in _claim(spec, blocks, counter)]
+    except Exception as exc:
+        message = exc
+    conn.send(message)
+    conn.close()
+
+
+def _sweep_shared(spec: SweepSpec, blocks: list, helpers: int) -> list:
+    """The (row, failures) pairs of ``blocks``, swept by this process and ``helpers`` worker processes.
+
+    Every process takes the next block off one shared counter. A worker that
+    ends without sending its rows raises ResourceLimitError; an exception a
+    worker sends is raised here. Any exception terminates every worker, and
+    every worker is joined before this returns or raises.
+    """
+    counter = multiprocessing.Value("q", 0)
+    workers = []
+    try:
+        for _ in range(helpers):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            worker = multiprocessing.Process(target=_worker, args=(spec, blocks, counter, writer))
+            worker.start()
+            workers.append((worker, reader))
+            writer.close()  # so that the reader sees the end of a worker that dies before it sends
+        pairs = list(_claim(spec, blocks, counter))
+        for worker, reader in workers:
+            try:
+                message = reader.recv()
+            except EOFError:
+                worker.join()
+                raise ResourceLimitError(
+                    f"a sweep worker ended with exit code {worker.exitcode} before it sent its rows"
+                ) from None
+            if isinstance(message, Exception):
+                raise message
+            pairs += [(InstanceResult(*values), failures) for values, failures in message]
+        return pairs
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, reader in workers:
+            worker.join()
+            reader.close()
 
 
 def _row_key(row: InstanceResult):
@@ -400,9 +465,13 @@ def verify_theorem(spec: SweepSpec) -> VerificationReport:
     in the failures list without aborting the rest of the sweep. Every
     connected instance must come back with verdict "match"; a disconnected
     instance whose respecting group strictly contains the multipliers
-    reports "expected-mismatch". At most min(jobs, blocks, processor cores)
-    worker processes are started, which take the largest n first; with one,
-    the blocks run in order in this process.
+    reports "expected-mismatch". The sweep runs in min(jobs, blocks,
+    processor cores) processes: this one and one worker process fewer,
+    which all take the next block, largest n first, off one shared counter.
+    Each worker sends its rows once, when no block is left, as plain tuples.
+    A worker that ends without sending them raises ResourceLimitError, and
+    an exception in a worker's blocks is raised here. With one process the
+    blocks run in order in this one, and no process or shared object is made.
 
     A sweep of more than the fixed ``MAX_SWEEP_SETS`` connection sets,
     counted before the connectivity filter (``_sweep_size``), raises
@@ -412,15 +481,13 @@ def verify_theorem(spec: SweepSpec) -> VerificationReport:
     if size > MAX_SWEEP_SETS:
         raise ResourceLimitError(f"the sweep has at least {size} connection sets, more than the limit {MAX_SWEEP_SETS}")
     blocks = _blocks(spec)
-    sweep = functools.partial(_sweep_block, spec)
-    workers = min(spec.jobs, len(blocks), os.cpu_count() or 1)
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            outcomes = list(pool.imap_unordered(sweep, reversed(blocks)))
+    processes = min(spec.jobs, len(blocks), os.cpu_count() or 1)
+    if processes > 1:
+        pairs = _sweep_shared(spec, blocks[::-1], processes - 1)
     else:
-        outcomes = map(sweep, blocks)
+        pairs = [pair for block in blocks for pair in _sweep_block(spec, block)]
 
-    paired = sorted((pair for pairs in outcomes for pair in pairs), key=lambda pair: _row_key(pair[0]))
+    paired = sorted(pairs, key=lambda pair: _row_key(pair[0]))
     rows = tuple(row for row, _ in paired)
     failures = tuple(f for _, errs in paired for f in errs)
     return VerificationReport(

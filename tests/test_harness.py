@@ -4,7 +4,12 @@ import gc
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -300,20 +305,20 @@ def one_set_orbits(monkeypatch):
 
 
 def test_a_representative_that_records_a_failure_leaves_its_orbit_to_a_check_per_set(monkeypatch):
-    # {1, 6} ~ {2, 5} ~ {3, 4} mod 7, with multipliers {1, 6}; a coset check that fails on the
-    # representative alone fails no other set, and the others are searched on their own. The
-    # subgroups <1>, <6> and <1, 6> are all Z_7, so the check runs once, on the step (1,)
+    # {1, 6} ~ {2, 5} ~ {3, 4} mod 7, with multipliers {1, 6}; a normalization that fails on the
+    # representative alone fails no other set, and the others are searched on their own. Its kind-C
+    # group {1, -1} has the one generator v -> -v
     spec = cp.SweepSpec(n_min=7, n_max=7, modes=(cp.DIRECTED,))
-    check = harness.coset_image_check
+    normalize = harness.normalize_to_multiplier
     monkeypatch.setattr(
-        harness, "coset_image_check", lambda g, p, sub: g.elements != (1, 6) and check(g, p, sub)
+        harness, "normalize_to_multiplier", lambda g, p: None if g.elements == (1, 6) else normalize(g, p)
     )
     calls = recording(monkeypatch, "respecting_group")
     report = cp.verify_theorem(spec)
     searched = [g.elements for g in calls["respecting_group"]]
     assert all(searched.count(elements) == 2 for elements in ((1, 6), (2, 5), (3, 4)))
     assert {f.instance for f in report.failures} == {"7:1,6:d"}
-    assert [f.message for f in report.failures] == ["coset image check failed for (0, 6, 5, 4, 3, 2, 1) on (1,)"]
+    assert [f.message for f in report.failures] == ["multiplier normalization failed for (0, 6, 5, 4, 3, 2, 1)"]
     one_set_orbits(monkeypatch)
     per_set = cp.verify_theorem(spec)
     assert (report.instances, report.failures) == (per_set.instances, per_set.failures)
@@ -488,8 +493,8 @@ def test_sweeps_check_each_multiplier_and_each_generator(monkeypatch):
     expected = set()
     for cs in cp.generate_instances(spec):
         g = cp.build(cs.n, cs.elements, cs.mode)
-        # one check per distinct subgroup <s> or <S>, on its step gcd(n, ...)
-        steps = {math.gcd(cs.n, s) for s in cs.elements} | {math.gcd(cs.n, *cs.elements)}
+        # one check per distinct proper subgroup <s> or <S>, on its step gcd(n, ...) above 1
+        steps = ({math.gcd(cs.n, s) for s in cs.elements} | {math.gcd(cs.n, *cs.elements)}) - {1}
         for p in cp.respecting_group(g, cp.partition_by_cycle(g)).strong_generators():
             expected |= {(cp.instance_key(cs), f"coset image check failed for {p} on {(step,)}") for step in steps}
             if cp.is_connected(g):
@@ -547,48 +552,91 @@ def test_a_failing_instance_does_not_abort_the_sweep(monkeypatch):
 
 
 def test_pool_size_is_capped_by_instances_and_cores(monkeypatch):
-    import circpart.harness as harness
+    # the caller sweeps too, so a cap of k processes starts k - 1 workers
+    started = []
 
-    sizes = []
+    def start(worker, _start=multiprocessing.Process.start):
+        started.append(worker)
+        _start(worker)
 
-    class SerialPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    def workers(spec):
+        """The number of worker processes the sweep of ``spec`` starts, and its JSON report."""
+        before = len(started)
+        report = cp.verify_theorem(spec)
+        return len(started) - before, cp.report_to_json(report)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(item) for item in items]
-
-        def imap_unordered(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(harness.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing.Process, "start", start)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
-    serial = cp.report_to_json(cp.verify_theorem(cp.SweepSpec(n_min=3, n_max=5)))
-    assert cp.report_to_json(cp.verify_theorem(cp.SweepSpec(n_min=3, n_max=5, jobs=10**6))) == serial
-    # 2 (n, mode, size) blocks, {1}, {2} and {1, 2}; the pool takes one block at a time
-    cp.verify_theorem(cp.SweepSpec(n_min=3, n_max=3, modes=(cp.DIRECTED,), jobs=10**6))
+    count, serial = workers(cp.SweepSpec(n_min=3, n_max=5))
+    assert count == 0
+    assert workers(cp.SweepSpec(n_min=3, n_max=5, jobs=10**6)) == (3, serial)
+    # 2 (n, mode, size) blocks, {1}, {2} and {1, 2}; each process takes one block at a time
+    assert workers(cp.SweepSpec(n_min=3, n_max=3, modes=(cp.DIRECTED,), jobs=10**6))[0] == 1
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-    cp.verify_theorem(cp.SweepSpec(n_min=3, n_max=5, jobs=10**6))
-    assert sizes == [4, 2]
+    assert workers(cp.SweepSpec(n_min=3, n_max=5, jobs=10**6))[0] == 0
+    assert multiprocessing.active_children() == []
 
 
 def test_only_the_spec_and_blocks_cross_the_pool(monkeypatch):
-    # each worker generates the sets of its own blocks, so no connection set is pickled
+    # each worker generates the sets of its own blocks, so no connection set is pickled, and it
+    # sends its rows back as plain tuples, so no row is pickled either
     spec = cp.SweepSpec(n_min=2, n_max=8, modes=(cp.DIRECTED,))
     serial = cp.report_to_json(cp.verify_theorem(spec))
 
-    def refuse(cs, protocol):
-        raise AssertionError(f"{cp.instance_key(cs)} was pickled")
+    def refuse(obj, protocol):
+        raise AssertionError(f"{obj!r} was pickled")
 
     monkeypatch.setattr(cp.ConnectionSet, "__reduce_ex__", refuse)
+    monkeypatch.setattr(cp.InstanceResult, "__reduce_ex__", refuse)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     assert cp.report_to_json(cp.verify_theorem(dataclasses.replace(spec, jobs=2))) == serial
+
+
+# Runs `circpart verify` to n=8 at --jobs 2 in a fresh interpreter, with the blocks a worker takes
+# replaced by WORKER and the caller's by CALLER, which runs once a worker has taken a block.
+FAULTY_SWEEP = """
+import multiprocessing, os, sys, time
+from circpart import cli, harness
+
+caller, sweep, taken = os.getpid(), harness._sweep_block, multiprocessing.Event()
+os.cpu_count = lambda: 2
+
+def faulty(spec, block):
+    if os.getpid() != caller:
+        taken.set()
+        WORKER
+    taken.wait()
+    CALLER
+
+harness._sweep_block = faulty
+code = cli.main(["verify", "--n-min", "2", "--n-max", "8", "--mode", "d", "--jobs", "2", "--out", sys.argv[1]])
+print("children", multiprocessing.active_children())
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "worker, caller, code, message",
+    [
+        ("os._exit(1)", "return sweep(spec, block)", 3,
+         "resource limit: a sweep worker ended with exit code 1 before it sent its rows"),
+        ("raise ValueError('worker boom')", "return sweep(spec, block)", 2, "error: worker boom"),
+        ("time.sleep(600)", "raise ValueError('caller boom')", 2, "error: caller boom"),
+    ],
+    ids=["a-worker-dies", "a-worker-raises", "the-caller-raises"],
+)
+def test_a_fault_in_any_process_ends_the_sweep_and_every_worker(tmp_path, worker, caller, code, message):
+    # patched in __main__, the fault reaches the workers only if they are forked
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched sweep reaches the workers only through fork")
+    program = FAULTY_SWEEP.replace("WORKER", worker).replace("CALLER", caller)
+    env = {**os.environ, "PYTHONPATH": str(Path(cp.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", program, str(tmp_path / "r.json")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert (done.returncode, done.stdout, done.stderr.splitlines()[-1:]) == (code, "children []\n", [message])
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_connected_sweep_all_match():
