@@ -45,7 +45,7 @@ from .solver import (
     brute_oracle,
     coset_image_check,
     normalize_to_multiplier,
-    propagation_walk,
+    propagation_closure,
     respecting_group,
 )
 from .zmod import _units
@@ -227,20 +227,19 @@ def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> list:
     Every row is built here, from the set's own columns (its elements, its
     propagation and ``ms``) and its orbit columns: a full check's
     (``_check_instance``), or, for an image j*R of a representative R with a
-    source, R's (``_derived``). Each set is propagated once, along the block's
-    ``propagation_walk``; a coverage that differs from connectivity, or a
+    source, R's (``_derived``). Each set is propagated once, on its own, by
+    ``propagation_closure``; a coverage that differs from connectivity, or a
     stage that breaks its coset union, is a failure. A set that is no earlier
     set's image registers its images with the least unit j and a source: its
     key, elements, orbit columns and ``cs.multipliers`` if its whole row
     raised nothing and recorded no failure, else None. An image without a
-    source is checked in full. No source and no walk holds a set, so each
-    set, with what it caches, is freed once its row is made. An exception
-    becomes its ``error`` row and a failure.
+    source is checked in full. No source holds a set, so each set, with what
+    it caches, is freed once its row is made. An exception becomes its
+    ``error`` row and a failure.
     """
     n = block[0]
     units = _units(n) if spec.enumerator == "backtracking" else ()
     pending: dict = {}  # a later set's elements -> (its representative's source or None, its j)
-    walk: list = []  # see propagation_walk
     out = []
     for cs in _block_sets(spec, block):
         entry = pending.pop(cs.elements, None)
@@ -252,7 +251,7 @@ def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> list:
                 orbit = _check_instance(spec, cs, failures)
             else:
                 orbit = _derived(*entry[0], cs, entry[1])
-            covered, rounds, coset_ok = propagation_walk(n, cs.elements, walk)
+            covered, rounds, coset_ok = propagation_closure(n, cs.elements)
         except Exception as exc:
             failures.append(SweepFailure(instance_key(cs), f"{type(exc).__name__}: {exc}"))
             orbit, covered, rounds = (is_connected(cs), *(None,) * 5, "error"), None, None

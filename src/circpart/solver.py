@@ -13,9 +13,10 @@
 * ``normalize_to_multiplier``: recovers the unit j with p = (v -> j*v), one
   residue per prime power, combined by CRT, and checks it on every vertex.
 * ``propagation_certifier``: the fixed-set closure, one ``propagation_stage``
-  per generator along a ``propagation_walk``, which sweeps share by prefix,
-  that certifies, with no reference to any automorphism, that pointwise-fixed
-  generators fix every vertex exactly when the graph is connected.
+  per generator, that certifies, with no reference to any automorphism, that
+  pointwise-fixed generators fix every vertex exactly when the graph is
+  connected; ``propagation_closure`` gives a sweep its outcome from the
+  stages that can grow alone.
 * ``coset_image_check``: images of cosets of a subgroup generated by part
   of the connection set are again cosets, checked by one step per vertex.
 """
@@ -403,7 +404,7 @@ def normalize_to_multiplier(graph: ConnectionSet, p: Perm) -> MultiplierWitness 
     return MultiplierWitness(tuple(residues), combined) if p == multiplier_perm(n, combined) else None
 
 
-class PropagationStage(NamedTuple):  # a tuple, cheap to make for every stage that a sweep computes
+class PropagationStage(NamedTuple):
     """One outer step of the closure: extending the fixed subgroup by one generator.
 
     ``subgroup_order`` is the order of the subgroup spanned by the previous
@@ -448,14 +449,7 @@ def _is_coset_union(fixed: set, n: int, d: int) -> bool:
     return len({x % q for x in fixed}) * d == len(fixed)
 
 
-@functools.lru_cache(maxsize=64)  # at most one key per pair of divisors of n; the bound caps the memory held
-def _stage_start(n: int, step: int, next_step: int, d: int) -> tuple[tuple[int, ...], bool]:
-    """A stage's start, the subgroups of steps ``step`` and ``next_step`` joined and sorted, and
-    whether it is a union of cosets of the subgroup of order d: shared by every set with these numbers."""
-    fixed = {*range(0, n, step), *range(0, n, next_step)}
-    return tuple(sorted(fixed)), _is_coset_union(fixed, n, d)
-
-
+@functools.lru_cache(maxsize=64)  # a sweep's sets come in prefix order; the bound caps the memory held
 def propagation_stage(n: int, step: int, gens: tuple[int, ...]) -> PropagationStage:
     """Stage k = len(gens) - 1: the subgroup of step ``step`` = gcd(n, s_1..s_k) joined with the cycle of
     s_next = s_{k+1}, then each round adds every x of the enlarged subgroup whose predecessors x - s_next
@@ -467,11 +461,11 @@ def propagation_stage(n: int, step: int, gens: tuple[int, ...]) -> PropagationSt
     subgroup_order, next_order = n // step, n // next_step
     d = math.gcd(subgroup_order, next_order)
     members = range(0, n, math.gcd(step, s_next))  # the enlarged subgroup
-    start, coset_ok = _stage_start(n, step, next_step, d)
-    fixed = start  # a full subgroup has nothing left to add
+    fixed = {*range(0, n, step), *range(0, n, next_step)}
+    start, coset_ok = tuple(sorted(fixed)), _is_coset_union(fixed, n, d)
     rounds = []
     if len(start) < len(members):
-        fixed, earlier, q, tested = set(start), gens[:k], n // d, members
+        earlier, q, tested = gens[:k], n // d, members
         cosets = {x % q for x in fixed}  # the cosets of the order-d subgroup that the set meets
         while len(fixed) < len(members):
             added = tuple(
@@ -493,36 +487,32 @@ def propagation_stage(n: int, step: int, gens: tuple[int, ...]) -> PropagationSt
     return PropagationStage(k, s_next, subgroup_order, next_order, d, start, tuple(rounds), final, closed, coset_ok)
 
 
-def propagation_walk(n: int, gens: tuple[int, ...], walk: list) -> tuple[bool, int, bool]:
+def propagation_closure(n: int, gens: tuple[int, ...]) -> tuple[bool, int, bool]:
     """The closure over ``gens``: whether it covers Z_n, its rounds, and whether every stage kept its coset
-    union. Stage k reads only n, gcd(n, s_1..s_k) and s_1..s_{k+1}, so ``walk`` keeps, per prefix s_1..s_k of
-    the last ``gens`` given with this n, (the prefix, gcd(n, s_1..s_k), over the stages so far whether all
-    closed, the rounds and whether all kept the union, stage k), and ``gens`` makes only the stages past their
-    common prefix. All closed, the last fixed set is the subgroup of the last step."""
-    while walk and walk[-1][0] != gens[: len(walk)]:
-        walk.pop()
-    if not walk:
-        walk.append((gens[:1], math.gcd(n, gens[0]), True, 0, True, None))
-    for k in range(len(walk), len(gens)):
-        _, step, closed, rounds, coset_ok, _ = walk[-1]
-        stage = propagation_stage(n, step, prefix := gens[: k + 1])
-        step, closed, coset_ok = math.gcd(step, gens[k]), closed and stage.closed, coset_ok and stage.coset_union_ok
-        walk.append((prefix, step, closed, rounds + len(stage.rounds), coset_ok, stage))
-    _, step, closed, rounds, coset_ok, _ = walk[-1]
+    union. Only a stage whose generator s_{k+1} lies outside the subgroup of step gcd(n, s_1..s_k) is made: for
+    any other, the start is that subgroup, which is the enlarged one, so it runs no round, is closed, and is a
+    union of cosets of the subgroup of order d, the cycle of s_{k+1}, which it contains."""
+    step, closed, rounds, coset_ok = math.gcd(n, gens[0]), True, 0, True
+    for k in range(1, len(gens)):
+        if gens[k] % step:
+            stage = propagation_stage(n, step, gens[: k + 1])
+            step, closed, coset_ok = math.gcd(step, gens[k]), closed and stage.closed, coset_ok and stage.coset_union_ok
+            rounds += len(stage.rounds)
     return closed and step == 1, rounds, coset_ok
 
 
 def propagation_certifier(graph: ConnectionSet, order: tuple[int, ...] | None = None) -> PropagationTrace:
-    """Replay the fixed-set closure over the generators along a fresh ``propagation_walk``, one stage per new
-    generator. Each should close up to its enlarged subgroup; the last leaves Z_n exactly when connected."""
+    """Replay the fixed-set closure over the generators, one stage per new generator, those that cannot grow
+    too. Each should close up to its enlarged subgroup; the last leaves Z_n exactly when connected."""
     n, gens = graph.n, graph.elements if order is None else tuple(order)
     if sorted(gens) != list(graph.elements):
         raise ValueError(f"order {order!r} is not an arrangement of the connection set")
-    walk: list = []
-    covered = propagation_walk(n, gens, walk)[0]
-    stages = tuple(entry[-1] for entry in walk[1:])
-    final_fixed = stages[-1].final if stages else tuple(range(0, n, walk[0][1]))
-    return PropagationTrace(n, gens, stages, final_fixed, covered)
+    step, stages = math.gcd(n, gens[0]), []
+    for k in range(1, len(gens)):
+        stages.append(propagation_stage(n, step, gens[: k + 1]))
+        step = math.gcd(step, gens[k])
+    final_fixed = stages[-1].final if stages else tuple(range(0, n, step))
+    return PropagationTrace(n, gens, tuple(stages), final_fixed, all(stage.closed for stage in stages) and step == 1)
 
 
 def coset_image_check(graph: ConnectionSet, p: Perm, subset) -> bool:

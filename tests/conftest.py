@@ -177,14 +177,14 @@ def failing_at_n5(monkeypatch):
     """Make a sweep's propagation raise ValueError("boom") on every n=5 instance."""
     import circpart.harness as harness
 
-    propagate = harness.propagation_walk
+    propagate = harness.propagation_closure
 
-    def boom(n, gens, walk):
+    def boom(n, gens):
         if n == 5:
             raise ValueError("boom")
-        return propagate(n, gens, walk)
+        return propagate(n, gens)
 
-    monkeypatch.setattr(harness, "propagation_walk", boom)
+    monkeypatch.setattr(harness, "propagation_closure", boom)
 
 
 def search_cap(n):

@@ -222,13 +222,13 @@ def test_a_propagation_coverage_that_differs_from_connectivity_is_a_failure(tmp_
     # made to say otherwise on one connected set is that set's one failure, and its row keeps the trace
     import circpart.harness as harness
 
-    propagate = harness.propagation_walk
+    propagate = harness.propagation_closure
 
-    def flipped(n, gens, walk):
-        covered, rounds, coset_ok = propagate(n, gens, walk)
+    def flipped(n, gens):
+        covered, rounds, coset_ok = propagate(n, gens)
         return (covered != ((n, gens) == (5, (1, 2)))), rounds, coset_ok
 
-    monkeypatch.setattr(harness, "propagation_walk", flipped)
+    monkeypatch.setattr(harness, "propagation_closure", flipped)
     out = tmp_path / "r.json"
     assert main(["verify", "--n-min", "3", "--n-max", "5", "--mode", "d", "--out", str(out)]) == 3
     assert "mismatch: 0  errors: 0  failures: 1" in capsys.readouterr().out

@@ -198,20 +198,20 @@ def unit_orbit_minima(n, subsets):
 
 def test_sweeps_search_once_per_unit_orbit_and_check_every_set(monkeypatch):
     calls = recording(monkeypatch, "respecting_group", "normalize_to_multiplier", "brute_oracle")
-    propagate = harness.propagation_walk
+    propagate = harness.propagation_closure
 
-    def walked(n, gens, walk):
-        calls["propagation_walk"].append((n, gens))
-        return propagate(n, gens, walk)
+    def propagated(n, gens):
+        calls["propagation_closure"].append((n, gens))
+        return propagate(n, gens)
 
-    monkeypatch.setattr(harness, "propagation_walk", walked)
+    monkeypatch.setattr(harness, "propagation_closure", propagated)
     spec = cp.SweepSpec(n_min=2, n_max=10, modes=(cp.DIRECTED,))
     report = cp.verify_theorem(spec)
     minima = [(n, rep) for n in range(2, 11) for rep in unit_orbit_minima(n, directed_subsets(n))]
     assert len(minima) == 282 and len(report.instances) == 1013
     # two searches per orbit, kinds B and C, on its least set
     assert [(g.n, g.elements) for g in calls["respecting_group"]] == [pair for pair in minima for _ in "BC"]
-    assert sorted(calls["propagation_walk"]) == sorted((cs.n, cs.elements) for cs in cp.generate_instances(spec))
+    assert sorted(calls["propagation_closure"]) == sorted((cs.n, cs.elements) for cs in cp.generate_instances(spec))
     # one normalization per generator of each connected representative's cycle-respecting group
     generators = 0
     for n, rep in minima:
@@ -268,8 +268,8 @@ def test_a_set_its_unit_does_not_reach_gets_an_error_row(rep, member, j, message
             "ValueError: multiplier 6 of 7:1,2:d maps this set to [1, 4]",
         ),
         (
-            "propagation_walk",
-            lambda real: lambda n, gens, walk: 1 / 0 if gens == (3, 6) else real(n, gens, walk),
+            "propagation_closure",
+            lambda real: lambda n, gens: 1 / 0 if gens == (3, 6) else real(n, gens),
             "ZeroDivisionError: division by zero",
         ),
     ],
@@ -344,53 +344,77 @@ def test_derived_rows_equal_a_check_per_set(monkeypatch):
         assert report.failures == per_set.failures == ()
 
 
+def recorded_stages(monkeypatch):
+    """Record every request to ``solver.propagation_stage`` as its arguments and the stage it returns."""
+    stage, made = solver.propagation_stage, []
+
+    def recording_stage(n, step, gens):
+        made.append(((n, step, gens), stage(n, step, gens)))
+        return made[-1][1]
+
+    monkeypatch.setattr(solver, "propagation_stage", recording_stage)
+    return made
+
+
 @pytest.mark.parametrize("connectivity", harness.CONNECTIVITY_CHOICES)
-def test_the_propagation_walk_gives_every_set_the_certifiers_coverage_and_rounds(connectivity):
-    # one walk per n and mode, across its blocks: a block's first set, a new size, and the sets the
-    # connectivity filter drops all break the prefix that a set shares with the one before it; the
-    # certifier walks each set afresh
+def test_the_closure_gives_each_set_the_certifiers_coverage_and_rounds(monkeypatch, connectivity):
+    # the closure makes only some of a set's stages, each the certifier's stage at the same k; every
+    # stage it skips adds no round, closes on its start and keeps its coset union in the certifier's trace
+    made = recorded_stages(monkeypatch)
     for mode, n_max in ((cp.DIRECTED, 14), (cp.UNDIRECTED, 22)):
         spec = cp.SweepSpec(n_min=2, n_max=n_max, modes=(mode,), connectivity=connectivity)
-        walks = collections.defaultdict(list)
         for cs in cp.generate_instances(spec):
             trace = cp.propagation_certifier(cs)
             coset_ok = all(stage.coset_union_ok for stage in trace.stages)
-            got = solver.propagation_walk(cs.n, cs.elements, walks[cs.n])
-            assert got == (trace.covered, trace.total_rounds, coset_ok), cs
-            assert tuple(entry[-1] for entry in walks[cs.n][1:]) == trace.stages, cs
-            # the walk holds no set and no partition, so neither outlives its row
-            assert not any(
-                isinstance(value, (cp.ConnectionSet, cp.ArcPartition))
-                for entry in walks[cs.n]
-                for value in (*entry[:-1], *(entry[-1] or ()))
-            )
+            made.clear()
+            assert solver.propagation_closure(cs.n, cs.elements) == (trace.covered, trace.total_rounds, coset_ok), cs
+            assert all(stage == trace.stages[stage.k - 1] for _, stage in made), cs
+            skipped = [stage for stage in trace.stages if stage.k not in {kept.k for _, kept in made}]
+            assert all(
+                (stage.rounds, stage.final, stage.closed, stage.coset_union_ok) == ((), stage.start, True, True)
+                for stage in skipped
+            ), cs
+
+
+def test_sweeps_make_only_the_propagation_stages_that_can_grow(monkeypatch):
+    # a stage whose generator is a multiple of the step so far starts as the enlarged subgroup, so no
+    # sweep asks for one; the count pins the stages asked for, cache hits included
+    made = recorded_stages(monkeypatch)
+    counts = []
+    for mode, n_max in ((cp.DIRECTED, 12), (cp.UNDIRECTED, 16)):
+        made.clear()
+        report = cp.verify_theorem(cp.SweepSpec(n_min=2, n_max=n_max, modes=(mode,)))
+        assert report.failures == ()
+        assert all(gens[-1] % step != 0 for (_, step, gens), _ in made)
+        counts.append(len(made))
+    assert counts == [1208, 159]
 
 
 def test_a_set_after_one_whose_propagation_raised_gets_the_certifiers_coverage_and_rounds(monkeypatch):
-    # the stage of s_1..s_3 = 1, 3, 4 raises after the stages before it were kept: each set that
-    # begins with them raises, and every other set still gets the certifier's numbers, traced before
-    # the stage was made to raise, since the certifier walks through the same stage function
+    # the stage of s_1, s_2 = 3, 4 mod 9, which grows <3> to Z_9, raises: each set that begins with them
+    # raises, and every other set still gets the certifier's numbers, traced before the stage was made to
+    # raise, since the certifier reads the same stage function
     spec = cp.SweepSpec(n_min=9, n_max=9, modes=(cp.DIRECTED,))
     traces = [(cs, cp.propagation_certifier(cs)) for cs in cp.generate_instances(spec)]
     stage = solver.propagation_stage
 
     def failing(n, step, gens):
-        if gens == (1, 3, 4):
+        if gens == (3, 4):
             raise ZeroDivisionError
         return stage(n, step, gens)
 
     monkeypatch.setattr(solver, "propagation_stage", failing)
-    walk, raised = [], []
+    raised = []
     for cs, trace in traces:
         try:
-            assert solver.propagation_walk(cs.n, cs.elements, walk)[:2] == (trace.covered, trace.total_rounds), cs
+            assert solver.propagation_closure(cs.n, cs.elements)[:2] == (trace.covered, trace.total_rounds), cs
         except ZeroDivisionError:
             raised.append(cs.elements)
-    assert len(raised) == 16 and all(elements[:3] == (1, 3, 4) for elements in raised)
+    assert len(raised) == 16 and all(elements[:2] == (3, 4) for elements in raised)
 
 
 def test_a_stage_that_breaks_its_coset_union_is_a_failure_of_each_set_whose_walk_includes_it(monkeypatch):
-    # made to report its fixed sets as no union of cosets, the stage of s_1..s_3 = 1, 3, 4 mod 9 is a
+    # made to report its fixed sets as no union of cosets, the stage of s_1, s_2 = 3, 4 mod 9 is a
     # failure of exactly the 16 sets that begin with them; every row stays as it was
     spec = cp.SweepSpec(n_min=8, n_max=9, modes=(cp.DIRECTED,))
     clean = cp.verify_theorem(spec)
@@ -398,11 +422,11 @@ def test_a_stage_that_breaks_its_coset_union_is_a_failure_of_each_set_whose_walk
 
     def broken(n, step, gens):
         made = stage(n, step, gens)
-        return made._replace(coset_union_ok=False) if (n, gens) == (9, (1, 3, 4)) else made
+        return made._replace(coset_union_ok=False) if (n, gens) == (9, (3, 4)) else made
 
     monkeypatch.setattr(solver, "propagation_stage", broken)
     report = cp.verify_theorem(spec)
-    walked = [cs for cs in cp.generate_instances(spec) if (cs.n, cs.elements[:3]) == (9, (1, 3, 4))]
+    walked = [cs for cs in cp.generate_instances(spec) if (cs.n, cs.elements[:2]) == (9, (3, 4))]
     assert len(walked) == 16 and clean.failures == ()
     message = "a propagation stage broke its union of cosets"
     assert report.failures == tuple(cp.SweepFailure(cp.instance_key(cs), message) for cs in walked)
@@ -414,10 +438,8 @@ def test_the_orbit_of_a_failing_representative_is_searched_set_by_set(monkeypatc
 
     spec = cp.SweepSpec(n_min=7, n_max=7, modes=(cp.DIRECTED,))
     clean = cp.verify_theorem(spec)
-    propagate = harness.propagation_walk
-    monkeypatch.setattr(
-        harness, "propagation_walk", lambda n, gens, walk: 1 / 0 if gens == (1, 2) else propagate(n, gens, walk)
-    )
+    propagate = harness.propagation_closure
+    monkeypatch.setattr(harness, "propagation_closure", lambda n, gens: 1 / 0 if gens == (1, 2) else propagate(n, gens))
     calls = recording(monkeypatch, "respecting_group")
     report = cp.verify_theorem(spec)
     assert report.failures == (cp.SweepFailure("7:1,2:d", "ZeroDivisionError: division by zero"),)

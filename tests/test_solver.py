@@ -739,7 +739,7 @@ def test_stages_that_run_rounds_leave_the_shared_starts_unchanged():
     first = [cp.propagation_certifier(g) for g in graphs]
     assert sum(trace.total_rounds for trace in first) > 0
     assert [cp.propagation_certifier(g) for g in graphs] == first
-    solver._stage_start.cache_clear()
+    solver.propagation_stage.cache_clear()
     assert [cp.propagation_certifier(g) for g in graphs] == first
 
 
