@@ -70,8 +70,8 @@ class SweepSpec:
     ``enumerator="both"`` searches every set on its own, lists each group
     and checks it against ``brute_oracle``, whose one scan per instance
     serves every kind, so n_max is at most ``DEFAULT_ORACLE_LIMIT``.
-    ``jobs`` bounds the processes that sweep, the caller included, which
-    take one block at a time off one shared counter.
+    ``jobs`` bounds the processes that sweep, the caller included, each of
+    which sweeps a fixed stripe of the blocks.
     """
 
     n_min: int
@@ -357,45 +357,35 @@ def _check_instance(spec: SweepSpec, cs: ConnectionSet, failures: list) -> tuple
 _row_fields = operator.attrgetter(*(f.name for f in fields(InstanceResult)))
 
 
-def _claim(spec: SweepSpec, blocks: list, counter):
-    """Yield the (row, failures) pairs of the block at ``counter``, advanced under its lock, until none is left."""
-    while True:
-        with counter.get_lock():
-            index = counter.value
-            counter.value = index + 1
-        if index >= len(blocks):
-            return
-        yield from _sweep_block(spec, blocks[index])
-
-
-def _worker(spec: SweepSpec, blocks: list, counter, conn) -> None:
-    """A worker process: sends its blocks' rows once, as field tuples with their failures, or the exception raised."""
+def _worker(spec: SweepSpec, stripe: list, conn) -> None:
+    """A worker process: sends its stripe's rows once, as field tuples with their failures, or the exception raised."""
     try:
-        message = [(_row_fields(row), failures) for row, failures in _claim(spec, blocks, counter)]
+        message = [(_row_fields(row), failures) for block in stripe for row, failures in _sweep_block(spec, block)]
     except Exception as exc:
         message = exc
     conn.send(message)
     conn.close()
 
 
-def _sweep_shared(spec: SweepSpec, blocks: list, helpers: int) -> list:
-    """The (row, failures) pairs of ``blocks``, swept by this process and ``helpers`` worker processes.
+def _sweep(spec: SweepSpec, blocks: list) -> list:
+    """The (row, failures) pairs of ``blocks``, swept in p = max(1, min(jobs, blocks, processor cores)) processes.
 
-    Every process takes the next block off one shared counter. A worker that
-    ends without sending its rows raises ResourceLimitError; an exception a
-    worker sends is raised here. Any exception terminates every worker, and
-    every worker is joined before this returns or raises.
+    Process i sweeps the stripe ``blocks[i::p]`` in order: this one is process
+    0, and each worker is started with its stripe. A worker that ends without
+    sending its rows raises ResourceLimitError; an exception a worker sends is
+    raised here. Any exception terminates every worker, and every worker is
+    joined before this returns or raises.
     """
-    counter = multiprocessing.Value("q", 0)
+    processes = max(1, min(spec.jobs, len(blocks), os.cpu_count() or 1))
     workers = []
     try:
-        for _ in range(helpers):
+        for i in range(1, processes):
             reader, writer = multiprocessing.Pipe(duplex=False)
-            worker = multiprocessing.Process(target=_worker, args=(spec, blocks, counter, writer))
+            worker = multiprocessing.Process(target=_worker, args=(spec, blocks[i::processes], writer))
             worker.start()
             workers.append((worker, reader))
             writer.close()  # so that the reader sees the end of a worker that dies before it sends
-        pairs = list(_claim(spec, blocks, counter))
+        pairs = [pair for block in blocks[::processes] for pair in _sweep_block(spec, block)]
         for worker, reader in workers:
             try:
                 message = reader.recv()
@@ -464,13 +454,13 @@ def verify_theorem(spec: SweepSpec) -> VerificationReport:
     in the failures list without aborting the rest of the sweep. Every
     connected instance must come back with verdict "match"; a disconnected
     instance whose respecting group strictly contains the multipliers
-    reports "expected-mismatch". The sweep runs in min(jobs, blocks,
-    processor cores) processes: this one and one worker process fewer,
-    which all take the next block, largest n first, off one shared counter.
-    Each worker sends its rows once, when no block is left, as plain tuples.
-    A worker that ends without sending them raises ResourceLimitError, and
-    an exception in a worker's blocks is raised here. With one process the
-    blocks run in order in this one, and no process or shared object is made.
+    reports "expected-mismatch". The sweep runs in p = min(jobs, blocks,
+    processor cores) processes, at least one: this one and p - 1 workers.
+    Process i sweeps every p-th block from the i-th, in generation order,
+    so one process sweeps them all in order and no object is shared (see
+    ``_sweep``). Each worker sends its rows once, when its stripe is done,
+    as plain tuples. A worker that ends without sending them raises
+    ResourceLimitError, and an exception in a worker's blocks is raised here.
 
     A sweep of more than the fixed ``MAX_SWEEP_SETS`` connection sets,
     counted before the connectivity filter (``_sweep_size``), raises
@@ -479,14 +469,7 @@ def verify_theorem(spec: SweepSpec) -> VerificationReport:
     size = _sweep_size(spec)
     if size > MAX_SWEEP_SETS:
         raise ResourceLimitError(f"the sweep has at least {size} connection sets, more than the limit {MAX_SWEEP_SETS}")
-    blocks = _blocks(spec)
-    processes = min(spec.jobs, len(blocks), os.cpu_count() or 1)
-    if processes > 1:
-        pairs = _sweep_shared(spec, blocks[::-1], processes - 1)
-    else:
-        pairs = [pair for block in blocks for pair in _sweep_block(spec, block)]
-
-    paired = sorted(pairs, key=lambda pair: _row_key(pair[0]))
+    paired = sorted(_sweep(spec, _blocks(spec)), key=lambda pair: _row_key(pair[0]))
     rows = tuple(row for row, _ in paired)
     failures = tuple(f for _, errs in paired for f in errs)
     return VerificationReport(

@@ -55,6 +55,15 @@ def test_build_rejects_bad_sets():
         cp.build(1, (1,), cp.DIRECTED)
     with pytest.raises(cp.InvalidInstanceError):
         cp.build(8, (1,), "mixed")
+    for elements in ((2, 1), (1, 1, 2)):  # out of order, repeated
+        with pytest.raises(cp.InvalidInstanceError, match="^elements must be strictly ascending without duplicates$"):
+            cp.ConnectionSet(8, elements, cp.DIRECTED)
+
+
+def test_a_partition_refuses_an_unknown_kind():
+    g = cp.parse_instance("6:1,5:u")
+    with pytest.raises(ValueError, match=r"^kind must be one of \('B', 'C'\), got 'D'$"):
+        cp.ArcPartition("D", g, (0, 1) * 6)
 
 
 def test_build_is_refused_above_the_arc_limit_before_any_arc_is_built(monkeypatch):

@@ -86,6 +86,14 @@ def test_propagate_respects_order_flag(capsys):
     assert "generator order: 4, 3" in capsys.readouterr().out
 
 
+def test_propagate_refuses_a_malformed_order(capsys):
+    assert main(["propagate", "--instance", "12:4,3:d", "--order", "1,x"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: malformed --order '1,x': invalid literal for int() with base 10: 'x'\n"
+    )
+
+
 def test_verify_writes_json_and_csv(tmp_path, capsys):
     out_json = tmp_path / "report.json"
     assert main([
@@ -215,6 +223,28 @@ def test_a_mismatch_makes_verify_exit_1_with_a_report(tmp_path, monkeypatch, cap
     report = cp.load_report(out.read_text())
     assert [(row.n, row.elements) for row in report.instances if row.verdict == "mismatch"] == [(5, (1, 2, 3, 4))]
     assert report.aggregates["mismatch"] == 1 and report.failures == ()
+
+
+def test_an_oracle_disagreement_makes_verify_exit_3_with_a_report(tmp_path, monkeypatch, capsys):
+    # the oracle's scan made to miss one kind-C automorphism of 5:1,2,3,4:d is that set's one failure;
+    # the row keeps the search's groups, so its verdict is still "match"
+    import circpart.harness as harness
+
+    scan = harness.brute_oracle
+
+    def short(cs, partitions, fix_zero):
+        groups = scan(cs, partitions, fix_zero=fix_zero)
+        if (cs.n, cs.elements) == (5, (1, 2, 3, 4)):
+            groups[-1] = groups[-1][:-1]  # kinds B and C, in that order
+        return groups
+
+    monkeypatch.setattr(harness, "brute_oracle", short)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--n-min", "3", "--n-max", "5", "--mode", "d", "--oracle-check", "--out", str(out)]) == 3
+    assert "mismatch: 0  errors: 0  failures: 1" in capsys.readouterr().out
+    report = cp.load_report(out.read_text())
+    assert report.failures == (cp.SweepFailure("5:1,2,3,4:d", "kind C: backtracking disagrees with brute oracle"),)
+    assert {row.verdict for row in report.instances} == {"match"}
 
 
 def test_a_propagation_coverage_that_differs_from_connectivity_is_a_failure(tmp_path, monkeypatch, capsys):

@@ -614,6 +614,36 @@ def test_only_the_spec_and_blocks_cross_the_pool(monkeypatch):
     assert cp.report_to_json(cp.verify_theorem(dataclasses.replace(spec, jobs=2))) == serial
 
 
+def test_the_caller_sweeps_every_pth_block_from_the_first_in_order(monkeypatch):
+    # with p processes, process i sweeps the stripe blocks[i::p] in generation order; the caller
+    # is process 0, so what it sweeps does not depend on how fast the workers are
+    spec = cp.SweepSpec(n_min=2, n_max=9, jobs=2)
+    serial = cp.report_to_json(cp.verify_theorem(dataclasses.replace(spec, jobs=1)))
+    swept, sweep = [], harness._sweep_block
+
+    def recorded(spec, block):
+        swept.append(block)  # a forked worker appends to its own copy of the list
+        return sweep(spec, block)
+
+    monkeypatch.setattr(harness, "_sweep_block", recorded)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert cp.report_to_json(cp.verify_theorem(spec)) == serial
+    assert swept == harness._blocks(spec)[0::2]
+
+
+def test_a_parallel_sweep_makes_no_shared_object(monkeypatch):
+    # each worker is started with its own stripe, so no counter or lock is shared
+    spec = cp.SweepSpec(n_min=2, n_max=8)
+    serial = cp.report_to_json(cp.verify_theorem(spec))
+
+    def unshared(*args, **kwargs):
+        raise AssertionError("a shared value was made")
+
+    monkeypatch.setattr(harness.multiprocessing, "Value", unshared)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert cp.report_to_json(cp.verify_theorem(dataclasses.replace(spec, jobs=2))) == serial
+
+
 # Runs `circpart verify` to n=8 at --jobs 2 in a fresh interpreter, with the blocks a worker takes
 # replaced by WORKER and the caller's by CALLER, which runs once a worker has taken a block.
 FAULTY_SWEEP = """

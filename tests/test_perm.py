@@ -236,6 +236,13 @@ def test_the_multiplier_check_is_part_map_of_the_multiplier():
     assert min(results.count(list), results.count(type(None)), results.count(str)) > 9_000
 
 
+def test_the_multiplier_check_refuses_a_non_unit():
+    partition = cp.arc_partition(cp.parse_instance("8:1,2:d"), "C")
+    for j in (2, 4, 8, 0):
+        with pytest.raises(ValueError, match=f"^{j} is not a unit mod 8$"):
+            multiplier_part_map(j, partition)
+
+
 @pytest.mark.parametrize("text, kind", [("6:2,4:u", "C"), ("8:1,2:d", "B"), ("4:1,2,3:u", "C")])
 def test_respecting_automorphisms_form_a_group(text, kind):
     graph = cp.parse_instance(text)
