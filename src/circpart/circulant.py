@@ -201,15 +201,21 @@ def instance_key(cs: ConnectionSet) -> str:
     return f"{cs.n}:{','.join(str(s) for s in cs.elements)}:{'d' if cs.directed else 'u'}"
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in PARTITION_KINDS:
+        raise ValueError(f"kind must be one of {PARTITION_KINDS}, got {kind!r}")
+
+
 @dataclass(frozen=True)
 class ArcPartition:
     """A partition of the arcs of Circ(n; S), stored as one label per arc.
 
     ``labels[u*|S| + k]`` is the part of arc (u, u+s_k), for s_k the k-th
     element of the ascending S; ``count`` parts are labelled by the ints 0 to
-    count-1, each label used, and ``sizes`` counts each part's arcs. Both
-    come from one pass over the labels when the partition is made, which
-    refuses with ValueError labels of another length, type or numbering.
+    count-1, each label used, and ``sizes`` counts each part's arcs. A
+    partition made by hand counts both in one pass over its labels, and
+    refuses with ValueError labels of another length, type or numbering;
+    ``arc_partition`` knows both from its classes and skips the pass.
     ``period``, read on first use, is the least P dividing n such that the
     labels are their first P*|S| repeated: the labels of the arcs of u depend
     on u mod P only. The storage is internal: ``parts()`` gives each part as
@@ -223,14 +229,20 @@ class ArcPartition:
     sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in PARTITION_KINDS:
-            raise ValueError(f"kind must be one of {PARTITION_KINDS}, got {self.kind!r}")
+        _check_kind(self.kind)
         sizes, arcs = Counter(self.labels), self.cs.n * len(self.cs.elements)
         numbered = all(type(label) is int for label in sizes) and sorted(sizes) == list(range(len(sizes)))
         if len(self.labels) != arcs or not numbered:
             raise ValueError(f"need {arcs} int labels, one per arc, numbered 0 to count-1 with each used")
         object.__setattr__(self, "count", len(sizes))
         object.__setattr__(self, "sizes", tuple(map(sizes.__getitem__, range(len(sizes)))))
+
+    @classmethod
+    def _counted(cls, kind: str, cs: ConnectionSet, labels: tuple[int, ...], sizes: tuple[int, ...]) -> ArcPartition:
+        """The partition with the part sizes its builder counted, made without ``__post_init__``'s pass."""
+        partition = cls.__new__(cls)
+        vars(partition).update(kind=kind, cs=cs, labels=labels, count=len(sizes), sizes=sizes)
+        return partition
 
     @cached_property
     def period(self) -> int:  # read off the labels, whatever built them
@@ -264,21 +276,25 @@ def arc_partition(graph: ConnectionSet, kind: str) -> ArcPartition:
     each part is one monochromatic cycle (a lone edge for an order-2
     generator in undirected mode) and a kind "B" part is the union of its
     class's kind "C" parts. Parts are ordered by least generator, then coset.
+    A class of step g has g parts, each of n/g arcs per member of the class,
+    so the part sizes are known without reading the labels.
     """
+    _check_kind(kind)
     n = graph.n
     first: dict[int, int] = {}  # least member of a class -> its first label
-    offsets, steps = [], []
-    count = 0
+    offsets, steps, sizes = [], [], []
     for s in graph.elements:  # ascending, so a class is met first at its least member
         step = 1 if kind == "B" else math.gcd(n, s)  # the same for s and n-s
         least = s if graph.directed else min(s, n - s)
         if least not in first:
-            first[least], count = count, count + step
+            first[least] = len(sizes)
+            members = 1 if graph.directed or 2 * s == n else 2
+            sizes += [members * n // step] * step
         offsets.append(first[least])
         steps.append(step)
     period = math.lcm(*steps)  # divides n; the labels of vertex u depend on u mod period only
     labels = [offset + u % step for u in range(period) for offset, step in zip(offsets, steps)]
-    return ArcPartition(kind, graph, tuple(labels) * (n // period))
+    return ArcPartition._counted(kind, graph, tuple(labels) * (n // period), tuple(sizes))
 
 
 def partition_by_generator(graph: ConnectionSet) -> ArcPartition:

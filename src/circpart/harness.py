@@ -53,6 +53,8 @@ from .zmod import _units
 CONNECTIVITY_CHOICES = ("connected", "disconnected", "all")
 ENUMERATOR_CHOICES = ("backtracking", "both")
 MAX_SWEEP_SETS = 1_100_000  # both modes to n = 20 (1,051,604 sets); directed to n = 21 is 2,097,130
+# Both modes to n = 20 have 180,819,942 arcs; directed n = 21 alone has 220,200,960, undirected n = 38 368,574,464.
+MAX_SWEEP_ARCS = 181_000_000
 
 
 def _distinct_from(values, allowed: set) -> bool:
@@ -178,20 +180,33 @@ class VerificationReport:
     failures: tuple[SweepFailure, ...]
 
 
-def _sweep_size(spec: SweepSpec) -> int:
-    """The number of connection sets the sweep generates before the connectivity filter, counted
-    without generating any: 2^(n-1) - 1 directed and 2^floor(n/2) - 1 undirected per n.
+def _sweep_count(spec: SweepSpec, term: Callable[[int, int], int], limit: int) -> int:
+    """The sum of term(n, e) over the sweep's n and modes, for e = n - 1 directed and floor(n/2)
+    undirected: the number of classes {s} or {s, n-s} that a set of Z_n is drawn from.
 
-    Exact up to ``MAX_SWEEP_SETS``; past it, a lower bound that is still past it. The count stops
-    at the first n that takes it past the budget, and caps each exponent at the budget's bit
-    length, so that a huge n_min or n_max costs no more than a few terms.
+    Exact up to ``limit``; past it, a lower bound that is still past it. The count stops at the
+    first n that takes it past the limit, and caps each e at the limit's bit length, so that a
+    huge n_min or n_max costs no more than a few terms.
     """
-    size, cap = 0, MAX_SWEEP_SETS.bit_length()
+    total, cap = 0, limit.bit_length()
     for n in range(spec.n_min, spec.n_max + 1):
-        size += sum(2 ** min(n - 1 if mode == DIRECTED else n // 2, cap) - 1 for mode in spec.modes)
-        if size > MAX_SWEEP_SETS:
+        total += sum(term(n, min(n - 1 if mode == DIRECTED else n // 2, cap)) for mode in spec.modes)
+        if total > limit:
             break
-    return size
+    return total
+
+
+def _sweep_size(spec: SweepSpec) -> int:
+    """The connection sets the sweep generates before the connectivity filter, counted without
+    generating any: 2^(n-1) - 1 directed and 2^floor(n/2) - 1 undirected per n."""
+    return _sweep_count(spec, lambda n, e: 2**e - 1, MAX_SWEEP_SETS)
+
+
+def _sweep_arcs(spec: SweepSpec) -> int:
+    """The arcs of those sets, the sum of n*|S|, counted without generating any: n(n-1)*2^(n-2)
+    directed and n(n-1)*2^(floor(n/2)-1) undirected per n. Each of the n-1 nonzero residues lies
+    in half of the sets, and each brings n arcs."""
+    return _sweep_count(spec, lambda n, e: n * (n - 1) << (e - 1), MAX_SWEEP_ARCS)
 
 
 def _blocks(spec: SweepSpec) -> list[tuple[int, str, int]]:
@@ -372,9 +387,9 @@ def _sweep(spec: SweepSpec, blocks: list) -> list:
 
     Process i sweeps the stripe ``blocks[i::p]`` in order: this one is process
     0, and each worker is started with its stripe. A worker that ends without
-    sending its rows raises ResourceLimitError; an exception a worker sends is
-    raised here. Any exception terminates every worker, and every worker is
-    joined before this returns or raises.
+    sending its rows, or part-way through, raises ResourceLimitError; an
+    exception a worker sends is raised here. Any exception terminates every
+    worker, and every worker is joined before this returns or raises.
     """
     processes = max(1, min(spec.jobs, len(blocks), os.cpu_count() or 1))
     workers = []
@@ -389,7 +404,7 @@ def _sweep(spec: SweepSpec, blocks: list) -> list:
         for worker, reader in workers:
             try:
                 message = reader.recv()
-            except EOFError:
+            except (EOFError, OSError):  # no message, or one cut off ("got end of file during message")
                 worker.join()
                 raise ResourceLimitError(
                     f"a sweep worker ended with exit code {worker.exitcode} before it sent its rows"
@@ -459,16 +474,22 @@ def verify_theorem(spec: SweepSpec) -> VerificationReport:
     Process i sweeps every p-th block from the i-th, in generation order,
     so one process sweeps them all in order and no object is shared (see
     ``_sweep``). Each worker sends its rows once, when its stripe is done,
-    as plain tuples. A worker that ends without sending them raises
-    ResourceLimitError, and an exception in a worker's blocks is raised here.
+    as plain tuples. A worker that ends without sending them, or part-way
+    through, raises ResourceLimitError, and an exception in a worker's
+    blocks is raised here.
 
-    A sweep of more than the fixed ``MAX_SWEEP_SETS`` connection sets,
-    counted before the connectivity filter (``_sweep_size``), raises
+    A sweep of more than the fixed ``MAX_SWEEP_SETS`` connection sets
+    (``_sweep_size``), which bounds its memory, or of more than the fixed
+    ``MAX_SWEEP_ARCS`` arcs over all its sets (``_sweep_arcs``), which
+    bounds its time, both counted before the connectivity filter, raises
     ResourceLimitError before any set or block is made.
     """
     size = _sweep_size(spec)
     if size > MAX_SWEEP_SETS:
         raise ResourceLimitError(f"the sweep has at least {size} connection sets, more than the limit {MAX_SWEEP_SETS}")
+    arcs = _sweep_arcs(spec)
+    if arcs > MAX_SWEEP_ARCS:
+        raise ResourceLimitError(f"the sweep has at least {arcs} arcs, more than the limit {MAX_SWEEP_ARCS}")
     paired = sorted(_sweep(spec, _blocks(spec)), key=lambda pair: _row_key(pair[0]))
     rows = tuple(row for row, _ in paired)
     failures = tuple(f for _, errs in paired for f in errs)

@@ -70,28 +70,39 @@ class RespectingGroup:
         return p == tuple(range(len(p)))
 
     def elements(self) -> list[Perm]:
-        """Every element of G, ascending: the products of one transversal element per level."""
-        elems = [tuple(range(len(self.base)))]
-        for trans in reversed(self.transversals):
-            if len(trans) > 1:
-                elems = [tuple(map(t.__getitem__, h)) for t in trans.values() for h in elems]
+        """Every element of G, ascending: the products of one transversal element per level.
+
+        The deepest level whose transversal moves gives its elements as they are; only the moving
+        levels above it compose, so no element is composed with an identity."""
+        moving = [trans for trans in self.transversals if len(trans) > 1]
+        if not moving:
+            return [tuple(range(len(self.base)))]
+        elems = list(moving.pop().values())
+        for trans in reversed(moving):
+            elems = [tuple(map(t.__getitem__, h)) for t in trans.values() for h in elems]
         elems.sort()
         return elems
 
 
-def _transversal(point: int, levels, identity: Perm) -> dict:
-    """For each image of ``point`` under the group the generator lists ``levels`` generate, one element to it."""
-    gens = list(itertools.chain.from_iterable(levels))  # once, not per point: most levels hold no generator
-    trans = {point: identity}
-    queue = [point]
+def _extend_transversal(trans: dict, gens: list) -> None:
+    """Grow ``trans``, closed under all of ``gens`` but the last, in place to the orbit under all of them.
+
+    The old points are closed under the old generators, so only the new one, ``gens[-1]``, is applied
+    to them; every generator is applied to the points it adds. A point gets one element, g after the
+    element of the point it is first reached from, and only a new point costs a composition.
+    """
+    g = gens[-1]
+    queue = []
+    for x, t in list(trans.items()):
+        if (y := g[x]) not in trans:
+            trans[y] = tuple(map(g.__getitem__, t))  # g after t
+            queue.append(y)
     for x in queue:
         t = trans[x]
-        for g in gens:
-            y = g[x]
-            if y not in trans:
-                trans[y] = tuple(map(g.__getitem__, t))  # g after t
+        for h in gens:
+            if (y := h[x]) not in trans:
+                trans[y] = tuple(map(h.__getitem__, t))
                 queue.append(y)
-    return trans
 
 
 def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero: bool = True) -> RespectingGroup:
@@ -117,7 +128,8 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
     descent stops at the first leaf that passes a full re-check, one
     ``part_map`` pass (every arc's image is an arc, and the label map is
     well defined and injective): that leaf joins the generators of level i
-    and the level's orbit is recomputed. ``fix_zero`` keeps vertex 0 in place.
+    and the level's orbit is extended from the new generator
+    (``_extend_transversal``). ``fix_zero`` keeps vertex 0 in place.
 
     Multiplier maps v -> j*v with j*S = S are shortcuts. The plan's table
     ``shortcuts[d]`` maps an image x of ``order[d]`` to a unit j != 1 of
@@ -155,6 +167,7 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
     part_map_inv = part_map.copy()
     identity = tuple(range(n))
     generators: list[list] = [[] for _ in range(n)]  # those above the current level are still empty
+    found: list = []  # every generator, in the order admitted
     transversals = [{u: identity} for u in order]
 
     def candidates(u):
@@ -198,7 +211,8 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
 
     def admit(level, p):
         generators[level].append(p)
-        transversals[level] = _transversal(order[level], reversed(generators), identity)  # deepest first, as found
+        found.append(p)  # the generators of this level and deeper: levels are finished deepest first
+        _extend_transversal(transversals[level], found)
 
     def undo(depth):
         used[images[order[depth]]] = False

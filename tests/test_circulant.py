@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 import time
@@ -152,6 +153,28 @@ def test_a_partition_refuses_labels_that_are_not_one_per_arc_numbered_from_zero(
         cp.ArcPartition("B", g, labels)
     partition = cp.ArcPartition("B", g, (0, 1) * 6)  # the sizes are counted when the partition is made
     assert (partition.count, partition.sizes, vars(partition)["sizes"]) == (2, (6, 6), (6, 6))
+
+
+def test_arc_partition_sizes_its_parts_from_its_classes(monkeypatch):
+    # the builder counts no label: its count and sizes are those a Counter of its labels gives
+    def uncounted(*args):
+        raise AssertionError("the labels were counted")
+
+    spec = cp.SweepSpec(n_min=2, n_max=14)
+    built = 0
+    for cs in cp.generate_instances(spec):
+        for kind in ("B", "C"):
+            with monkeypatch.context() as patched:
+                patched.setattr(cp.circulant, "Counter", uncounted)
+                partition = cp.arc_partition(cs, kind)
+            sizes = collections.Counter(partition.labels)
+            assert partition.count == len(sizes)
+            assert partition.sizes == tuple(sizes[label] for label in range(len(sizes)))
+            assert partition == cp.ArcPartition(kind, cs, partition.labels)
+            built += 1
+    assert built == 2 * len(list(cp.generate_instances(spec)))
+    with pytest.raises(ValueError, match=r"^kind must be one of \('B', 'C'\), got 'D'$"):
+        cp.arc_partition(cs, "D")
 
 
 def test_a_large_inverse_closed_set_is_refused_quickly():

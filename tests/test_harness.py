@@ -44,10 +44,13 @@ def test_the_sweep_size_is_counted_without_generating_a_set():
     for n_max in range(2, 13):
         for modes in ((cp.DIRECTED,), (cp.UNDIRECTED,), (cp.DIRECTED, cp.UNDIRECTED)):
             spec = cp.SweepSpec(n_min=2, n_max=n_max, modes=modes)
-            assert harness._sweep_size(spec) == len(list(cp.generate_instances(spec))), (n_max, modes)
+            sets = list(cp.generate_instances(spec))
+            assert harness._sweep_size(spec) == len(sets), (n_max, modes)
+            assert harness._sweep_arcs(spec) == sum(cs.n * len(cs.elements) for cs in sets), (n_max, modes)
             # counted before the connectivity filter
             connected = dataclasses.replace(spec, connectivity="connected")
             assert harness._sweep_size(connected) == harness._sweep_size(spec)
+            assert harness._sweep_arcs(connected) == harness._sweep_arcs(spec)
     assert harness._sweep_size(cp.SweepSpec(n_min=2, n_max=20)) == 1_051_604 <= harness.MAX_SWEEP_SETS
     assert harness._sweep_size(cp.SweepSpec(n_min=2, n_max=21, modes=(cp.DIRECTED,))) == 2_097_130
     assert harness._sweep_size(cp.SweepSpec(n_min=5, n_max=4)) == 0
@@ -55,6 +58,21 @@ def test_the_sweep_size_is_counted_without_generating_a_set():
     for n_min, n_max in ((2, 10**9), (10**9, 10**9), (10**9, 2 * 10**9)):
         size = harness._sweep_size(cp.SweepSpec(n_min=n_min, n_max=n_max))
         assert harness.MAX_SWEEP_SETS < size < 8 * harness.MAX_SWEEP_SETS
+
+
+def test_the_arc_ceiling_admits_both_modes_to_n20_and_refuses_directed_n21_and_undirected_n38():
+    ceiling, directed, undirected = harness.MAX_SWEEP_ARCS, (cp.DIRECTED,), (cp.UNDIRECTED,)
+    assert harness._sweep_arcs(cp.SweepSpec(n_min=2, n_max=20)) == 180_819_942 <= ceiling
+    assert harness._sweep_arcs(cp.SweepSpec(n_min=36, n_max=36, modes=undirected)) == 165_150_720 <= ceiling
+    assert harness._sweep_arcs(cp.SweepSpec(n_min=21, n_max=21, modes=directed)) == 220_200_960 > ceiling
+    assert harness._sweep_arcs(cp.SweepSpec(n_min=38, n_max=38, modes=undirected)) == 368_574_464 > ceiling
+    assert harness._sweep_arcs(cp.SweepSpec(n_min=40, n_max=40, modes=undirected)) == 817_889_280 > ceiling
+    # both fit the set budget, so only the arcs refuse them
+    assert harness._sweep_size(cp.SweepSpec(n_min=40, n_max=40, modes=undirected)) <= harness.MAX_SWEEP_SETS
+    assert harness._sweep_size(cp.SweepSpec(n_min=21, n_max=21, modes=directed)) <= harness.MAX_SWEEP_SETS
+    # past the ceiling the count stops at the first n past it, and caps each exponent
+    assert harness._sweep_arcs(cp.SweepSpec(n_min=2, n_max=10**9, modes=directed)) == 400_556_030
+    assert ceiling < harness._sweep_arcs(cp.SweepSpec(n_min=10**9, n_max=2 * 10**9)) < 10**9 * 10**9 * 2**30
 
 
 def test_a_sweep_over_the_budget_is_refused_before_any_set_is_made(monkeypatch):
@@ -71,6 +89,23 @@ def test_a_sweep_over_the_budget_is_refused_before_any_set_is_made(monkeypatch):
     monkeypatch.setattr(harness, "_block_sets", unmade)
     message = f"the sweep has at least {size} connection sets, more than the limit {size - 1}"
     with pytest.raises(cp.ResourceLimitError, match=message):
+        cp.verify_theorem(spec)
+
+
+def test_a_sweep_over_the_arc_ceiling_is_refused_before_any_set_is_made(monkeypatch):
+    spec = cp.SweepSpec(n_min=2, n_max=6, modes=(cp.UNDIRECTED,))
+    arcs = harness._sweep_arcs(spec)
+    assert arcs == sum(cs.n * len(cs.elements) for cs in cp.generate_instances(spec)) == 192
+    monkeypatch.setattr(harness, "MAX_SWEEP_ARCS", arcs)
+    assert cp.verify_theorem(spec).aggregates["instances"] > 0  # at the ceiling, the sweep runs
+
+    def unmade(*args):
+        raise AssertionError("a set was made")
+
+    monkeypatch.setattr(harness, "MAX_SWEEP_ARCS", arcs - 1)
+    monkeypatch.setattr(harness, "_sweep_block", unmade)
+    monkeypatch.setattr(harness, "_block_sets", unmade)
+    with pytest.raises(cp.ResourceLimitError, match=f"the sweep has at least {arcs} arcs, more than the limit {arcs - 1}"):
         cp.verify_theorem(spec)
 
 
@@ -688,6 +723,35 @@ def test_a_fault_in_any_process_ends_the_sweep_and_every_worker(tmp_path, worker
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert (done.returncode, done.stdout, done.stderr.splitlines()[-1:]) == (code, "children []\n", [message])
+    assert not (tmp_path / "r.json").exists()
+
+
+CUT_OFF_SEND = """
+import os, struct, sys
+from circpart import cli, harness
+
+os.cpu_count = lambda: 2
+
+def cut_off(spec, stripe, conn):  # a header that announces 1,000 bytes, then 10 of them
+    os.write(conn.fileno(), struct.pack("!i", 1000) + bytes(10))
+    os._exit(1)
+
+harness._worker = cut_off
+sys.exit(cli.main(["verify", "--n-min", "2", "--n-max", "8", "--mode", "d", "--jobs", "2", "--out", sys.argv[1]]))
+"""
+
+
+def test_a_worker_cut_off_while_it_sends_ends_the_sweep_with_exit_3(tmp_path):
+    # the caller's recv raises OSError("got end of file during message"), not EOFError, on a cut-off message
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched worker reaches the child only through fork")
+    env = {**os.environ, "PYTHONPATH": str(Path(cp.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", CUT_OFF_SEND, str(tmp_path / "r.json")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    message = "resource limit: a sweep worker ended with exit code 1 before it sent its rows"
+    assert (done.returncode, done.stdout, done.stderr.splitlines()[-1:]) == (3, "", [message])
     assert not (tmp_path / "r.json").exists()
 
 

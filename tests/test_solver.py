@@ -495,6 +495,71 @@ def test_elements_are_the_distinct_transversal_products():
         assert all(compose(p, q) in members for q in sols)
 
 
+def orbit_closure(point, gens):
+    orbit, queue = {point}, [point]
+    for x in queue:
+        for g in gens:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                queue.append(g[x])
+    return orbit
+
+
+def test_each_admission_extends_its_level_to_the_orbit_of_its_base_point(monkeypatch):
+    # after every admission, level i's transversal sends base[i] to each key, fixes base[:i], and its
+    # keys are the orbit of base[i] under the generators of level i and deeper, closed here afresh
+    extend, admitted = solver._extend_transversal, []
+
+    def recorded(trans, gens):
+        extend(trans, gens)
+        admitted.append((dict(trans), list(gens)))
+
+    monkeypatch.setattr(solver, "_extend_transversal", recorded)
+    spec = cp.SweepSpec(n_min=2, n_max=10)
+    searches = extensions = admissions = regrown = 0
+    for cs in cp.generate_instances(spec):
+        for kind in ("B", "C"):
+            partition = cp.arc_partition(cs, kind)
+            for fix_zero in (True, False):
+                admitted.clear()
+                group = cp.respecting_group(cs, partition, fix_zero=fix_zero)
+                base, searches = group.base, searches + 1
+                extensions += len(admitted)
+                admissions += len(group.strong_generators())
+                for trans, gens in admitted:
+                    point = next(iter(trans))
+                    i = base.index(point)
+                    deeper = {p for level in group.generators[i + 1 :] for p in level}
+                    assert deeper <= set(gens) <= deeper | set(group.generators[i])
+                    regrown += len(set(gens) - deeper) > 1  # a level's second generator or later
+                    assert set(trans) == orbit_closure(point, gens)
+                    assert all(t[point] == x for x, t in trans.items())
+                    assert all(t[b] == b for t in trans.values() for b in base[:i])
+                finished = {next(iter(trans)): trans for trans, _ in admitted}  # each level's last
+                assert [finished.get(b, {b: identity(cs.n)}) for b in base] == list(group.transversals)
+    assert searches == 4 * len(list(cp.generate_instances(spec)))
+    assert extensions == admissions  # one extension per generator
+    assert regrown > 0  # 40 of the 3,296 extensions grow an orbit that a generator already grew
+
+
+def product_listing(group):
+    elems = [identity(len(group.base))]
+    for trans in reversed(group.transversals):  # every level, the fixed ones too
+        elems = [compose(t, h) for t in trans.values() for h in elems]
+    return sorted(elems)
+
+
+@pytest.mark.parametrize(
+    "text, kind, moving",
+    [("7:1,3:d", "C", 0), ("7:1,6:u", "C", 1), ("12:1,11:u", "B", 1), ("8:2,4,6:u", "C", 3), ("6:3:u", "C", 2)],
+)
+def test_elements_are_the_product_listing_from_the_first_moving_level(text, kind, moving):
+    g = cp.parse_instance(text)
+    group = cp.respecting_group(g, cp.arc_partition(g, kind))
+    assert sum(len(trans) > 1 for trans in group.transversals) == moving
+    assert group.elements() == product_listing(group)
+
+
 @pytest.mark.parametrize("text", ["7:1,6:u", "6:2,4:d", "6:3:u", "7:1,2,4:d", "6:1,2,3,4,5:d"])
 def test_membership_sifts_through_the_transversals(text):
     # every permutation fixing 0 is in the group exactly when it is one of the listed elements
