@@ -115,6 +115,9 @@ class ConnectionSet:
           arc leaving ``order[d]``, when undirected (both arcs of an edge share a part);
         * ``parent_arcs[u]``: the index of the arc by which the walk placed u, from the previous
           vertex on its cycle, u's parent (None for a root);
+        * ``lone[d]``: whether the arc that placed ``order[d]``, by s, is the only arc of its generator
+          class from the parent into ``order[d:]``: always when directed, and when undirected if the
+          class's other arc, to parent - s, ends above d or at ``order[d]`` (False for a root);
         * ``shortcuts[d]``: each image x of ``order[d]`` under a multiplier j != 1 that fixes
           ``order[:d]``, mapped to one such j; the table stops at the first depth with no such j left.
         """
@@ -135,6 +138,11 @@ class ConnectionSet:
                             order.append(w)
                             prev, w = w, (w + s) % n
         pairs, directed = list(zip(elements, range(width))), self.directed
+        lone = [False] * n
+        for d, u in enumerate(order):
+            if (arc := parent_arcs[u]) is not None:
+                w = (arc // width - elements[arc % width]) % n
+                lone[d] = directed or depth[w] < d or w == u
         outs: list[list] = []
         back: list[list] = [[] for _ in range(n)]
         for u in range(n):  # out-neighbours ascending: the s with u + s >= n wrap round to the front
@@ -153,7 +161,7 @@ class ConnectionSet:
             for j in units:
                 table.setdefault(j * u % n, j)
             units = [j for j in units if j * u % n == u]
-        return order, outs, back, parent_arcs, shortcuts
+        return order, outs, back, parent_arcs, lone, shortcuts
 
 
 def build(n: int, elements, mode: str) -> ConnectionSet:
@@ -212,10 +220,12 @@ class ArcPartition:
 
     ``labels[u*|S| + k]`` is the part of arc (u, u+s_k), for s_k the k-th
     element of the ascending S; ``count`` parts are labelled by the ints 0 to
-    count-1, each label used, and ``sizes`` counts each part's arcs. A
-    partition made by hand counts both in one pass over its labels, and
-    refuses with ValueError labels of another length, type or numbering;
-    ``arc_partition`` knows both from its classes and skips the pass.
+    count-1, each label used, and ``sizes`` counts each part's arcs.
+    ``within_classes`` is true when each part lies inside one generator
+    class, {s} when directed and {s, n-s} when undirected. A partition made
+    by hand works out all three in one pass over its labels, and refuses
+    with ValueError labels of another length, type or numbering;
+    ``arc_partition`` knows them from its classes and skips the pass.
     ``period``, read on first use, is the least P dividing n such that the
     labels are their first P*|S| repeated: the labels of the arcs of u depend
     on u mod P only. The storage is internal: ``parts()`` gives each part as
@@ -227,21 +237,29 @@ class ArcPartition:
     labels: tuple[int, ...]
     count: int = field(init=False, repr=False, compare=False)
     sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    within_classes: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_kind(self.kind)
-        sizes, arcs = Counter(self.labels), self.cs.n * len(self.cs.elements)
+        n, elements = self.cs.n, self.cs.elements
+        classes = [s if self.cs.directed else min(s, n - s) for s in elements] * n  # each arc's class
+        shares, sizes = Counter(zip(self.labels, classes)), Counter()  # each part's arcs in each class
+        for (label, _), size in shares.items():
+            sizes[label] += size
+        arcs = n * len(elements)
         numbered = all(type(label) is int for label in sizes) and sorted(sizes) == list(range(len(sizes)))
         if len(self.labels) != arcs or not numbered:
             raise ValueError(f"need {arcs} int labels, one per arc, numbered 0 to count-1 with each used")
         object.__setattr__(self, "count", len(sizes))
         object.__setattr__(self, "sizes", tuple(map(sizes.__getitem__, range(len(sizes)))))
+        object.__setattr__(self, "within_classes", len(shares) == len(sizes))
 
     @classmethod
     def _counted(cls, kind: str, cs: ConnectionSet, labels: tuple[int, ...], sizes: tuple[int, ...]) -> ArcPartition:
-        """The partition with the part sizes its builder counted, made without ``__post_init__``'s pass."""
+        """The partition with the part sizes its builder counted, its parts inside classes, made without
+        ``__post_init__``'s pass."""
         partition = cls.__new__(cls)
-        vars(partition).update(kind=kind, cs=cs, labels=labels, count=len(sizes), sizes=sizes)
+        vars(partition).update(kind=kind, cs=cs, labels=labels, count=len(sizes), sizes=sizes, within_classes=True)
         return partition
 
     @cached_property

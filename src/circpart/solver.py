@@ -124,7 +124,11 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
     Level i's pass undoes its part of the lay-down, so every level above it
     holds the identity's state and every level below it is complete, and
     lists the identity's candidates for ``order[i]``; a candidate already in
-    the level's orbit is skipped. Below any other candidate a depth-first
+    the level's orbit is skipped. A forced level is finished with no list:
+    when each part lies inside one generator class
+    (``partition.within_classes``), the plan's ``lone[i]`` holds and the part
+    of ``order[i]``'s parent arc was mapped by a depth above i, the only
+    candidate is ``order[i]`` itself. Below any other candidate a depth-first
     descent stops at the first leaf that passes a full re-check, one
     ``part_map`` pass (every arc's image is an arc, and the label map is
     well defined and injective): that leaf joins the generators of level i
@@ -150,15 +154,18 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
     if partition.cs != graph:
         raise ValueError("partition does not partition this graph's arcs")
 
-    order, outs, back, parent_arcs, shortcuts = graph._search_plan
+    order, outs, back, parent_arcs, lone, shortcuts = graph._search_plan
     labels, slot, part_sizes, width = partition.labels, graph.slot, partition.sizes, len(graph.elements)
     # The identity path, laid down whole: each depth maps to themselves the parts of its back arcs
-    # that no earlier depth mapped, and records them for ``undo``.
+    # that no earlier depth mapped, and records them for ``undo``. A depth is forced when its vertex is
+    # the identity's only candidate: its parent arc is lone and its part is mapped above it.
     images = list(range(n))
     used = [True] * n
     part_map = [-1] * len(part_sizes)
     added_at: list = []
-    for arcs in back:
+    forced: list = []
+    for depth, arcs in enumerate(back):
+        forced.append(partition.within_classes and lone[depth] and part_map[labels[parent_arcs[order[depth]]]] >= 0)
         added_at.append(added := [])
         for _, a, _ in arcs:
             if part_map[sp := labels[a]] < 0:
@@ -246,6 +253,8 @@ def respecting_group(graph: ConnectionSet, partition: ArcPartition, *, fix_zero:
 
     for top in reversed(range(n)):
         undo(top)  # the levels above hold the identity's state, so these are its candidates
+        if forced[top]:  # order[top] alone, already in the orbit
+            continue
         for v in candidates(order[top]):
             if v in transversals[top]:  # order[top] itself among them: its subtree is done
                 continue

@@ -337,4 +337,4 @@ def test_respecting_group_label_reads():
                     cp.respecting_group(cs, counted, fix_zero=fix_zero)
                     count += 1
     assert count == 5_520
-    assert reads == 1_193_930
+    assert reads == 1_096_986

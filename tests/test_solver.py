@@ -225,6 +225,44 @@ def test_oracle_family_test_on_partitions_beyond_b_and_c():
     assert equal_sizes > 300 and nontrivial > 400, (equal_sizes, nontrivial)
 
 
+def test_the_search_agrees_with_the_oracle_on_any_partition():
+    """Every set to n = 7, both modes, on partitions beyond B and C (free labels, equal sizes, by vertex
+    residue, unions of C parts), ``fix_zero`` both ways: the search lists what the oracle lists. A level
+    is finished as forced only when each part lies inside one generator class; on a partition whose
+    parts straddle classes the parent arc's part admits other candidates, so a skip that ignored the
+    partition would lose elements (on 4:1,2,3:d with every arc in one part, 3 of the 6)."""
+    rng = random.Random(5)
+    cases = straddling = 0
+    for g in small_graphs(7):
+        n, elements = g.n, g.elements
+        classes = [s if g.directed else min(s, n - s) for s in elements] * n  # the class of each arc
+        for kind in ("B", "C"):  # inside classes as built and as relabelled by hand
+            built = cp.arc_partition(g, kind)
+            reversed_labels = tuple(built.count - 1 - label for label in built.labels)
+            assert built.within_classes and cp.ArcPartition(kind, g, reversed_labels).within_classes
+        if len(set(classes)) > 1:  # kind B with its first two classes merged straddles them
+            merged = tuple(max(label - 1, 0) for label in cp.arc_partition(g, "B").labels)
+            assert not cp.ArcPartition("B", g, merged).within_classes
+        for partition in random_partitions(g, rng):
+            owners = [set() for _ in range(partition.count)]
+            for label, owner in zip(partition.labels, classes):
+                owners[label].add(owner)
+            assert partition.within_classes == all(len(owner) == 1 for owner in owners)
+            straddling += not partition.within_classes
+            for fix_zero in (True, False):
+                expected = cp.brute_oracle(g, [partition], fix_zero=fix_zero)[0]
+                assert cp.enumerate_respecting(g, partition, fix_zero=fix_zero) == expected, (
+                    cp.instance_key(g),
+                    partition.labels,
+                    fix_zero,
+                )
+                cases += 1
+    assert cases == 1_136 and straddling > 0, (cases, straddling)
+    g = cp.parse_instance("4:1,2,3:d")
+    one_part = cp.ArcPartition("B", g, (0,) * 12)
+    assert not one_part.within_classes and len(cp.enumerate_respecting(g, one_part)) == 6
+
+
 @pytest.mark.parametrize("rejection", ["none", "raise"])
 def test_a_leaf_that_fails_its_recheck_is_not_a_generator(rejection, monkeypatch):
     checked = []
@@ -253,7 +291,8 @@ def test_no_leaf_fails_its_recheck_and_the_back_arcs_cover_the_graph_once(monkey
     incremental checks leave the leaf re-check nothing to reject, so a part that the unchecked
     identity path left unmapped would show as a failed leaf; the plan's order is a permutation whose
     roots are the least vertices of the components, and every other vertex's parent arc ends at it
-    from an earlier vertex; and the plan's back arcs, over all depths, name each arc once when
+    from an earlier vertex and is ``lone`` exactly when no other arc of its class leaves the parent
+    for the vertex or a later one; and the plan's back arcs, over all depths, name each arc once when
     directed and each edge once when undirected."""
     results = []
 
@@ -275,7 +314,7 @@ def test_no_leaf_fails_its_recheck_and_the_back_arcs_cover_the_graph_once(monkey
         for n in range(2, n_max + 1):
             for elements in subsets(n):
                 g = cp.build(n, elements, mode)
-                order, _, back, parent_arcs, _ = g._search_plan
+                order, _, back, parent_arcs, lone, _ = g._search_plan
                 assert sorted(order) == list(range(n))
                 roots = [u for u in order if parent_arcs[u] is None]
                 assert roots == list(range(math.gcd(n, *elements))), elements
@@ -283,6 +322,12 @@ def test_no_leaf_fails_its_recheck_and_the_back_arcs_cover_the_graph_once(monkey
                     if parent_arcs[u] is not None:
                         tail, k = divmod(parent_arcs[u], len(elements))
                         assert (tail + elements[k]) % n == u and order.index(tail) < depth, elements
+                        # lone: the parent arc is the only arc of its generator class from tail into order[depth:]
+                        s = elements[k]
+                        into = {t for t in {s, s if g.directed else n - s} if order.index((tail + t) % n) >= depth}
+                        assert lone[depth] == (into == {s}), elements
+                    else:
+                        assert not lone[depth], elements
                 covered = []
                 for depth, (u, arcs) in enumerate(zip(order, back)):
                     for w, a, leaves in arcs:
