@@ -52,8 +52,8 @@ from .zmod import _units
 
 CONNECTIVITY_CHOICES = ("connected", "disconnected", "all")
 ENUMERATOR_CHOICES = ("backtracking", "both")
-MAX_SWEEP_SETS = 1_100_000  # both modes to n = 20 (1,051,604 sets); directed to n = 21 is 2,097,130
-# Both modes to n = 20 have 180,819,942 arcs; directed n = 21 alone has 220,200,960, undirected n = 38 368,574,464.
+# Both modes to n = 20 have 180,819,942 arcs in 1,051,604 sets, the most sets of any range under the
+# ceiling; directed n = 21 alone has 220,200,960 arcs, undirected n = 38 368,574,464.
 MAX_SWEEP_ARCS = 181_000_000
 
 
@@ -180,33 +180,21 @@ class VerificationReport:
     failures: tuple[SweepFailure, ...]
 
 
-def _sweep_count(spec: SweepSpec, term: Callable[[int, int], int], limit: int) -> int:
-    """The sum of term(n, e) over the sweep's n and modes, for e = n - 1 directed and floor(n/2)
-    undirected: the number of classes {s} or {s, n-s} that a set of Z_n is drawn from.
+def _sweep_arcs(spec: SweepSpec) -> int:
+    """The arcs of the sets the sweep generates before the connectivity filter, the sum of n*|S|,
+    counted without generating any: n(n-1)*2^(n-2) directed and n(n-1)*2^(floor(n/2)-1) undirected
+    per n. Each of the n-1 nonzero residues lies in half of the sets, and each brings n arcs.
 
-    Exact up to ``limit``; past it, a lower bound that is still past it. The count stops at the
-    first n that takes it past the limit, and caps each e at the limit's bit length, so that a
-    huge n_min or n_max costs no more than a few terms.
+    Exact up to ``MAX_SWEEP_ARCS``; past it, a lower bound that is still past it. The count stops at
+    the first n that takes it past the ceiling, and caps each exponent at the ceiling's bit length,
+    so that a huge n_min or n_max costs no more than a few terms.
     """
-    total, cap = 0, limit.bit_length()
+    total, cap = 0, MAX_SWEEP_ARCS.bit_length()
     for n in range(spec.n_min, spec.n_max + 1):
-        total += sum(term(n, min(n - 1 if mode == DIRECTED else n // 2, cap)) for mode in spec.modes)
-        if total > limit:
+        total += sum(n * (n - 1) << (min(n - 1 if mode == DIRECTED else n // 2, cap) - 1) for mode in spec.modes)
+        if total > MAX_SWEEP_ARCS:
             break
     return total
-
-
-def _sweep_size(spec: SweepSpec) -> int:
-    """The connection sets the sweep generates before the connectivity filter, counted without
-    generating any: 2^(n-1) - 1 directed and 2^floor(n/2) - 1 undirected per n."""
-    return _sweep_count(spec, lambda n, e: 2**e - 1, MAX_SWEEP_SETS)
-
-
-def _sweep_arcs(spec: SweepSpec) -> int:
-    """The arcs of those sets, the sum of n*|S|, counted without generating any: n(n-1)*2^(n-2)
-    directed and n(n-1)*2^(floor(n/2)-1) undirected per n. Each of the n-1 nonzero residues lies
-    in half of the sets, and each brings n arcs."""
-    return _sweep_count(spec, lambda n, e: n * (n - 1) << (e - 1), MAX_SWEEP_ARCS)
 
 
 def _blocks(spec: SweepSpec) -> list[tuple[int, str, int]]:
@@ -478,15 +466,12 @@ def verify_theorem(spec: SweepSpec) -> VerificationReport:
     through, raises ResourceLimitError, and an exception in a worker's
     blocks is raised here.
 
-    A sweep of more than the fixed ``MAX_SWEEP_SETS`` connection sets
-    (``_sweep_size``), which bounds its memory, or of more than the fixed
-    ``MAX_SWEEP_ARCS`` arcs over all its sets (``_sweep_arcs``), which
-    bounds its time, both counted before the connectivity filter, raises
-    ResourceLimitError before any set or block is made.
+    A sweep of more than the fixed ``MAX_SWEEP_ARCS`` arcs over all its
+    sets (``_sweep_arcs``), counted before the connectivity filter, raises
+    ResourceLimitError before any set or block is made. The ceiling bounds
+    the sweep's time, and its rows too: no range under it has more than
+    1,051,604 sets.
     """
-    size = _sweep_size(spec)
-    if size > MAX_SWEEP_SETS:
-        raise ResourceLimitError(f"the sweep has at least {size} connection sets, more than the limit {MAX_SWEEP_SETS}")
     arcs = _sweep_arcs(spec)
     if arcs > MAX_SWEEP_ARCS:
         raise ResourceLimitError(f"the sweep has at least {arcs} arcs, more than the limit {MAX_SWEEP_ARCS}")

@@ -169,12 +169,14 @@ def test_verify_is_refused_above_the_sweep_budget_before_any_set_is_swept(tmp_pa
 
     monkeypatch.setattr(harness, "_sweep_block", unswept)
     out = tmp_path / "r.json"
-    assert main(["verify", "--n-min", "2", "--n-max", "40", "--out", str(out)]) == 3
-    assert not out.exists()
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("resource limit: the sweep has at least ")
-    assert captured.err.endswith(f" connection sets, more than the limit {harness.MAX_SWEEP_SETS}\n")
+    # both modes to n = 40, and directed to n = 21 alone (2,097,130 sets)
+    for n_max, mode in (("40", "both"), ("21", "d")):
+        assert main(["verify", "--n-min", "2", "--n-max", n_max, "--mode", mode, "--out", str(out)]) == 3
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("resource limit: the sweep has at least ")
+        assert captured.err.endswith(f" arcs, more than the limit {harness.MAX_SWEEP_ARCS}\n")
 
 
 def test_build_is_refused_above_the_arc_limit(monkeypatch, capsys):

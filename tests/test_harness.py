@@ -40,24 +40,16 @@ def test_generate_instances_connected_filter():
     assert got == {(2, 4), (3,)}
 
 
-def test_the_sweep_size_is_counted_without_generating_a_set():
+def test_the_sweep_arcs_are_counted_without_generating_a_set():
     for n_max in range(2, 13):
         for modes in ((cp.DIRECTED,), (cp.UNDIRECTED,), (cp.DIRECTED, cp.UNDIRECTED)):
             spec = cp.SweepSpec(n_min=2, n_max=n_max, modes=modes)
             sets = list(cp.generate_instances(spec))
-            assert harness._sweep_size(spec) == len(sets), (n_max, modes)
             assert harness._sweep_arcs(spec) == sum(cs.n * len(cs.elements) for cs in sets), (n_max, modes)
             # counted before the connectivity filter
             connected = dataclasses.replace(spec, connectivity="connected")
-            assert harness._sweep_size(connected) == harness._sweep_size(spec)
             assert harness._sweep_arcs(connected) == harness._sweep_arcs(spec)
-    assert harness._sweep_size(cp.SweepSpec(n_min=2, n_max=20)) == 1_051_604 <= harness.MAX_SWEEP_SETS
-    assert harness._sweep_size(cp.SweepSpec(n_min=2, n_max=21, modes=(cp.DIRECTED,))) == 2_097_130
-    assert harness._sweep_size(cp.SweepSpec(n_min=5, n_max=4)) == 0
-    # past the budget the count stops early and caps each exponent, so a huge range is not summed
-    for n_min, n_max in ((2, 10**9), (10**9, 10**9), (10**9, 2 * 10**9)):
-        size = harness._sweep_size(cp.SweepSpec(n_min=n_min, n_max=n_max))
-        assert harness.MAX_SWEEP_SETS < size < 8 * harness.MAX_SWEEP_SETS
+    assert harness._sweep_arcs(cp.SweepSpec(n_min=5, n_max=4)) == 0
 
 
 def test_the_arc_ceiling_admits_both_modes_to_n20_and_refuses_directed_n21_and_undirected_n38():
@@ -67,29 +59,29 @@ def test_the_arc_ceiling_admits_both_modes_to_n20_and_refuses_directed_n21_and_u
     assert harness._sweep_arcs(cp.SweepSpec(n_min=21, n_max=21, modes=directed)) == 220_200_960 > ceiling
     assert harness._sweep_arcs(cp.SweepSpec(n_min=38, n_max=38, modes=undirected)) == 368_574_464 > ceiling
     assert harness._sweep_arcs(cp.SweepSpec(n_min=40, n_max=40, modes=undirected)) == 817_889_280 > ceiling
-    # both fit the set budget, so only the arcs refuse them
-    assert harness._sweep_size(cp.SweepSpec(n_min=40, n_max=40, modes=undirected)) <= harness.MAX_SWEEP_SETS
-    assert harness._sweep_size(cp.SweepSpec(n_min=21, n_max=21, modes=directed)) <= harness.MAX_SWEEP_SETS
     # past the ceiling the count stops at the first n past it, and caps each exponent
     assert harness._sweep_arcs(cp.SweepSpec(n_min=2, n_max=10**9, modes=directed)) == 400_556_030
     assert ceiling < harness._sweep_arcs(cp.SweepSpec(n_min=10**9, n_max=2 * 10**9)) < 10**9 * 10**9 * 2**30
 
 
-def test_a_sweep_over_the_budget_is_refused_before_any_set_is_made(monkeypatch):
-    spec = cp.SweepSpec(n_min=2, n_max=6, connectivity="connected")
-    size = harness._sweep_size(spec)
-    monkeypatch.setattr(harness, "MAX_SWEEP_SETS", size)
-    assert cp.verify_theorem(spec).aggregates["instances"] > 0  # at the budget, the sweep runs
+def test_the_arc_ceiling_admits_at_most_the_sets_of_both_modes_to_n20():
+    # the ceiling bounds a sweep's rows too: no range under it has more sets than both modes to n = 20
+    ceiling, directed, undirected = harness.MAX_SWEEP_ARCS, (cp.DIRECTED,), (cp.UNDIRECTED,)
 
-    def unmade(*args):
-        raise AssertionError("a set was made")
+    def sets(spec):
+        ns = range(spec.n_min, spec.n_max + 1)
+        return sum(2 ** (n - 1 if mode == cp.DIRECTED else n // 2) - 1 for n in ns for mode in spec.modes)
 
-    monkeypatch.setattr(harness, "MAX_SWEEP_SETS", size - 1)
-    monkeypatch.setattr(harness, "_sweep_block", unmade)
-    monkeypatch.setattr(harness, "_block_sets", unmade)
-    message = f"the sweep has at least {size} connection sets, more than the limit {size - 1}"
-    with pytest.raises(cp.ResourceLimitError, match=message):
-        cp.verify_theorem(spec)
+    kept = [
+        spec
+        for modes in (directed, undirected, (cp.DIRECTED, cp.UNDIRECTED))
+        for n_min in range(2, 45)
+        for n_max in range(n_min, 45)
+        if harness._sweep_arcs(spec := cp.SweepSpec(n_min=n_min, n_max=n_max, modes=modes)) <= ceiling
+    ]
+    assert max(map(sets, kept)) == sets(cp.SweepSpec(n_min=2, n_max=20)) == 1_051_604
+    assert harness._sweep_arcs(cp.SweepSpec(n_min=21, n_max=21, modes=directed)) > ceiling
+    assert harness._sweep_arcs(cp.SweepSpec(n_min=38, n_max=38, modes=undirected)) > ceiling
 
 
 def test_a_sweep_over_the_arc_ceiling_is_refused_before_any_set_is_made(monkeypatch):
