@@ -6,10 +6,10 @@ multipliers is checked in full (the group of respecting automorphisms
 from its generators, compared with the multiplier group); each later set
 of the orbit takes that row as it arrives. The rows form a deterministic
 report.
-Per-instance rows are keyed and ordered by (n, mode, set size, set), never
-by completion time, so the report content is independent of the worker
-count. Wall-clock timings are kept for the CSV view but excluded from JSON
-exports, which are byte-stable.
+Sets are generated in report order, (n, mode, set size, set), so the
+blocks' rows, put end to end in block order, are the report, whatever the
+worker count; nothing is sorted. Wall-clock timings are kept for the CSV
+view but excluded from JSON exports, which are byte-stable.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import multiprocessing
 import operator
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _json_str  # what json.dumps writes a str as
 from pathlib import Path
@@ -178,6 +179,9 @@ class VerificationReport:
     instances: tuple[InstanceResult, ...]
     aggregates: dict
     failures: tuple[SweepFailure, ...]
+    # The rows of each nonempty block as ``_json_rows`` rendered them where the block was swept. Only
+    # verify_theorem sets it; a report made any other way, by dataclasses.replace too, has None.
+    _json_blocks: tuple[str, ...] | None = field(default=None, init=False, compare=False, repr=False)
 
 
 def _sweep_arcs(spec: SweepSpec) -> int:
@@ -198,34 +202,51 @@ def _sweep_arcs(spec: SweepSpec) -> int:
 
 
 def _blocks(spec: SweepSpec) -> list[tuple[int, str, int]]:
-    """The (n, mode, size) blocks in generation order; size is |S|, or the number of classes {s, n-s} if undirected."""
-    modes = [(n, mode) for n in range(spec.n_min, spec.n_max + 1) for mode in spec.modes]
+    """The (n, mode, size) blocks in report order, "directed" before "undirected" whatever the order of
+    ``spec.modes``; size is |S|, or the number of classes {s, n-s} if undirected."""
+    modes = [(n, mode) for n in range(spec.n_min, spec.n_max + 1) for mode in sorted(spec.modes)]
     return [(n, mode, size) for n, mode in modes for size in range(1, n if mode == DIRECTED else n // 2 + 1)]
 
 
 def _block_sets(spec: SweepSpec, block: tuple[int, str, int]):
-    """The connection sets of one block, lexicographically, filtered by the connectivity flag."""
+    """The connection sets of one block in report order, by |S| then lexicographically, filtered by the
+    connectivity flag.
+
+    A directed block is its combinations in lex order. An undirected set is its classes' least members
+    s < n - s, then the n - s, with n/2 once if n is even. Within one |S| its least members decide, so
+    lex order of sets is lex order of combinations; for even n the sets that hold n/2 have one element
+    fewer and come first. A unit j of an even n is odd, so j*n/2 = n/2: no unit orbit has sets in both
+    groups, and each orbit's first set is the one it would be in plain lex order of combinations.
+    """
     n, mode, size = block
-    for combo in itertools.combinations(range(1, n if mode == DIRECTED else n // 2 + 1), size):
-        # undirected: each set of representatives s <= n/2, closed under s -> n-s
-        elements = combo if mode == DIRECTED else tuple(sorted({t for s in combo for t in (s, n - s)}))
+    if mode == DIRECTED:
+        combos = itertools.combinations(range(1, n), size)
+    else:
+        low = range(1, (n + 1) // 2)  # s < n - s
+        combos = itertools.combinations(low, size)
+        if n % 2 == 0:
+            combos = itertools.chain((c + (n // 2,) for c in itertools.combinations(low, size - 1)), combos)
+    for combo in combos:
+        elements = combo if mode == DIRECTED else combo + tuple(n - s for s in reversed(combo) if 2 * s != n)
         if spec.connectivity == "all" or (math.gcd(n, *elements) == 1) == (spec.connectivity == "connected"):
             yield ConnectionSet(n, elements, mode)
 
 
 def generate_instances(spec: SweepSpec):
-    """Deterministic stream of connection sets covered by the sweep, block by block.
+    """Deterministic stream of connection sets covered by the sweep, block by block, in report order.
 
     Directed mode yields every nonempty subset of 1..n-1; undirected mode
-    every nonempty inverse-closed subset, both ordered by size then
-    lexicographically, filtered by the connectivity flag.
+    every nonempty inverse-closed subset, filtered by the connectivity flag.
+    The order is the report's: by n, then mode ("directed" first), then |S|,
+    then lexicographically.
     """
     for block in _blocks(spec):
         yield from _block_sets(spec, block)
 
 
-def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> list:
-    """One block in, one (row, failures) pair per set out, in one pass in generation order.
+def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> tuple[list, list, str]:
+    """One block in; its rows, its failures and its rows rendered by ``_json_rows`` out, in one pass in
+    generation order, which is report order. The rows are rendered once every row's ``ms`` is taken.
 
     Every row is built here, from the set's own columns (its elements, its
     propagation and ``ms``) and its orbit columns: a full check's
@@ -243,7 +264,7 @@ def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> list:
     n = block[0]
     units = _units(n) if spec.enumerator == "backtracking" else ()
     pending: dict = {}  # a later set's elements -> (its representative's source or None, its j)
-    out = []
+    rows, block_failures = [], []
     for cs in _block_sets(spec, block):
         entry = pending.pop(cs.elements, None)
         started = time.perf_counter()
@@ -273,8 +294,9 @@ def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> list:
                 image = tuple(sorted(j * s % n for s in cs.elements))
                 if image != cs.elements:
                     pending.setdefault(image, (source, j))
-        out.append((row, tuple(failures)))
-    return out
+        rows.append(row)
+        block_failures += failures
+    return rows, block_failures, _json_rows(rows)
 
 
 def _derived(
@@ -361,9 +383,11 @@ _row_fields = operator.attrgetter(*(f.name for f in fields(InstanceResult)))
 
 
 def _worker(spec: SweepSpec, stripe: list, conn) -> None:
-    """A worker process: sends its stripe's rows once, as field tuples with their failures, or the exception raised."""
+    """A worker process: sends its stripe once, each block as its rows' field tuples, its failures and its
+    rendered rows, or the exception raised."""
     try:
-        message = [(_row_fields(row), failures) for block in stripe for row, failures in _sweep_block(spec, block)]
+        swept = (_sweep_block(spec, block) for block in stripe)
+        message = [(list(map(_row_fields, rows)), failures, text) for rows, failures, text in swept]
     except Exception as exc:
         message = exc
     conn.send(message)
@@ -371,15 +395,20 @@ def _worker(spec: SweepSpec, stripe: list, conn) -> None:
 
 
 def _sweep(spec: SweepSpec, blocks: list) -> list:
-    """The (row, failures) pairs of ``blocks``, swept in p = max(1, min(jobs, blocks, processor cores)) processes.
+    """The (rows, failures, rendered rows) of each of ``blocks``, in block order, swept in
+    p = max(1, min(jobs, blocks, processor cores)) processes.
 
-    Process i sweeps the stripe ``blocks[i::p]`` in order: this one is process
-    0, and each worker is started with its stripe. A worker that ends without
-    sending its rows, or part-way through, raises ResourceLimitError; an
-    exception a worker sends is raised here. Any exception terminates every
-    worker, and every worker is joined before this returns or raises.
+    Process i sweeps the stripe ``blocks[i::p]`` in order and renders each
+    block's rows as it finishes the block: this one is process 0, and each
+    worker is started with its stripe. The stripes are laid back into block
+    order, which is report order, so nothing is sorted. A worker that ends
+    without sending its rows, or part-way through, raises
+    ResourceLimitError; an exception a worker sends is raised here. Any
+    exception terminates every worker, and every worker is joined before
+    this returns or raises.
     """
     processes = max(1, min(spec.jobs, len(blocks), os.cpu_count() or 1))
+    swept: list = [None] * len(blocks)
     workers = []
     try:
         for i in range(1, processes):
@@ -388,8 +417,8 @@ def _sweep(spec: SweepSpec, blocks: list) -> list:
             worker.start()
             workers.append((worker, reader))
             writer.close()  # so that the reader sees the end of a worker that dies before it sends
-        pairs = [pair for block in blocks[::processes] for pair in _sweep_block(spec, block)]
-        for worker, reader in workers:
+        swept[::processes] = [_sweep_block(spec, block) for block in blocks[::processes]]
+        for i, (worker, reader) in enumerate(workers, start=1):
             try:
                 message = reader.recv()
             except (EOFError, OSError):  # no message, or one cut off ("got end of file during message")
@@ -399,8 +428,10 @@ def _sweep(spec: SweepSpec, blocks: list) -> list:
                 ) from None
             if isinstance(message, Exception):
                 raise message
-            pairs += [(InstanceResult(*values), failures) for values, failures in message]
-        return pairs
+            swept[i::processes] = [
+                (list(itertools.starmap(InstanceResult, rows)), failures, text) for rows, failures, text in message
+            ]
+        return swept
     except BaseException:
         for worker, _ in workers:
             worker.terminate()
@@ -411,18 +442,15 @@ def _sweep(spec: SweepSpec, blocks: list) -> list:
             reader.close()
 
 
-def _row_key(row: InstanceResult):
-    return (row.n, row.mode, len(row.elements), row.elements)
-
-
 def _aggregate(rows, failures) -> dict:
+    verdicts = Counter(map(operator.attrgetter("verdict"), rows))
     return {
         "instances": len(rows),
-        "connected": sum(1 for r in rows if r.connected),
-        "match": sum(1 for r in rows if r.verdict == "match"),
-        "expected_mismatch": sum(1 for r in rows if r.verdict == "expected-mismatch"),
-        "mismatch": sum(1 for r in rows if r.verdict == "mismatch"),
-        "error": sum(1 for r in rows if r.verdict == "error"),
+        "connected": sum(map(operator.attrgetter("connected"), rows)),
+        "match": verdicts["match"],
+        "expected_mismatch": verdicts["expected-mismatch"],
+        "mismatch": verdicts["mismatch"],
+        "error": verdicts["error"],
         "failures": len(failures),
     }
 
@@ -461,10 +489,16 @@ def verify_theorem(spec: SweepSpec) -> VerificationReport:
     processor cores) processes, at least one: this one and p - 1 workers.
     Process i sweeps every p-th block from the i-th, in generation order,
     so one process sweeps them all in order and no object is shared (see
-    ``_sweep``). Each worker sends its rows once, when its stripe is done,
-    as plain tuples. A worker that ends without sending them, or part-way
-    through, raises ResourceLimitError, and an exception in a worker's
-    blocks is raised here.
+    ``_sweep``). Each process renders the JSON rows of each block it sweeps
+    (``_json_rows``), and each worker sends its blocks once, when its stripe
+    is done, as plain tuples and their text. A worker that ends without
+    sending them, or part-way through, raises ResourceLimitError, and an
+    exception in a worker's blocks is raised here.
+
+    Sets are generated in report order (see ``generate_instances``), so the
+    report is its blocks end to end, in block order, with no sort; the
+    rendered blocks ride along in the report, and ``report_to_json`` only
+    joins them.
 
     A sweep of more than the fixed ``MAX_SWEEP_ARCS`` arcs over all its
     sets (``_sweep_arcs``), counted before the connectivity filter, raises
@@ -475,21 +509,17 @@ def verify_theorem(spec: SweepSpec) -> VerificationReport:
     arcs = _sweep_arcs(spec)
     if arcs > MAX_SWEEP_ARCS:
         raise ResourceLimitError(f"the sweep has at least {arcs} arcs, more than the limit {MAX_SWEEP_ARCS}")
-    paired = sorted(_sweep(spec, _blocks(spec)), key=lambda pair: _row_key(pair[0]))
-    rows = tuple(row for row, _ in paired)
-    failures = tuple(f for _, errs in paired for f in errs)
-    return VerificationReport(
-        spec_echo=_spec_echo(spec),
-        instances=rows,
-        aggregates=_aggregate(rows, failures),
-        failures=failures,
-    )
+    swept = _sweep(spec, _blocks(spec))
+    rows = tuple(itertools.chain.from_iterable(rows for rows, _, _ in swept))
+    failures = tuple(itertools.chain.from_iterable(failures for _, failures, _ in swept))
+    report = VerificationReport(_spec_echo(spec), rows, _aggregate(rows, failures), failures)
+    object.__setattr__(report, "_json_blocks", tuple(text for _, _, text in swept if text))
+    return report
 
 
 # A row as json.dumps(..., sort_keys=True, indent=2) writes it in the "instances" list, and its cells.
 _JSON_ROW = "    {{\n" + ",\n".join(f"      {json.dumps(c.key)}: {{}}" for c in _JSON_COLUMNS) + "\n    }}"
-_JSON_FORMATS = tuple(c.json for c in _JSON_COLUMNS)
-_json_values = operator.attrgetter(*(c.field for c in _JSON_COLUMNS))
+_JSON_CELLS = tuple((c.json, operator.attrgetter(c.field)) for c in _JSON_COLUMNS)
 
 
 def _row_from_json(item: dict) -> InstanceResult:
@@ -498,26 +528,55 @@ def _row_from_json(item: dict) -> InstanceResult:
     return InstanceResult(**values)
 
 
+def _json_rows(rows) -> str:
+    """The sequence ``rows`` as it stands in the "instances" list of ``report_to_json``, joined by ",\\n";
+    "" for none.
+
+    The one rendering of rows: each sweep process renders its blocks with it, and ``_json_chunks`` any
+    other report's rows. Each column's cells are made in one pass over the rows.
+    """
+    cells = [map(fmt, map(value, rows)) for fmt, value in _JSON_CELLS]
+    return ",\n".join(map(_JSON_ROW.format, *cells))
+
+
+def _json_chunks(report: VerificationReport):
+    """``report_to_json``'s text in pieces: the sections before "instances", each block of rows apart,
+    the separators, and the rest.
+
+    The blocks are those ``verify_theorem`` rendered where it swept them; a report without them (built
+    by hand, by ``load_report`` or by ``dataclasses.replace``) renders each row as its own piece. So no
+    piece is longer than the other sections plus the longest block.
+    """
+    text = {
+        key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+        for key, value in (
+            ("aggregates", report.aggregates),
+            ("failures", [{"instance": f.instance, "message": f.message} for f in report.failures]),
+            ("sweep", report.spec_echo),
+        )
+    }
+    yield f'{{\n  "aggregates": {text["aggregates"]},\n  "failures": {text["failures"]},\n  "instances": ['
+    blocks = report._json_blocks
+    if blocks is None:
+        blocks = (_json_rows((row,)) for row in report.instances)
+    empty = True
+    for block in blocks:
+        yield "\n" if empty else ",\n"
+        yield block
+        empty = False
+    yield ("]" if empty else "\n  ]") + f',\n  "sweep": {text["sweep"]}\n}}\n'
+
+
 def report_to_json(report: VerificationReport) -> str:
     """Byte-stable JSON rendering; timings are deliberately not included.
 
     Byte for byte ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` of the sweep echo, the
-    aggregates, the rows and the failures. ``indent`` selects the pure-Python encoder, so the rows,
-    nearly all of the text, are written from the row schema; the rest goes through ``json.dumps``,
-    indented one level deeper.
+    aggregates, the rows and the failures, as the join of ``_json_chunks``. ``indent`` selects the
+    pure-Python encoder, so the rows, nearly all of the text, are written from the row schema by
+    ``_json_rows``, in the sweep's processes for a report from ``verify_theorem``; the rest goes
+    through ``json.dumps``, indented one level deeper.
     """
-    rows = ",\n".join(
-        _JSON_ROW.format(*[fmt(value) for fmt, value in zip(_JSON_FORMATS, _json_values(row))])
-        for row in report.instances
-    )
-    sections = {
-        "aggregates": report.aggregates,
-        "failures": [{"instance": f.instance, "message": f.message} for f in report.failures],
-        "sweep": report.spec_echo,
-    }
-    text = {key: json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ") for key, value in sections.items()}
-    text["instances"] = f"[\n{rows}\n  ]" if rows else "[]"
-    return "{\n" + ",\n".join(f"  {json.dumps(key)}: {text[key]}" for key in sorted(text)) + "\n}\n"
+    return "".join(_json_chunks(report))
 
 
 def load_report(text: str) -> VerificationReport:
@@ -538,11 +597,17 @@ def report_to_csv(report: VerificationReport) -> str:
 
 
 def export_report(report: VerificationReport, fmt: str, destination) -> None:
-    """Write the report as ``json`` or ``csv``; identical reports give identical bytes."""
+    """Write the report as ``json`` or ``csv``; identical reports give identical bytes.
+
+    JSON is written piece by piece from ``_json_chunks``, the pieces ``report_to_json`` joins, so no
+    text of the whole report is made.
+    """
     if fmt == "json":
-        text = report_to_json(report)
+        chunks = _json_chunks(report)
     elif fmt == "csv":
-        text = report_to_csv(report)
+        chunks = (report_to_csv(report),)
     else:
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
-    Path(destination).write_text(text, encoding="utf-8")
+    with Path(destination).open("w", encoding="utf-8") as out:
+        for chunk in chunks:
+            out.write(chunk)

@@ -119,6 +119,39 @@ def test_blocks_concatenate_to_the_sweep_and_each_holds_the_unit_images_of_its_s
                 assert all(tuple(sorted(j * s % n for s in cs.elements)) in members for j in units)
 
 
+def report_order(key):
+    n, mode, elements = key
+    return n, mode, len(elements), elements
+
+
+def test_an_undirected_first_sweep_comes_out_in_report_order(monkeypatch):
+    # an even undirected block of k classes holds sets of 2k - 1 elements (those with n/2) and of 2k;
+    # they come out in (n, mode, |S|, S) order whatever the order of ``modes``, with no sort, and every
+    # set records one failure, so the failures must come out in the same order
+    propagate = harness.propagation_closure
+    monkeypatch.setattr(harness, "propagation_closure", lambda n, gens: (*propagate(n, gens)[:2], False))
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    spec = cp.SweepSpec(n_min=2, n_max=10, modes=(cp.UNDIRECTED, cp.DIRECTED))
+    generated = [(cs.n, cs.mode, cs.elements) for cs in cp.generate_instances(spec)]
+    assert generated == sorted(generated, key=report_order)
+    assert [elements for n, mode, elements in generated if (n, mode) == (6, cp.UNDIRECTED)] == [
+        (3,), (1, 5), (2, 4), (1, 3, 5), (2, 3, 4), (1, 2, 4, 5), (1, 2, 3, 4, 5)
+    ]
+    directed_first = dataclasses.replace(spec, modes=(cp.DIRECTED, cp.UNDIRECTED))
+    assert [(cs.n, cs.mode, cs.elements) for cs in cp.generate_instances(directed_first)] == generated
+    for jobs in (1, 3):
+        report = cp.verify_theorem(dataclasses.replace(spec, jobs=jobs))
+        assert [(r.n, r.mode, r.elements) for r in report.instances] == generated
+        keys = [cp.instance_key(cp.ConnectionSet(n, elements, mode)) for n, mode, elements in generated]
+        assert report.failures == tuple(cp.SweepFailure(key, "a propagation stage broke its union of cosets") for key in keys)
+        text = cp.report_to_json(report)
+        other = cp.report_to_json(cp.verify_theorem(dataclasses.replace(directed_first, jobs=jobs)))
+        # the same bytes up to the echo, which states the modes as given
+        assert text[:text.index('"sweep": ')] == other[:other.index('"sweep": ')]
+        echo = json.loads(text)["sweep"]
+        assert echo == {**json.loads(other)["sweep"], "modes": [cp.UNDIRECTED, cp.DIRECTED]}
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         cp.SweepSpec(n_min=1, n_max=4)
@@ -916,6 +949,77 @@ def test_json_rows_are_written_as_json_dumps_writes_them():
         loaded = cp.load_report(text)
         assert cp.report_to_json(loaded) == reference_json(loaded) == text
     assert cp.report_to_json(empty).count("[]") == 2  # no rows and no failures
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        cp.SweepSpec(n_min=2, n_max=10, modes=(cp.DIRECTED,)),
+        cp.SweepSpec(n_min=2, n_max=12, modes=(cp.UNDIRECTED,)),
+        cp.SweepSpec(n_min=2, n_max=8, enumerator="both"),
+        cp.SweepSpec(n_min=2, n_max=12, modes=(cp.UNDIRECTED,), connectivity="disconnected"),
+    ],
+    ids=["directed", "undirected", "oracle", "disconnected"],
+)
+def test_a_report_rendered_where_it_was_swept_has_the_bytes_of_its_rows(monkeypatch, spec):
+    # verify_theorem's report carries its rows rendered by the sweep's processes; a report rebuilt from
+    # its four fields, or one with other rows, renders its own rows, and each gives json.dumps's bytes
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    texts = set()
+    for jobs in (1, 2, 4):
+        report = cp.verify_theorem(dataclasses.replace(spec, jobs=jobs))
+        text = cp.report_to_json(report)
+        rebuilt = cp.VerificationReport(report.spec_echo, report.instances, report.aggregates, report.failures)
+        assert rebuilt == report and text == reference_json(report) == cp.report_to_json(rebuilt)
+        texts.add(text)
+        cut = dataclasses.replace(report, instances=report.instances[:5])
+        assert cp.report_to_json(cut) == reference_json(cut)
+        assert len(json.loads(cp.report_to_json(cut))["instances"]) == 5
+    assert len(texts) == 1
+
+
+class RecordedWrites:
+    """A file object that records the length of each write before it passes the write on."""
+
+    def __init__(self, file, lengths):
+        self.file, self.lengths = file, lengths
+
+    def write(self, text):
+        self.lengths.append(len(text))
+        return self.file.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+
+def test_a_json_export_writes_the_report_a_block_at_a_time(tmp_path, monkeypatch):
+    # no write is longer than the sections other than "instances" plus the longest block, whose rows
+    # the sweep rendered; a report without rendered blocks is written a row at a time
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    report = cp.verify_theorem(cp.SweepSpec(n_min=2, n_max=9, jobs=2))
+    loaded = cp.load_report(cp.report_to_json(report))
+    lengths = []
+    opened = Path.open
+    monkeypatch.setattr(Path, "open", lambda path, *args, **kwargs: RecordedWrites(opened(path, *args, **kwargs), lengths))
+    sections = len(reference_json(dataclasses.replace(report, instances=())))
+    longest_row = max(len(reference_json(dataclasses.replace(report, instances=(row,)))) for row in report.instances)
+    for exported, longest in ((report, max(map(len, report._json_blocks))), (loaded, longest_row - sections)):
+        lengths.clear()
+        cp.export_report(exported, "json", tmp_path / "r.json")
+        text = (tmp_path / "r.json").read_text(encoding="utf-8")
+        assert text == cp.report_to_json(exported) == cp.report_to_json(report)
+        assert len(lengths) > 2 and sum(lengths) == len(text)
+        assert max(lengths) <= sections + longest < len(text) // 5
+    lengths.clear()
+    cp.export_report(report, "csv", tmp_path / "r.csv")
+    assert (tmp_path / "r.csv").read_text(encoding="utf-8") == cp.report_to_csv(report)
+    assert lengths == [len(cp.report_to_csv(report))]
 
 
 def test_export_rejects_unknown_format(tmp_path):
