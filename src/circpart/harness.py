@@ -333,7 +333,7 @@ def _check_instance(spec: SweepSpec, cs: ConnectionSet, failures: list) -> tuple
     partitions = {"B": partition_by_generator(cs), "C": partition_by_cycle(cs)}
     units = cs.multipliers
     groups = {kind: respecting_group(cs, partitions[kind]) for kind in spec.kinds}
-    moved_by = [multiplier_perm(n, u) for u in units if u != 1]  # the identity is in every group
+    moved_by = {multiplier_perm(n, u) for u in units if u != 1}  # the identity is in every group
     if spec.enumerator == "both":
         oracle = dict(zip(spec.kinds, brute_oracle(cs, [partitions[kind] for kind in spec.kinds], fix_zero=True)))
     outcomes = []
@@ -348,7 +348,9 @@ def _check_instance(spec: SweepSpec, cs: ConnectionSet, failures: list) -> tuple
             # Both properties are closed under composition, so the generators suffice; the subgroups
             # <s> and <S> are <g> for their steps g = gcd(n, ...), and each is checked once. Step 1
             # is Z_n, one coset, which every permutation maps onto itself, so it is not checked.
-            gens = group.strong_generators()
+            # A multiplier map v -> j*v passes both: it normalizes to j and sends x + <g> to jx + <g>.
+            # So only the other generators are checked, which a connected set has only on a mismatch.
+            gens = [p for p in group.strong_generators() if p not in moved_by]
             if connected:
                 for p in gens:
                     if normalize_to_multiplier(cs, p) is None:
@@ -600,7 +602,8 @@ def export_report(report: VerificationReport, fmt: str, destination) -> None:
     """Write the report as ``json`` or ``csv``; identical reports give identical bytes.
 
     JSON is written piece by piece from ``_json_chunks``, the pieces ``report_to_json`` joins, so no
-    text of the whole report is made.
+    text of the whole report is made. The text goes to a new file beside ``destination``, which then
+    replaces it, so an export that fails leaves no partial report and any earlier one as it was.
     """
     if fmt == "json":
         chunks = _json_chunks(report)
@@ -608,6 +611,13 @@ def export_report(report: VerificationReport, fmt: str, destination) -> None:
         chunks = (report_to_csv(report),)
     else:
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
-    with Path(destination).open("w", encoding="utf-8") as out:
-        for chunk in chunks:
-            out.write(chunk)
+    destination = Path(destination)
+    partial = destination.with_name(f".{destination.name}.{os.getpid()}.tmp")
+    try:
+        with partial.open("w", encoding="utf-8") as out:
+            for chunk in chunks:
+                out.write(chunk)
+        os.replace(partial, destination)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise

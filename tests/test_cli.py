@@ -192,13 +192,16 @@ def test_build_is_refused_above_the_arc_limit(monkeypatch, capsys):
 def test_a_failed_check_makes_verify_exit_3_with_a_report(tmp_path, monkeypatch, capsys):
     import circpart.harness as harness
 
+    # a multiplier map passes the coset checks by construction, so they run only on the other
+    # generators, which the disconnected sets 6:2, 6:3, 6:4 and 6:2,4 have; failing them changes no verdict
     monkeypatch.setattr(harness, "coset_image_check", lambda graph, p, subset: False)
     out = tmp_path / "r.json"
-    assert main(["verify", "--n-min", "3", "--n-max", "5", "--mode", "d", "--out", str(out)]) == 3
+    assert main(["verify", "--n-min", "3", "--n-max", "6", "--mode", "d", "--out", str(out)]) == 3
     assert "errors: 0  failures: " in capsys.readouterr().out
     report = cp.load_report(out.read_text())
-    assert {row.verdict for row in report.instances} == {"match"}
-    assert report.aggregates["error"] == 0 < report.aggregates["failures"]
+    assert {row.verdict for row in report.instances} == {"match", "expected-mismatch"}
+    assert report.aggregates["error"] == report.aggregates["mismatch"] == 0 < report.aggregates["failures"]
+    assert {f.instance for f in report.failures} == {"6:2:d", "6:3:d", "6:4:d", "6:2,4:d"}
 
 
 def test_a_failing_instance_makes_verify_exit_3_with_a_report(tmp_path, monkeypatch, capsys):

@@ -257,7 +257,7 @@ def unit_orbit_minima(n, subsets):
 
 
 def test_sweeps_search_once_per_unit_orbit_and_check_every_set(monkeypatch):
-    calls = recording(monkeypatch, "respecting_group", "normalize_to_multiplier", "brute_oracle")
+    calls = recording(monkeypatch, "respecting_group", "normalize_to_multiplier", "coset_image_check", "brute_oracle")
     propagate = harness.propagation_closure
 
     def propagated(n, gens):
@@ -272,13 +272,22 @@ def test_sweeps_search_once_per_unit_orbit_and_check_every_set(monkeypatch):
     # two searches per orbit, kinds B and C, on its least set
     assert [(g.n, g.elements) for g in calls["respecting_group"]] == [pair for pair in minima for _ in "BC"]
     assert sorted(calls["propagation_closure"]) == sorted((cs.n, cs.elements) for cs in cp.generate_instances(spec))
-    # one normalization per generator of each connected representative's cycle-respecting group
-    generators = 0
+    # each generator of a representative's cycle-respecting group that is not one of its multiplier
+    # maps, which pass both checks by construction, is normalized once if the set is connected and
+    # coset-checked once per step; here only disconnected representatives have such generators
+    normalized, coset_checked, skipped = [], [], 0
     for n, rep in minima:
         g = cp.build(n, rep, cp.DIRECTED)
-        if cp.is_connected(g):
-            generators += len(cp.respecting_group(g, cp.partition_by_cycle(g)).strong_generators())
-    assert len(calls["normalize_to_multiplier"]) == generators > 0
+        maps = {cp.multiplier_perm(n, j) for j in cp.multipliers(n, rep)}
+        generators = cp.respecting_group(g, cp.partition_by_cycle(g)).strong_generators()
+        others = [p for p in generators if p not in maps]
+        skipped += len(generators) - len(others)
+        steps = ({math.gcd(n, s) for s in rep} | {math.gcd(n, *rep)}) - {1}
+        normalized += [(n, rep)] * len(others) * cp.is_connected(g)
+        coset_checked += [(n, rep)] * len(others) * len(steps)
+    assert [(g.n, g.elements) for g in calls["normalize_to_multiplier"]] == normalized
+    assert [(g.n, g.elements) for g in calls["coset_image_check"]] == coset_checked
+    assert len(coset_checked) > 0 and skipped > 0
     assert report.failures == () and report.aggregates["mismatch"] == 0
 
     calls.clear()
@@ -365,20 +374,21 @@ def one_set_orbits(monkeypatch):
 
 
 def test_a_representative_that_records_a_failure_leaves_its_orbit_to_a_check_per_set(monkeypatch):
-    # {1, 6} ~ {2, 5} ~ {3, 4} mod 7, with multipliers {1, 6}; a normalization that fails on the
-    # representative alone fails no other set, and the others are searched on their own. Its kind-C
-    # group {1, -1} has the one generator v -> -v
-    spec = cp.SweepSpec(n_min=7, n_max=7, modes=(cp.DIRECTED,))
-    normalize = harness.normalize_to_multiplier
+    # {2} ~ {4} mod 6, with multipliers {1}; Circ(6; {2}) is two directed triangles, and its kind-C
+    # group turns the one without 0 by its one generator, no multiplier map, so its coset check on
+    # the step 2 runs. A coset check that fails on the representative alone fails no other set, and
+    # the other is searched on its own
+    spec = cp.SweepSpec(n_min=6, n_max=6, modes=(cp.DIRECTED,))
+    check = harness.coset_image_check
     monkeypatch.setattr(
-        harness, "normalize_to_multiplier", lambda g, p: None if g.elements == (1, 6) else normalize(g, p)
+        harness, "coset_image_check", lambda g, p, subset: g.elements != (2,) and check(g, p, subset)
     )
     calls = recording(monkeypatch, "respecting_group")
     report = cp.verify_theorem(spec)
     searched = [g.elements for g in calls["respecting_group"]]
-    assert all(searched.count(elements) == 2 for elements in ((1, 6), (2, 5), (3, 4)))
-    assert {f.instance for f in report.failures} == {"7:1,6:d"}
-    assert [f.message for f in report.failures] == ["multiplier normalization failed for (0, 6, 5, 4, 3, 2, 1)"]
+    assert all(searched.count(elements) == 2 for elements in ((2,), (4,)))
+    assert {f.instance for f in report.failures} == {"6:2:d"}
+    assert [f.message for f in report.failures] == ["coset image check failed for (0, 3, 2, 5, 4, 1) on (2,)"]
     one_set_orbits(monkeypatch)
     per_set = cp.verify_theorem(spec)
     assert (report.instances, report.failures) == (per_set.instances, per_set.failures)
@@ -572,17 +582,63 @@ def test_sweeps_check_each_multiplier_and_each_generator(monkeypatch):
     report = cp.verify_theorem(spec)
     # j = 5 is a multiplier of every inverse-closed set, and it no longer sifts through the group
     assert {row.verdict for row in report.instances} == {"mismatch"}
-    expected = set()
+    expected, skipped = set(), 0
     for cs in cp.generate_instances(spec):
         g = cp.build(cs.n, cs.elements, cs.mode)
         # one check per distinct proper subgroup <s> or <S>, on its step gcd(n, ...) above 1
         steps = ({math.gcd(cs.n, s) for s in cs.elements} | {math.gcd(cs.n, *cs.elements)}) - {1}
+        maps = {cp.multiplier_perm(cs.n, j) for j in cs.multipliers}
         for p in cp.respecting_group(g, cp.partition_by_cycle(g)).strong_generators():
+            if p in maps:  # a multiplier map passes both checks by construction, and is not checked
+                skipped += 1
+                continue
             expected |= {(cp.instance_key(cs), f"coset image check failed for {p} on {(step,)}") for step in steps}
             if cp.is_connected(g):
                 expected.add((cp.instance_key(cs), f"multiplier normalization failed for {p}"))
     assert {(f.instance, f.message) for f in report.failures} == expected
-    assert len(report.failures) == len(expected) > 0
+    assert len(report.failures) == len(expected) > 0 and skipped > 0
+
+
+def test_a_generator_that_is_no_multiplier_map_is_checked_whatever_its_image_of_1(monkeypatch):
+    # (0, 1, 5, 3, 4, 2) is an automorphism of Circ(6; {1, 4}) that fixes 1, a unit, yet is no
+    # multiplier map: added to that set's kind-C generators, it fails normalization and the coset
+    # check on the step 2, with the messages a check of every generator gives it, while the
+    # multiplier-map generators of every set reach neither check
+    spec = cp.SweepSpec(n_min=6, n_max=6, modes=(cp.DIRECTED,))
+    clean = cp.verify_theorem(spec)
+    extra, search, checked = (0, 1, 5, 3, 4, 2), harness.respecting_group, []
+    found = []  # (set, generator) for every kind-C generator the search found that is a multiplier map
+
+    def with_extra(graph, partition, **kwargs):
+        group = search(graph, partition, **kwargs)
+        if partition.kind == "C":
+            maps = {cp.multiplier_perm(graph.n, j) for j in graph.multipliers}
+            found.extend((cp.instance_key(graph), p) for p in group.strong_generators() if p in maps)
+            if graph.elements == (1, 4):
+                return dataclasses.replace(group, generators=((*group.generators[0], extra), *group.generators[1:]))
+        return group
+
+    def recorded(name):
+        real = getattr(harness, name)
+
+        def record(graph, p, *args):
+            checked.append((name, cp.instance_key(graph), p))
+            return real(graph, p, *args)
+
+        return record
+
+    monkeypatch.setattr(harness, "respecting_group", with_extra)
+    for name in ("normalize_to_multiplier", "coset_image_check"):
+        monkeypatch.setattr(harness, name, recorded(name))
+    report = cp.verify_theorem(spec)
+    assert report.failures == (
+        cp.SweepFailure("6:1,4:d", "multiplier normalization failed for (0, 1, 5, 3, 4, 2)"),
+        cp.SweepFailure("6:1,4:d", "coset image check failed for (0, 1, 5, 3, 4, 2) on (2,)"),
+    )
+    assert report.instances == clean.instances and clean.failures == ()
+    assert [(key, p) for name, key, p in checked if name == "normalize_to_multiplier"] == [("6:1,4:d", extra)]
+    assert ("coset_image_check", "6:1,4:d", extra) in checked
+    assert len(found) > 0 and not {(key, p) for _, key, p in checked} & set(found)
 
 
 def test_a_sweep_checks_the_multipliers_against_the_transversals_the_search_found(monkeypatch):
@@ -1026,6 +1082,47 @@ def test_export_rejects_unknown_format(tmp_path):
     report = cp.verify_theorem(cp.SweepSpec(n_min=5, n_max=4))
     with pytest.raises(ValueError):
         cp.export_report(report, "xml", tmp_path / "report.xml")
+
+
+class FailingWrites(RecordedWrites):
+    """A file object that takes ``limit`` characters, then raises OSError, as a full disk would."""
+
+    def __init__(self, file, lengths, limit):
+        super().__init__(file, lengths)
+        self.limit = limit
+
+    def write(self, text):
+        room = self.limit - sum(self.lengths)
+        if len(text) > room:
+            super().write(text[:room])
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("earlier", [None, "an earlier report\n"], ids=["new", "earlier"])
+def test_an_export_that_fails_mid_report_leaves_no_partial_report_and_the_earlier_one_as_it_was(
+    tmp_path, monkeypatch, fmt, earlier
+):
+    # the writes stop half-way through the report; the destination is left as it was, and the
+    # file the report was being written to is gone
+    report = cp.verify_theorem(cp.SweepSpec(n_min=2, n_max=7))
+    half = len(cp.report_to_json(report) if fmt == "json" else cp.report_to_csv(report)) // 2
+    destination = tmp_path / f"r.{fmt}"
+    if earlier is not None:
+        destination.write_text(earlier, encoding="utf-8")
+    opened, lengths = Path.open, []
+    monkeypatch.setattr(
+        Path, "open", lambda path, *args, **kwargs: FailingWrites(opened(path, *args, **kwargs), lengths, half)
+    )
+    with pytest.raises(OSError, match="No space left on device"):
+        cp.export_report(report, fmt, destination)
+    assert sum(lengths) == half > 0
+    if earlier is None:
+        assert not destination.exists()
+    else:
+        assert destination.read_text(encoding="utf-8") == earlier
+    assert [path.name for path in tmp_path.iterdir()] == ([] if earlier is None else [destination.name])
 
 
 def test_export_propagates_io_errors(tmp_path):
