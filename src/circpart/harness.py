@@ -245,36 +245,34 @@ def generate_instances(spec: SweepSpec):
 
 
 def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> tuple[list, list, str]:
-    """One block in; its rows, its failures and its rows rendered by ``_json_rows`` out, in one pass in
-    generation order, which is report order. The rows are rendered once every row's ``ms`` is taken.
+    """One block in; its rows as field tuples in ``InstanceResult`` order, its failures and its rows
+    rendered by ``_json_rows`` out, in one pass in generation order, which is report order. The rows
+    are rendered once every row's ``ms`` is taken.
 
-    Every row is built here, from the set's own columns (its elements, its
+    Every row is made here, from the set's own columns (its elements, its
     propagation and ``ms``) and its orbit columns: a full check's
     (``_check_instance``), or, for an image j*R of a representative R with a
     source, R's (``_derived``). Each set is propagated once, on its own, by
     ``propagation_closure``; a coverage that differs from connectivity, or a
     stage that breaks its coset union, is a failure. A set that is no earlier
-    set's image registers its images with the least unit j and a source: its
-    key, elements, orbit columns and ``cs.multipliers`` if its whole row
-    raised nothing and recorded no failure, else None. An image without a
-    source is checked in full. No source holds a set, so each set, with what
-    it caches, is freed once its row is made. An exception becomes its
-    ``error`` row and a failure.
+    set's image files each image j*R under its elements, with a source: its
+    key, orbit columns and ``cs.multipliers`` if its whole row raised nothing
+    and recorded no failure, else None. A set found under j*R is j*R, so no
+    check compares them. An image without a source is checked in full. No
+    source holds a set, so each set, with what it caches, is freed once its
+    row is made. An exception becomes its ``error`` row and a failure.
     """
     n = block[0]
     units = _units(n) if spec.enumerator == "backtracking" else ()
-    pending: dict = {}  # a later set's elements -> (its representative's source or None, its j)
+    pending: dict = {}  # a later set's elements -> its representative's source, or None if that failed
     rows, block_failures = [], []
     for cs in _block_sets(spec, block):
-        entry = pending.pop(cs.elements, None)
+        representative = cs.elements not in pending
+        source = pending.pop(cs.elements, None)
         started = time.perf_counter()
         failures: list[SweepFailure] = []
-        source = None
         try:
-            if entry is None or entry[0] is None:
-                orbit = _check_instance(spec, cs, failures)
-            else:
-                orbit = _derived(*entry[0], cs, entry[1])
+            orbit = _check_instance(spec, cs, failures) if source is None else _derived(*source, cs)
             covered, rounds, coset_ok = propagation_closure(n, cs.elements)
         except Exception as exc:
             failures.append(SweepFailure(instance_key(cs), f"{type(exc).__name__}: {exc}"))
@@ -286,35 +284,29 @@ def _sweep_block(spec: SweepSpec, block: tuple[int, str, int]) -> tuple[list, li
                 ))
             if not coset_ok:
                 failures.append(SweepFailure(instance_key(cs), "a propagation stage broke its union of cosets"))
-            if entry is None and not failures:
-                source = instance_key(cs), cs.elements, orbit, cs.multipliers
-        row = InstanceResult(cs.n, cs.elements, cs.mode, *orbit, covered, rounds, (time.perf_counter() - started) * 1e3)
-        if entry is None:
+        rows.append((cs.n, cs.elements, cs.mode, *orbit, covered, rounds, (time.perf_counter() - started) * 1e3))
+        if representative:
+            source = None if failures else (instance_key(cs), orbit, cs.multipliers)
             for j in units:
                 image = tuple(sorted(j * s % n for s in cs.elements))
                 if image != cs.elements:
-                    pending.setdefault(image, (source, j))
-        rows.append(row)
+                    pending.setdefault(image, source)
         block_failures += failures
     return rows, block_failures, _json_rows(rows)
 
 
-def _derived(
-    rep: str, elements: tuple[int, ...], orbit: tuple, units: tuple[int, ...], cs: ConnectionSet, j: int
-) -> tuple:
-    """The orbit columns of ``cs`` = j*R: ``orbit``, those of R, which is keyed ``rep`` and has ``elements`` and ``units``.
+def _derived(rep: str, orbit: tuple, units: tuple[int, ...], cs: ConnectionSet) -> tuple:
+    """The orbit columns of ``cs`` = S, an image j*R of the set R keyed ``rep``: R's, ``orbit``.
 
     m: v -> j*v maps Circ(n; R) onto Circ(n; jR) and each kind's parts onto
     parts, and commutes with every multiplier map, so every orbit column is
-    R's. Two checks come first, raising ValueError when they fail: that j*R is S = ``cs``, and that each u of
-    ``units``, M(R), maps S onto S: M(R) <= M(S). As units commute, u*S = S gives u*R = R: S = j*R proves the reverse.
+    R's. S = j*R holds by the key S was found under. The one check reads
+    M(R), ``units``: a u != 1 that does not map S onto S raises ValueError,
+    so M(R) <= M(S). As units commute, u*S = S gives u*R = R: S = j*R proves the reverse.
     """
-    n = cs.n
-    image = sorted(j * r % n for r in elements)
-    if tuple(image) != cs.elements:
-        raise ValueError(f"{j} times the set of {rep} is {image}, not this set")
+    n, elements = cs.n, list(cs.elements)
     for u in units:
-        if (moved := sorted(u * s % n for s in cs.elements)) != image:
+        if u != 1 and (moved := sorted(u * s % n for s in elements)) != elements:
             raise ValueError(f"multiplier {u} of {rep} maps this set to {moved}")
     return orbit
 
@@ -381,15 +373,10 @@ def _check_instance(spec: SweepSpec, cs: ConnectionSet, failures: list) -> tuple
     return (connected, partitions["B"].count, partitions["C"].count, *orders, len(units), verdict)
 
 
-_row_fields = operator.attrgetter(*(f.name for f in fields(InstanceResult)))
-
-
 def _worker(spec: SweepSpec, stripe: list, conn) -> None:
-    """A worker process: sends its stripe once, each block as its rows' field tuples, its failures and its
-    rendered rows, or the exception raised."""
+    """A worker process: sends its stripe once, each block as ``_sweep_block`` swept it, or the exception raised."""
     try:
-        swept = (_sweep_block(spec, block) for block in stripe)
-        message = [(list(map(_row_fields, rows)), failures, text) for rows, failures, text in swept]
+        message = [_sweep_block(spec, block) for block in stripe]
     except Exception as exc:
         message = exc
     conn.send(message)
@@ -397,7 +384,7 @@ def _worker(spec: SweepSpec, stripe: list, conn) -> None:
 
 
 def _sweep(spec: SweepSpec, blocks: list) -> list:
-    """The (rows, failures, rendered rows) of each of ``blocks``, in block order, swept in
+    """The (field tuples, failures, rendered rows) of each of ``blocks``, in block order, swept in
     p = max(1, min(jobs, blocks, processor cores)) processes.
 
     Process i sweeps the stripe ``blocks[i::p]`` in order and renders each
@@ -430,9 +417,7 @@ def _sweep(spec: SweepSpec, blocks: list) -> list:
                 ) from None
             if isinstance(message, Exception):
                 raise message
-            swept[i::processes] = [
-                (list(itertools.starmap(InstanceResult, rows)), failures, text) for rows, failures, text in message
-            ]
+            swept[i::processes] = message
         return swept
     except BaseException:
         for worker, _ in workers:
@@ -491,11 +476,13 @@ def verify_theorem(spec: SweepSpec) -> VerificationReport:
     processor cores) processes, at least one: this one and p - 1 workers.
     Process i sweeps every p-th block from the i-th, in generation order,
     so one process sweeps them all in order and no object is shared (see
-    ``_sweep``). Each process renders the JSON rows of each block it sweeps
-    (``_json_rows``), and each worker sends its blocks once, when its stripe
-    is done, as plain tuples and their text. A worker that ends without
-    sending them, or part-way through, raises ResourceLimitError, and an
-    exception in a worker's blocks is raised here.
+    ``_sweep``). Each process makes the rows of each block it sweeps as
+    field tuples and renders their JSON (``_json_rows``), and each worker
+    sends its blocks once, when its stripe is done, as those tuples and
+    their text. A worker that ends without sending them, or part-way
+    through, raises ResourceLimitError, and an exception in a worker's
+    blocks is raised here. Each row becomes an ``InstanceResult`` once,
+    here, in place, so each field tuple goes as its row is made.
 
     Sets are generated in report order (see ``generate_instances``), so the
     report is its blocks end to end, in block order, with no sort; the
@@ -512,7 +499,10 @@ def verify_theorem(spec: SweepSpec) -> VerificationReport:
     if arcs > MAX_SWEEP_ARCS:
         raise ResourceLimitError(f"the sweep has at least {arcs} arcs, more than the limit {MAX_SWEEP_ARCS}")
     swept = _sweep(spec, _blocks(spec))
-    rows = tuple(itertools.chain.from_iterable(rows for rows, _, _ in swept))
+    for block, _, _ in swept:  # in place, so that each field tuple goes once its row is made
+        for i, values in enumerate(block):
+            block[i] = InstanceResult(*values)
+    rows = tuple(itertools.chain.from_iterable(block for block, _, _ in swept))
     failures = tuple(itertools.chain.from_iterable(failures for _, failures, _ in swept))
     report = VerificationReport(_spec_echo(spec), rows, _aggregate(rows, failures), failures)
     object.__setattr__(report, "_json_blocks", tuple(text for _, _, text in swept if text))
@@ -521,7 +511,9 @@ def verify_theorem(spec: SweepSpec) -> VerificationReport:
 
 # A row as json.dumps(..., sort_keys=True, indent=2) writes it in the "instances" list, and its cells.
 _JSON_ROW = "    {{\n" + ",\n".join(f"      {json.dumps(c.key)}: {{}}" for c in _JSON_COLUMNS) + "\n    }}"
-_JSON_CELLS = tuple((c.json, operator.attrgetter(c.field)) for c in _JSON_COLUMNS)
+_ROW_FIELDS = tuple(f.name for f in fields(InstanceResult))
+_JSON_CELLS = tuple((c.json, operator.itemgetter(_ROW_FIELDS.index(c.field))) for c in _JSON_COLUMNS)
+_row_fields = operator.attrgetter(*_ROW_FIELDS)
 
 
 def _row_from_json(item: dict) -> InstanceResult:
@@ -531,8 +523,8 @@ def _row_from_json(item: dict) -> InstanceResult:
 
 
 def _json_rows(rows) -> str:
-    """The sequence ``rows`` as it stands in the "instances" list of ``report_to_json``, joined by ",\\n";
-    "" for none.
+    """The sequence ``rows``, field tuples in ``InstanceResult`` order, as it stands in the "instances"
+    list of ``report_to_json``, joined by ",\\n"; "" for none.
 
     The one rendering of rows: each sweep process renders its blocks with it, and ``_json_chunks`` any
     other report's rows. Each column's cells are made in one pass over the rows.
@@ -560,7 +552,7 @@ def _json_chunks(report: VerificationReport):
     yield f'{{\n  "aggregates": {text["aggregates"]},\n  "failures": {text["failures"]},\n  "instances": ['
     blocks = report._json_blocks
     if blocks is None:
-        blocks = (_json_rows((row,)) for row in report.instances)
+        blocks = (_json_rows((_row_fields(row),)) for row in report.instances)
     empty = True
     for block in blocks:
         yield "\n" if empty else ",\n"

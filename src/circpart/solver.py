@@ -61,12 +61,16 @@ class RespectingGroup:
         return [p for level in self.generators for p in level]
 
     def __contains__(self, p: Perm) -> bool:
-        """Is p in G? Sims's sift: strip, level by level, the transversal element that agrees with p; 1 must be left."""
+        """Is p in G? Sims's sift: strip, level by level, the transversal element that agrees with p; 1 must be left.
+        A tuple of another degree, or one that is no permutation of Z_n, is not: a value outside Z_n strips
+        to None, which no transversal holds and the identity lacks."""
+        if len(p) != len(self.base):
+            return False
         for point, trans in zip(self.base, self.transversals):
             if p[point] != point:  # else the transversal's element is the identity
                 if (t := trans.get(p[point])) is None:
                     return False
-                p = tuple(map(dict(zip(t, range(len(t)))).__getitem__, p))  # t^-1 after p
+                p = tuple(map(dict(zip(t, range(len(t)))).get, p))  # t^-1 after p
         return p == tuple(range(len(p)))
 
     def elements(self) -> list[Perm]:

@@ -299,20 +299,14 @@ def test_sweeps_search_once_per_unit_orbit_and_check_every_set(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "rep, member, j, message, carried",
+    "rep, member, message, carried",
     [
-        ("7:1,2:d", "7:3,6:d", 5, "5 times the set of 7:1,2:d is [3, 5], not this set", None),
-        ("8:1,5:d", "8:2:d", 1, "1 times the set of 8:1,5:d is [1, 5], not this set", None),
-        ("8:1:d", "8:2:d", 3, "3 times the set of 8:1:d is [3], not this set", None),
-        ("8:1:d", "8:3:d", 3, "multiplier 5 of 8:1:d maps this set to [7]", (1, 5)),
+        ("8:1:d", "8:3:d", "multiplier 5 of 8:1:d maps this set to [7]", (1, 5)),
     ],
 )
-def test_a_set_its_unit_does_not_reach_gets_an_error_row(rep, member, j, message, carried):
-    # 3 * {1, 2} = {3, 6} mod 7, so 5 = 3^-1 is the wrong unit. {2} lies in another orbit than
-    # {1, 5}, with the same multipliers but 4 cycle-respecting automorphisms to its 2, and in
-    # another orbit than {1}, with other multipliers. {3} = 3 * {1}, but carried with the
-    # multipliers of {2}, {1, 5}, {1} brings a unit that does not map {3} onto itself. Each
-    # raises, never giving the representative's counts
+def test_a_set_its_unit_does_not_reach_gets_an_error_row(rep, member, message, carried):
+    # {3} = 3 * {1} mod 8, but carried with the multipliers (1, 5) of {2} and {1, 5}, not {1}'s, it
+    # meets a unit that does not map {3} onto itself. It raises, never giving the representative's counts
     import circpart.harness as harness
 
     spec = cp.SweepSpec(n_min=7, n_max=8, modes=(cp.DIRECTED,))
@@ -322,8 +316,29 @@ def test_a_set_its_unit_does_not_reach_gets_an_error_row(rep, member, j, message
     assert (orbit[-1], failures) == ("match", [])
     units = source.multipliers if carried is None else carried
     with pytest.raises(ValueError) as raised:
-        harness._derived(rep, source.elements, orbit, units, cp.parse_instance(member), j)
+        harness._derived(rep, orbit, units, cp.parse_instance(member))
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("mode, n_max", [(cp.DIRECTED, 10), (cp.UNDIRECTED, 16)])
+def test_each_derived_set_is_a_unit_image_of_an_earlier_representative(monkeypatch, mode, n_max):
+    # a set is derived from the key it was found under, with no check that it is the image: each one
+    # must be u*R for a unit u of Z_n, where R is the set keyed ``rep``, and R's row must come first
+    derived, real = [], harness._derived
+
+    def recorded(rep, orbit, units, cs):
+        derived.append((cp.parse_instance(rep), cs))
+        return real(rep, orbit, units, cs)
+
+    monkeypatch.setattr(harness, "_derived", recorded)
+    report = cp.verify_theorem(cp.SweepSpec(n_min=2, n_max=n_max, modes=(mode,)))
+    at = {(row.n, row.elements): i for i, row in enumerate(report.instances)}
+    for source, cs in derived:
+        n = cs.n
+        images = {tuple(sorted(u * r % n for r in source.elements)) for u in range(1, n) if math.gcd(u, n) == 1}
+        assert (source.n, source.mode) == (n, cs.mode) and cs.elements in images, (source, cs)
+        assert at[n, source.elements] < at[n, cs.elements], (source, cs)
+    assert len(derived) > len(report.instances) // 2 and report.failures == ()
 
 
 @pytest.mark.parametrize(
@@ -331,8 +346,8 @@ def test_a_set_its_unit_does_not_reach_gets_an_error_row(rep, member, j, message
     [
         (
             "_derived",
-            lambda real: lambda rep, elements, orbit, units, cs, j: real(
-                rep, elements, orbit, units + (6,) if cs.elements == (3, 6) else units, cs, j
+            lambda real: lambda rep, orbit, units, cs: real(
+                rep, orbit, units + (6,) if cs.elements == (3, 6) else units, cs
             ),
             "ValueError: multiplier 6 of 7:1,2:d maps this set to [1, 4]",
         ),

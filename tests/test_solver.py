@@ -620,6 +620,16 @@ def test_membership_sifts_through_the_transversals(text):
     assert (0, 2, 1) not in group
 
 
+def test_membership_refuses_a_tuple_of_another_degree_or_no_permutation():
+    # the sift reads p at each base point and inverts each transversal element on p's values, so a
+    # shorter tuple, or a value outside Z_n, would raise there
+    g = cp.parse_instance("6:1,5:u")
+    group = cp.respecting_group(g, cp.partition_by_cycle(g))
+    assert (0, 5, 4, 3, 2, 1) in group
+    for p in [(0, 1, 2), (0, 5, 4, 3, 2, 1, 6), (0, 5, 4, 3, 2, 9), (0, 5, 4, 3, 2, 2), (0, 5, 4, 3, 2, -1), ()]:
+        assert p not in group, p
+
+
 def multiplier_maps(n, elements):
     return sorted(cp.multiplier_perm(n, j) for j in cp.multipliers(n, elements))
 
